@@ -5,7 +5,7 @@ Times a rate-grid sweep shaped like E10's fast grid — independent
 simulations at several arrival rates — serially (``jobs=0``) and fanned
 out over 4 worker processes, and reports the speedup.  On a >= 4-core
 machine the parallel sweep must be at least 2x faster; on smaller
-machines (e.g. a 1-CPU CI container, where a process pool cannot beat
+machines (e.g. a 1-CPU CI container, where worker processes cannot beat
 serial) the speedup is reported but not asserted.
 
 Also exercises the warm-cache path: a second pass over the same grid must
@@ -14,8 +14,8 @@ execute zero simulations.
 The second half benchmarks the *execution backends* against each other on
 an E06-style 300-point grid of very short simulations — the regime where
 per-task overhead (process spawn, config pickling, model rebuild, result
-pickling) dominates and the warm backend's persistent workers, chunked
-dispatch and columnar transport pay off.  The distributed backend rides
+pickling) dominates and the warm backend's persistent workers and chunked
+dispatch pay off.  The distributed backend rides
 the same comparison so its happy-path tax over the warm fleet (framing,
 leases, heartbeats, the commit gate; docs/DISTRIBUTED.md) is recorded,
 not guessed.  ``record_bench.py`` records the result as
@@ -32,7 +32,6 @@ Runnable three ways::
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import time
@@ -162,8 +161,8 @@ def measure_overhead(repeats: int = 5, duration_us: float = 200_000.0):
 #: ``run_many`` batch per replicate — exactly how the experiment harness
 #: drives the runner (one batch per figure series / search round / seed
 #: replicate), which is the calling pattern that motivates persistent
-#: workers: the pool backend re-spawns and re-warms its fleet on *every*
-#: batch, the warm backend only on the first.
+#: workers: the warm backend spawns and warms its fleet on the first
+#: batch only.
 SWEEP_POLICIES = ("fcfs", "mru", "stream-mru", "pools", "wired-streams")
 SWEEP_RATES = (2_000, 8_000, 16_000, 24_000, 32_000, 38_000)
 SWEEP_REPLICATES = 10
@@ -175,9 +174,8 @@ SWEEP_REPLICATES = 10
 SWEEP_DURATION_US = 1_000.0
 
 #: Fleet width for the parallel backends.  Sized for a sweep box, not
-#: for this container: the pool backend re-pays the fleet spawn per
-#: batch (cost linear in ``jobs``), the warm backend amortizes it across
-#: the session — which is the difference being measured.
+#: for a small CI runner: the warm backend amortizes its fleet spawn
+#: (cost linear in ``jobs``) across the session.
 SWEEP_JOBS = 8
 
 #: Conservative configs/s floors for ``--check``, sized for a slow shared
@@ -185,16 +183,9 @@ SWEEP_JOBS = 8
 #: BENCH_sweep.json for what the recording machine actually sustains).
 MIN_CONFIGS_PER_SEC = {
     "serial": 60.0,
-    "pool": 10.0,
     "warm": 50.0,
     "distributed": 10.0,
 }
-
-#: The headline acceptance ratio recorded by record_bench.py (warm must
-#: beat pool by at least this much on the recording machine).  ``--check``
-#: re-asserts it only in strict mode: a noisy shared runner deserves the
-#: benefit of the doubt on ratios, the floors above always hold.
-REQUIRED_WARM_VS_POOL = 3.0
 
 
 def backend_sweep_batches(duration_us: float = SWEEP_DURATION_US) -> list:
@@ -236,16 +227,14 @@ def _same_results(a, b) -> bool:
 
 def compare_backends(repeats: int = 5,
                      duration_us: float = SWEEP_DURATION_US):
-    """serial vs pool vs warm vs distributed on the E06-style session.
+    """serial vs warm vs distributed on the E06-style session.
 
     Each backend keeps **one runner for all its sessions**, so it is
     measured the way it runs in practice: the warm backend spawns
     workers once and carries models, MRU state and chunk-size estimates
-    across batches, while the pool backend pays its per-batch spawn in
-    every batch — that *is* its steady-state cost and the overhead this
-    benchmark exists to expose.
+    across batches.
 
-    Sessions are **interleaved round-robin** (serial, pool, warm,
+    Sessions are **interleaved round-robin** (serial, warm, distributed,
     serial, ...) rather than run as per-backend legs: on a shared box
     the machine drifts over the minutes the comparison takes (thermal
     throttling, competing load), and sequential legs would hand whole
@@ -255,7 +244,7 @@ def compare_backends(repeats: int = 5,
     """
     batches = backend_sweep_batches(duration_us)
     points = sum(len(b) for b in batches)
-    order = ("serial", "pool", "warm", "distributed")
+    order = ("serial", "warm", "distributed")
     runners = {
         backend: SweepRunner(jobs=0 if backend == "serial" else SWEEP_JOBS,
                              backend=backend)
@@ -306,7 +295,6 @@ def compare_backends(repeats: int = 5,
                      f"{row['dup_results']} dups)")
         print(f"[bench_runner] {backend}: {row['best_s']:.3f} s  "
               f"{row['configs_per_sec']:,.1f} configs/s" + extra)
-    warm_vs_pool = rows["warm"]["configs_per_sec"] / rows["pool"]["configs_per_sec"]
     warm_vs_serial = (rows["warm"]["configs_per_sec"]
                       / rows["serial"]["configs_per_sec"])
     # The distributed backend's happy-path tax vs the warm fleet it
@@ -314,8 +302,8 @@ def compare_backends(repeats: int = 5,
     # heartbeats, the commit gate) costs when nothing goes wrong.
     dist_overhead_pct = (rows["warm"]["configs_per_sec"]
                          / rows["distributed"]["configs_per_sec"] - 1.0) * 100.0
-    print(f"[bench_runner] warm vs pool: {warm_vs_pool:.2f}x, "
-          f"warm vs serial: {warm_vs_serial:.2f}x on {os.cpu_count()} CPUs")
+    print(f"[bench_runner] warm vs serial: {warm_vs_serial:.2f}x on "
+          f"{os.cpu_count()} CPUs")
     print(f"[bench_runner] distributed happy-path overhead vs warm: "
           f"{dist_overhead_pct:+.1f}%")
     return {
@@ -330,7 +318,6 @@ def compare_backends(repeats: int = 5,
         "jobs": SWEEP_JOBS,
         "cpus": os.cpu_count() or 1,
         "backends": rows,
-        "warm_vs_pool": round(warm_vs_pool, 3),
         "warm_vs_serial": round(warm_vs_serial, 3),
         "distributed_overhead_vs_warm_pct": round(dist_overhead_pct, 1),
     }
@@ -342,8 +329,6 @@ def check(repeats: int = 3) -> int:
         print(f"[bench_runner] SKIP: {SWEEP_JSON.name} not recorded yet "
               "(run benchmarks/record_bench.py)")
         return 0
-    recorded = json.loads(SWEEP_JSON.read_text())
-    strict = os.environ.get("REPRO_BENCH_STRICT") == "1"
     report = compare_backends(repeats=repeats)
     failures = []
     for backend, floor in MIN_CONFIGS_PER_SEC.items():
@@ -352,12 +337,6 @@ def check(repeats: int = 3) -> int:
             failures.append(
                 f"{backend}: {got:,.1f} configs/s below the conservative "
                 f"floor {floor:,.1f}")
-    if strict:
-        if report["warm_vs_pool"] < REQUIRED_WARM_VS_POOL:
-            failures.append(
-                f"warm vs pool {report['warm_vs_pool']:.2f}x below the "
-                f"required {REQUIRED_WARM_VS_POOL:.1f}x (recorded "
-                f"{recorded.get('warm_vs_pool', '?')}x)")
     if failures:
         for f in failures:
             print(f"[bench_runner] FAIL: {f}")
@@ -409,11 +388,8 @@ if __name__ == "__main__":
     if "--check" in sys.argv:
         sys.exit(check())
     if "--sweep" in sys.argv:
-        sweep = compare_backends()
-        ok = sweep["warm_vs_pool"] >= REQUIRED_WARM_VS_POOL
-        print(f"[bench_runner] warm-vs-pool gate (>= "
-              f"{REQUIRED_WARM_VS_POOL:.1f}x): {'PASS' if ok else 'FAIL'}")
-        sys.exit(0 if ok else 1)
+        compare_backends()
+        sys.exit(0)
     report = compare()
     print(f"{report['points']}-point sweep on {report['cpus']} CPUs")
     print(f"  serial (jobs=0): {report['serial_s']:.2f}s")

@@ -28,7 +28,7 @@ The file has five sections:
     budgeted at < 2% (``docs/ROBUSTNESS.md``).
 
 ``BENCH_sweep.json`` records the execution-backend comparison (serial vs
-pool vs warm vs distributed on the E06-style replicated session, best of
+warm vs distributed on the E06-style replicated session, best of
 5, cold cache) — the acceptance trajectory for the affinity-aware sweep
 executor (``docs/PERFORMANCE.md``) and the distributed backend's
 happy-path overhead vs the warm fleet (``docs/DISTRIBUTED.md``), gated
@@ -150,8 +150,7 @@ def main(repeats: int = 5) -> int:
     }
     SWEEP_JSON.write_text(json.dumps(sweep, indent=2, sort_keys=True) + "\n")
     print(f"[record_bench] wrote {SWEEP_JSON}")
-    print(f"[record_bench] warm vs pool: {sweep['warm_vs_pool']}x "
-          f"(target >= 3x), warm vs serial: {sweep['warm_vs_serial']}x")
+    print(f"[record_bench] warm vs serial: {sweep['warm_vs_serial']}x")
     print(f"[record_bench] distributed overhead vs warm: "
           f"{sweep['distributed_overhead_vs_warm_pct']:+.1f}%")
     return 0

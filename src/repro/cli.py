@@ -66,8 +66,8 @@ Fault tolerance
 ---------------
 Sweeps are fault-tolerant (``docs/ROBUSTNESS.md``): ``--timeout S``
 bounds each simulation's wall clock, ``--retries N`` re-runs failed or
-timed-out tasks with deterministic exponential backoff, crashed worker
-pools are respawned transparently, and completed work is checkpointed so
+timed-out tasks with deterministic exponential backoff, crashed workers
+are respawned transparently, and completed work is checkpointed so
 an interrupted invocation (Ctrl-C, SIGTERM) can continue with
 ``--resume`` without recomputing anything.  Permanent failures are
 reported as a structured summary and exit non-zero; ``--fail-fast``
@@ -107,8 +107,8 @@ def _add_runner_flags(parser: argparse.ArgumentParser) -> None:
         "--backend", choices=BACKEND_NAMES, default="warm",
         help="execution engine for --jobs > 1: 'warm' keeps persistent "
              "affinity-routed workers alive across sweeps (default), "
-             "'pool' spawns a process pool per sweep, 'serial' forces "
-             "in-process execution, 'distributed' leases task chunks to "
+             "'serial' forces in-process execution, "
+             "'distributed' leases task chunks to "
              "worker agents over a network transport (docs/DISTRIBUTED.md); "
              "results are bit-identical across backends (see docs/RUNNER.md)")
     parser.add_argument(

@@ -34,7 +34,6 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from ..cache.hierarchy import CacheHierarchy
-from .kernels import maybe_build_penalty_kernel
 from .params import FootprintComposition, ProtocolCosts
 
 __all__ = ["ComponentState", "ExecutionTimeModel", "COLD"]
@@ -175,11 +174,6 @@ class ExecutionTimeModel:
         else:
             self._fast_l1 = None
             self._fast_l2 = None
-        # Optional compiled per-unique-count kernel (REPRO_KERNEL=numba);
-        # None means the pure-python _pen1 loop serves the batch path.
-        self._penalty_kernel = maybe_build_penalty_kernel(
-            self._fast_l1, self._fast_l2, self._delta1, self._delta2,
-        )
 
     def _flush_scalar(self, refs: float, level: int) -> float:
         """Scalar ``F_level`` (exact same math as the vectorized path)."""
@@ -394,25 +388,17 @@ class ExecutionTimeModel:
         Deduplicates through ``np.unique`` and resolves each *unique*
         count exactly once — through the same scalar :meth:`_pen1` (same
         analytic branches, same bounded cache, same libm calls, so the
-        same bits as the scalar engine), or through the opt-in compiled
-        kernel when one was built.  Counter accounting matches the scalar
-        path's identities: ``_pen1`` bumps its own counters per unique
-        count, and the caller bumps ``_n_fast_calls`` per state, so
-        ``stats()``'s derived ``dedup_hits`` absorbs the array-level
-        reuse exactly like the intra-state reuse it already absorbs.
+        same bits as the scalar engine).  Counter accounting matches the
+        scalar path's identities: ``_pen1`` bumps its own counters per
+        unique count, and the caller bumps ``_n_fast_calls`` per state, so
+        ``stats()``'s derived ``dedup_hits`` absorbs the array-level reuse
+        exactly like the intra-state reuse it already absorbs.
         """
         uniq, inverse = np.unique(refs, return_inverse=True)
-        kernel = self._penalty_kernel
-        if kernel is not None:
-            values = kernel(uniq)
-            # Counter parity with the pure-python path: every unique count
-            # was resolved by direct computation.
-            self._n_flush_computes += int(uniq.shape[0])
-        else:
-            values = np.empty(uniq.shape[0], dtype=np.float64)
-            pen1 = self._pen1
-            for i, count in enumerate(uniq.tolist()):
-                values[i] = pen1(count)
+        values = np.empty(uniq.shape[0], dtype=np.float64)
+        pen1 = self._pen1
+        for i, count in enumerate(uniq.tolist()):
+            values[i] = pen1(count)
         return values[inverse]
 
     def component_penalties_array(

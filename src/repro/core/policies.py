@@ -32,6 +32,9 @@ any processor):
 - :class:`IPSMRUPolicy` — a runnable stack goes to the processor where it
   last ran if idle, else the MRU idle processor (the paper's
   recommendation at low arrival rate).
+- :class:`IPSRandomPolicy` — the unaffinitized IPS reference: a runnable
+  stack goes to a uniformly random idle processor (E11's baseline, not a
+  policy the paper proposes).
 
 **Hybrid** (:class:`HybridPolicy`) — reconstruction of the hybrid approach
 proposed in the companion TR [17]: wired-stream queues with overflow
@@ -62,10 +65,9 @@ stateful per simulation run.
 from __future__ import annotations
 
 import math
-import sys
 from abc import ABC, abstractmethod
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 __all__ = [
     "SchedulerView",
@@ -82,6 +84,7 @@ __all__ = [
     "IPSPolicy",
     "IPSWiredPolicy",
     "IPSMRUPolicy",
+    "IPSRandomPolicy",
     "LOCKING_POLICIES",
     "IPS_POLICIES",
     "make_locking_policy",
@@ -633,6 +636,19 @@ class IPSMRUPolicy(IPSPolicy):
         return view.mru_idle()
 
 
+class IPSRandomPolicy(IPSPolicy):
+    """Unaffinitized IPS reference: a runnable stack goes to a uniformly
+    random idle processor."""
+
+    name = "ips-random"
+
+    def select_processor(self, stack_id, view, stack_last_proc):
+        idle = view.idle_processors()
+        if not idle:
+            return None
+        return view.random_choice(idle)
+
+
 # ----------------------------------------------------------------------
 # Registries
 # ----------------------------------------------------------------------
@@ -651,63 +667,8 @@ LOCKING_POLICIES: Dict[str, Callable[[], LockingPolicy]] = {
 IPS_POLICIES: Dict[str, Callable[[], IPSPolicy]] = {
     "ips-wired": IPSWiredPolicy,
     "ips-mru": IPSMRUPolicy,
+    "ips-random": IPSRandomPolicy,
 }
-
-#: The registry contents at import time.  Entries added later (e.g. an
-#: experiment registering a reference policy at run time, like E11's
-#: ``ips-random``) are *dynamic*: a persistent worker process spawned
-#: before the registration has never seen them, so the warm execution
-#: backend ships :func:`dynamic_policy_entries` with every dispatched
-#: chunk and the worker applies them via :func:`merge_policy_entries`.
-#: A per-batch pool inherits them for free by forking after the
-#: registration; persistent workers must be told.
-_STATIC_LOCKING = frozenset(LOCKING_POLICIES)
-_STATIC_IPS = frozenset(IPS_POLICIES)
-
-#: (registry kind, policy name, factory) — the wire form of a dynamic
-#: registration.
-PolicyEntry = Tuple[str, str, Callable[..., Any]]
-
-
-def _picklable_by_reference(factory: Callable[..., Any]) -> bool:
-    """Whether ``factory`` pickles as a module-level reference.
-
-    Lambdas/closures don't; skipping them keeps dispatch alive and turns
-    the failure into the worker's loud per-task ``unknown policy`` error
-    instead of a pickling crash of the whole sweep.
-    """
-    obj: Any = sys.modules.get(getattr(factory, "__module__", ""), None)
-    for part in getattr(factory, "__qualname__", "").split("."):
-        obj = getattr(obj, part, None)
-        if obj is None:
-            return False
-    return obj is factory
-
-
-def dynamic_policy_entries() -> Tuple[PolicyEntry, ...]:
-    """Registry entries added after import, in wire form (usually empty)."""
-    return tuple(
-        (kind, name, registry[name])
-        for kind, registry, static in (
-            ("locking", LOCKING_POLICIES, _STATIC_LOCKING),
-            ("ips", IPS_POLICIES, _STATIC_IPS),
-        )
-        for name in registry
-        if name not in static and _picklable_by_reference(registry[name])
-    )
-
-
-def merge_policy_entries(entries: Tuple[PolicyEntry, ...]) -> None:
-    """Apply :func:`dynamic_policy_entries` in this process.
-
-    ``setdefault`` — byte-for-byte the semantics of the in-process
-    registration it mirrors, so first registration wins everywhere.
-    """
-    for kind, name, factory in entries:
-        if kind == "locking":
-            LOCKING_POLICIES.setdefault(name, factory)
-        else:
-            IPS_POLICIES.setdefault(name, factory)
 
 
 def make_locking_policy(name: str, **kwargs) -> LockingPolicy:

@@ -2,10 +2,10 @@
 (paper Fig. 11).
 
 The IPS counterpart of E10: the unaffinitized reference is IPS with
-stacks scheduled onto random idle processors (no affinity), against the
-better of IPS-wired / IPS-MRU.  Because every stack migration invalidates
-the whole stack-private footprint, the affinity gap under IPS is at least
-as large as under Locking.
+stacks scheduled onto random idle processors (``ips-random``, no
+affinity), against the better of IPS-wired / IPS-MRU.  Because every
+stack migration invalidates the whole stack-private footprint, the
+affinity gap under IPS is at least as large as under Locking.
 
 Status: figure role quoted ("Figures 10 and 11 ... under Locking and IPS,
 respectively"); V grid reconstructed.
@@ -13,10 +13,7 @@ respectively"); V grid reconstructed.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..analysis.tables import format_series
-from ..core.policies import IPSPolicy, SchedulerView
 from .base import ExperimentResult
 from .e10_reduction_locking import V_VALUES, reduction_sweep
 
@@ -24,26 +21,7 @@ EXPERIMENT_ID = "e11"
 TITLE = "IPS: % delay reduction from affinity scheduling vs rate (Fig. 11)"
 
 
-class IPSRandomPolicy(IPSPolicy):
-    """Unaffinitized IPS reference: a runnable stack goes to a uniformly
-    random idle processor (defined here because it is a *reference* policy
-    for this figure, not one the paper proposes)."""
-
-    name = "ips-random"
-
-    def select_processor(self, stack_id: int, view: SchedulerView,
-                         stack_last_proc: Optional[int]) -> Optional[int]:
-        idle = view.idle_processors()
-        if not idle:
-            return None
-        return view.random_choice(idle)
-
-
 def run(fast: bool = True, seed: int = 1, **_) -> ExperimentResult:
-    # Register the reference policy for this run (idempotent).
-    from ..core.policies import IPS_POLICIES
-    IPS_POLICIES.setdefault("ips-random", IPSRandomPolicy)
-
     rate_grid = (
         (2_000, 8_000, 16_000, 28_000, 40_000)
         if fast

@@ -6,11 +6,12 @@ repetitive across invocations (tests, benchmarks, and ``repro all`` re-run
 identical grid points).  This package provides:
 
 - :class:`SweepRunner` — fans a batch of :class:`SystemConfig` runs out
-  over a process pool (``jobs=N``; ``jobs=0`` = serial fallback) with
-  deterministic, submission-ordered results that are bit-identical to
-  serial execution, and with fault-tolerant execution: per-task
-  timeouts, bounded retries with deterministic backoff, broken-pool
-  recovery, and checkpoint/resume (``docs/ROBUSTNESS.md``);
+  over persistent warm workers or a distributed agent fleet (``jobs=N``;
+  ``jobs=0`` = serial fallback) with deterministic, submission-ordered
+  results that are bit-identical to serial execution, and with
+  fault-tolerant execution: per-task timeouts, bounded retries with
+  deterministic backoff, crashed-worker recovery, and checkpoint/resume
+  (``docs/ROBUSTNESS.md``);
 - :class:`ResultCache` — a content-addressed on-disk cache of
   :class:`~repro.sim.metrics.SimulationSummary` objects keyed by
   :func:`config_key` (canonical config serialization + simulator code

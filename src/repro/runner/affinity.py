@@ -3,10 +3,9 @@
 The paper's thesis, one level up: scheduling work without regard to which
 processor already holds its state warm throws away locality.  For sweep
 execution the "state" is not a CPU cache but a worker process's memoized
-:class:`~repro.core.exec_model.ExecutionTimeModel` (penalty caches, the
-optional JIT-compiled ``REPRO_KERNEL`` artifact) — expensive to rebuild,
-free to reuse, and shared by every config with the same exec-model
-parameters.
+:class:`~repro.core.exec_model.ExecutionTimeModel` (penalty caches) —
+expensive to rebuild, free to reuse, and shared by every config with the
+same exec-model parameters.
 
 :func:`affinity_key` names that reusable state: a digest of the
 exec-model parameters (costs, composition, platform), the workload
@@ -111,8 +110,8 @@ def _exec_fingerprint(config: SystemConfig) -> Optional[str]:
 def affinity_key(config: SystemConfig) -> str:
     """Digest naming the warm state a config's execution can reuse.
 
-    Covers the exec-model parameters (the memoized penalty caches and
-    compiled kernel are pure functions of these), the workload family,
+    Covers the exec-model parameters (the memoized penalty caches are
+    pure functions of these), the workload family,
     and the code version — so a code change or a different platform
     geometry can never alias into stale warm state.  Configs that cannot
     be canonicalized (e.g. policy instances) fall back to a family-only

@@ -1,12 +1,11 @@
 """Pluggable sweep-execution backends.
 
-``serial`` runs in-process (the bit-identity reference), ``pool`` is the
-per-batch ``ProcessPoolExecutor`` fan-out, ``warm`` keeps persistent
-affinity-routed workers alive across batches, and ``distributed`` puts
-the same affinity-routed dispatch behind a network transport — a
-coordinator leasing task chunks to stateless worker agents with
-heartbeat expiry and idempotent commit (``docs/DISTRIBUTED.md``).  All
-four fold results through the same
+``serial`` runs in-process (the bit-identity reference), ``warm`` keeps
+persistent affinity-routed workers alive across batches (the local
+parallel path), and ``distributed`` puts the same affinity-routed
+dispatch behind a network transport — a coordinator leasing task chunks
+to stateless worker agents with heartbeat expiry and idempotent commit
+(``docs/DISTRIBUTED.md``).  All three fold results through the same
 :class:`~repro.runner.runner.SweepRunner` machinery (cache, checkpoint
 journal, retries), so backend choice can never change results — only
 wall-clock.
@@ -18,7 +17,6 @@ from typing import Optional
 
 from .base import BatchState, ExecutionBackend
 from .distributed import DistributedBackend, DistributedOptions
-from .pool import PoolBackend
 from .serial import SerialBackend
 from .warm import WarmBackend, WarmOptions, reset_warm_state
 
@@ -28,7 +26,6 @@ __all__ = [
     "DistributedBackend",
     "DistributedOptions",
     "ExecutionBackend",
-    "PoolBackend",
     "SerialBackend",
     "WarmBackend",
     "WarmOptions",
@@ -38,7 +35,7 @@ __all__ = [
 
 #: Valid ``--backend`` choices (immutable on purpose: a registry dict
 #: here would itself be module-level mutable state under RPR012).
-BACKEND_NAMES = ("serial", "pool", "warm", "distributed")
+BACKEND_NAMES = ("serial", "warm", "distributed")
 
 
 def make_backend(name: str,
@@ -49,8 +46,6 @@ def make_backend(name: str,
     ``distributed_options`` to distributed)."""
     if name == "serial":
         return SerialBackend()
-    if name == "pool":
-        return PoolBackend()
     if name == "warm":
         return WarmBackend(warm_options)
     if name == "distributed":

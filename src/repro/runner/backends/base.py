@@ -6,13 +6,12 @@ the actual running of a batch to an :class:`ExecutionBackend`:
 
 ``serial``
     In-process, one task at a time (the deterministic reference path).
-``pool``
-    One :class:`~concurrent.futures.ProcessPoolExecutor` submit per task
-    attempt (the pre-warm behaviour, kept verbatim as a fallback and as
-    the comparison baseline for ``BENCH_sweep.json``).
 ``warm``
-    Long-lived worker processes with affinity-aware routing, chunked
-    dispatch, and columnar result transport (``docs/PERFORMANCE.md``).
+    Long-lived worker processes with affinity-aware routing and chunked
+    dispatch (``docs/PERFORMANCE.md``).
+``distributed``
+    A coordinator leasing chunks to worker agents over a network
+    transport (``docs/DISTRIBUTED.md``).
 
 Every backend honours the same contract: *scheduling can never affect
 results*.  Each config carries its own seed, so outputs are bit-identical
@@ -21,7 +20,7 @@ property ``tests/properties/test_backend_determinism.py`` enforces.
 
 This module also hosts the worker-side plumbing shared by all backends
 (:func:`_execute_task` and friends), kept at module level so it stays
-pickle-safe for process pools (lint rule RPR006).
+pickle-safe for worker processes (lint rule RPR006).
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ __all__ = [
     "ExecutionBackend",
 ]
 
-#: Exit code used by injected worker crashes (visible in pool diagnostics).
+#: Exit code used by injected worker crashes (visible in worker diagnostics).
 _CRASH_EXIT_CODE = 73
 
 
@@ -92,8 +91,8 @@ def _deadline(timeout_s: Optional[float]) -> Iterator[None]:
     """Raise :class:`TaskTimeout` when the block exceeds ``timeout_s``.
 
     Uses a SIGALRM interval timer, which requires the main thread of a
-    POSIX process — exactly what a pool worker, a warm worker, and the
-    CLI's serial path all are.  Anywhere else the guard degrades to *no*
+    POSIX process — exactly what a warm worker, a distributed agent, and
+    the CLI's serial path all are.  Anywhere else the guard degrades to *no*
     in-band timeout; the parent-side hard watchdog still bounds parallel
     execution.
     """
@@ -134,8 +133,7 @@ def _format_chain(exc: BaseException) -> str:
 def _execute_task(task: _WorkerTask,
                   model: Optional[ExecutionTimeModel] = None) -> _WorkerOutcome:
     """Worker entrypoint: run one attempt, honouring the fault plan and
-    the task deadline.  Must stay a module-level function (pickled by
-    the process pool — RPR006).
+    the task deadline.  Must stay a module-level function (RPR006).
 
     ``model`` is an optional pre-built :class:`ExecutionTimeModel` for
     the task's exec-model parameters — the warm backend's affinity
@@ -177,7 +175,7 @@ def _execute_task(task: _WorkerTask,
 def _worker_init() -> None:
     """Worker initializer: restore default SIGTERM disposition so a
     forked worker does not inherit the parent's graceful-shutdown handler
-    (which would turn pool teardown into spurious tracebacks)."""
+    (which would turn worker teardown into spurious tracebacks)."""
     if hasattr(signal, "SIGTERM"):
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
 

@@ -71,11 +71,9 @@ from typing import (
     Tuple,
 )
 
-from ...core.policies import dynamic_policy_entries, merge_policy_entries
 from ...sim.metrics import SimulationSummary
 from ..affinity import AffinityScheduler, QueuedTask, affinity_key
 from ..cache import summary_to_dict
-from ..columnar import pack_block, unpack_block
 from ..faults import NETWORK_FAULT_KINDS
 from .base import (
     _CRASH_EXIT_CODE,
@@ -189,7 +187,8 @@ def _make_worker_transport(transport: str, address: str,
 
 def _execute_lease(akey: str, tasks: Sequence[_WorkerTask],
                    beat: Callable[[], None],
-                   ) -> Tuple[Tuple[_TaskMeta, ...], Dict[str, Any], bool]:
+                   ) -> Tuple[Tuple[_TaskMeta, ...],
+                              Tuple[SimulationSummary, ...], bool]:
     """Execute one leased chunk, calling ``beat()`` between tasks so the
     coordinator sees liveness at task granularity — a hung task stops
     the beats and the lease expires, no cooperation needed."""
@@ -205,20 +204,20 @@ def _execute_lease(akey: str, tasks: Sequence[_WorkerTask],
         except KeyboardInterrupt:
             interrupted = True
             break
-    summaries = [o.summary for o in outcomes
-                 if o.ok and o.summary is not None]
+    summaries = tuple(o.summary for o in outcomes
+                      if o.ok and o.summary is not None)
     meta = tuple((o.ok, o.kind, o.error, o.elapsed_s) for o in outcomes)
-    return meta, pack_block(summaries), interrupted
+    return meta, summaries, interrupted
 
 
 def _agent_loop(link: WorkerTransport, worker_id: str,
                 idle_poll_s: float) -> None:
     """Serve leases until told to stop.
 
-    The agent is *stateless by design*: everything a lease needs (tasks,
-    fault plan, late policy registrations) ships inside the lease
-    message, so a fresh agent — respawned, or on another host — is
-    interchangeable with the one that died.  The only carried state is
+    The agent is *stateless by design*: everything a lease needs (tasks
+    and fault plan) ships inside the lease message, so a fresh agent —
+    respawned, or on another host — is interchangeable with the one that
+    died.  The only carried state is
     the warm model cache, a pure accelerator (RPR012 ledger).
     """
     leases_seen = 0
@@ -238,20 +237,20 @@ def _agent_loop(link: WorkerTransport, worker_id: str,
         if mtype != "lease":
             raise TransportError(
                 f"unexpected coordinator message {mtype!r}")
-        _, lease_id, akey, tasks, policy_entries = message
+        _, lease_id, akey, tasks = message
         leases_seen += 1
         plan = tasks[0].plan if tasks else None
         if plan is not None and plan.decide(
                 "kill", f"agent|{worker_id}", leases_seen):
             os._exit(_CRASH_EXIT_CODE)
-        merge_policy_entries(policy_entries)
         link.send(("beat", worker_id, lease_id))
 
         def _beat(lease_id: int = lease_id) -> None:
             link.send(("beat", worker_id, lease_id))
 
-        meta, block, interrupted = _execute_lease(akey, tasks, _beat)
-        link.send(("result", worker_id, lease_id, meta, block, interrupted))
+        meta, summaries, interrupted = _execute_lease(akey, tasks, _beat)
+        link.send(("result", worker_id, lease_id, meta, summaries,
+                   interrupted))
 
 
 def _agent_main(transport: str, address: str, worker_id: str,
@@ -455,7 +454,7 @@ class DistributedBackend(ExecutionBackend):
         ])
         transport = self._ensure_transport(runner)
         # Fault plans force single-task leases so failure attribution
-        # stays per-task, matching the pool/warm backends.
+        # stays per-task, matching the warm backend.
         fixed_chunk = 1 if runner.fault_plan is not None else opts.lease_tasks
         table = LeaseTable(opts.lease_timeout_s, self._clock)
         self._committed = {}
@@ -567,8 +566,7 @@ class DistributedBackend(ExecutionBackend):
         )
         sent = transport.send(
             slot.worker_id,
-            ("lease", lease.lease_id, chunk[0].key, tasks,
-             dynamic_policy_entries()))
+            ("lease", lease.lease_id, chunk[0].key, tasks))
         if not sent:
             # The message never left the coordinator: retract the lease
             # and requeue without consuming an attempt (the path that
@@ -706,7 +704,7 @@ class DistributedBackend(ExecutionBackend):
     def _fold(self, message: Tuple[Any, ...], runner: "SweepRunner",
               batch: BatchState, sched: AffinityScheduler,
               table: LeaseTable) -> None:
-        _, worker_id, lease_id, meta, block, interrupted = message
+        _, worker_id, lease_id, meta, summaries, interrupted = message
         lease, was_active = table.complete(int(lease_id))
         if lease is None:
             # A lease this table never issued (previous batch leftovers
@@ -718,7 +716,6 @@ class DistributedBackend(ExecutionBackend):
             slot.lease_id = None
         if not was_active:
             runner.stats.stale_results += 1
-        summaries = unpack_block(block)
         cursor = 0
         samples: List[float] = []
         for t, (ok, kind, error, elapsed_s) in zip(lease.tasks, meta):

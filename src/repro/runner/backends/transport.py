@@ -64,7 +64,9 @@ __all__ = [
 Message = Tuple[Any, ...]
 
 _MAGIC = b"RPRD"
-_VERSION = 1
+#: Bumped whenever a message shape changes, so a peer from an older
+#: build is refused on its first frame instead of failing mid-lease.
+_VERSION = 2
 #: Frame header: magic, protocol version, payload length (big-endian).
 _HEADER = struct.Struct(">4sBI")
 #: Refuse absurd frames before allocating for them.

@@ -1,11 +1,10 @@
 """Persistent warm workers with affinity routing and chunked dispatch.
 
 The ``warm`` backend is the paper's affinity argument applied to the
-sweep runner itself.  The ``pool`` backend treats every task like a cold
-cache: each submit pickles a config into whichever worker is free, the
-worker rebuilds the :class:`~repro.core.exec_model.ExecutionTimeModel`
-(penalty caches empty, optional ``REPRO_KERNEL`` JIT recompiled), runs,
-and pickles a ~20-field summary back.  The warm backend instead:
+sweep runner itself.  A worker that is handed an arbitrary task rebuilds
+the :class:`~repro.core.exec_model.ExecutionTimeModel` (penalty caches
+empty) for it, runs, and pickles a ~20-field summary back.  The warm
+backend instead:
 
 - keeps ``jobs`` worker processes alive for the runner's whole lifetime
   (state survives *across* ``run_many`` batches);
@@ -17,27 +16,20 @@ and pickles a ~20-field summary back.  The warm backend instead:
   chunk costs roughly :attr:`WarmOptions.target_chunk_s` of simulation
   (measured, not guessed), double-buffered (:data:`_PREFETCH`) so the
   parent's fold-and-refill never idles a worker — and returns each
-  chunk's results as one packed block (:mod:`repro.runner.columnar`:
-  row layout at dispatcher chunk sizes, columnar numpy matrices for
-  oversized blocks; the crossover is measured, see that module);
+  chunk's summaries as one pickled tuple;
 - on the worker, reuses one memoized model per affinity key
   (:data:`_MODEL_CACHE`) — injection is validated per task and is a pure
   memoization transplant, so results are bit-identical to cold
-  execution;
-- ships runtime policy registrations with every chunk
-  (:func:`~repro.core.policies.dynamic_policy_entries`): a per-batch
-  pool inherits late registrations (e.g. E11's reference policy) by
-  forking after them, a persistent worker has to be told.
+  execution.
 
-Fault tolerance mirrors the pool backend: per-task SIGALRM deadlines
-inside workers, a parent-side hard watchdog that replaces wedged
-workers, crash detection via pipe EOF with chunk requeue, serial
-degradation after ``max_pool_failures`` respawns, and graceful
-interrupt propagation (a worker-side injected interrupt folds its
-completed prefix into the journal before the parent re-raises).  When a
+Fault tolerance: per-task SIGALRM deadlines inside workers, a
+parent-side hard watchdog that replaces wedged workers, crash detection
+via pipe EOF with chunk requeue, serial degradation after
+``max_pool_failures`` respawns, and graceful interrupt propagation (a
+worker-side injected interrupt folds its completed prefix into the
+journal before the parent re-raises).  When a
 :class:`~repro.runner.faults.FaultPlan` is armed, chunks are forced to
-one task so failure attribution stays per-task, exactly matching the
-pool backend's per-future semantics.
+one task so failure attribution stays per-task.
 
 Worker-held mutable caches in this package must be registered in
 :data:`_WARM_LEDGER` and cleared by :func:`reset_warm_state` — enforced
@@ -69,10 +61,9 @@ from typing import (
 )
 
 from ...core.exec_model import ExecutionTimeModel
-from ...core.policies import dynamic_policy_entries, merge_policy_entries
+from ...sim.metrics import SimulationSummary
 from ...sim.system import SystemConfig
 from ..affinity import AffinityScheduler, QueuedTask, affinity_key
-from ..columnar import pack_block, unpack_block
 from .base import (
     BatchState,
     ExecutionBackend,
@@ -110,8 +101,8 @@ _MODEL_CACHE_MAX = 8
 _WARM_LEDGER: Dict[str, str] = {
     "_MODEL_CACHE": (
         "per-affinity-key ExecutionTimeModel: penalty memo of a pure "
-        "function + compiled kernel; validated against each task's "
-        "config before use, so reuse can never change results"
+        "function; validated against each task's config before use, so "
+        "reuse can never change results"
     ),
 }
 
@@ -155,8 +146,10 @@ _TaskMeta = Tuple[bool, str, str, float]
 
 
 def _run_chunk(akey: str, tasks: Sequence[_WorkerTask],
-               ) -> Tuple[Tuple[_TaskMeta, ...], Dict[str, Any], bool]:
-    """Execute one chunk in this process; returns (meta, block, interrupted).
+               ) -> Tuple[Tuple[_TaskMeta, ...],
+                          Tuple[SimulationSummary, ...], bool]:
+    """Execute one chunk in this process; returns (meta, summaries,
+    interrupted), with one summary per successful task, in task order.
 
     Separated from the worker loop so tests can drive the exact
     chunk-execution path in-process and inspect :data:`_MODEL_CACHE`.
@@ -171,11 +164,10 @@ def _run_chunk(akey: str, tasks: Sequence[_WorkerTask],
         except KeyboardInterrupt:
             interrupted = True
             break
-    summaries = [o.summary for o in outcomes
-                 if o.ok and o.summary is not None]
-    block = pack_block(summaries)
+    summaries = tuple(o.summary for o in outcomes
+                      if o.ok and o.summary is not None)
     meta = tuple((o.ok, o.kind, o.error, o.elapsed_s) for o in outcomes)
-    return meta, block, interrupted
+    return meta, summaries, interrupted
 
 
 def _warm_worker_main(conn: Connection) -> None:
@@ -199,15 +191,10 @@ def _warm_worker_main(conn: Connection) -> None:
         if msg[0] == "stop":
             conn.close()
             return
-        _, chunk_id, akey, tasks, policy_entries = msg
-        # Registry entries the parent gained after this worker spawned
-        # (e.g. E11's runtime-registered ips-random reference policy): a
-        # per-batch pool inherits them by forking late, a persistent
-        # worker must be told or it cannot resolve the policy by name.
-        merge_policy_entries(policy_entries)
-        meta, block, interrupted = _run_chunk(akey, tasks)
+        _, chunk_id, akey, tasks = msg
+        meta, summaries, interrupted = _run_chunk(akey, tasks)
         try:
-            conn.send(("done", chunk_id, meta, block, interrupted))
+            conn.send(("done", chunk_id, meta, summaries, interrupted))
         except (BrokenPipeError, OSError):
             return
 
@@ -407,8 +394,8 @@ class WarmBackend(ExecutionBackend):
 
     def _chunk_cap(self, runner: "SweepRunner") -> Optional[int]:
         """Fixed chunk size, if any: fault injection forces single-task
-        chunks so failure attribution stays per-task (matching the pool
-        backend's per-future semantics); otherwise the explicit option."""
+        chunks so failure attribution stays per-task, exactly as on the
+        serial path; otherwise the explicit option."""
         if runner.fault_plan is not None:
             return 1
         return self.options.chunk_tasks
@@ -425,7 +412,7 @@ class WarmBackend(ExecutionBackend):
         # worker is running, so the parent's fold-and-refill latency never
         # leaves the worker idle.  Fault plans drop to one in flight so a
         # failure is always attributable to the chunk the parent knows is
-        # running (matching the pool backend's per-future semantics).
+        # running.
         prefetch = 1 if runner.fault_plan is not None else _PREFETCH
         hard_s = runner._hard_timeout_s()
         tick_s = None if hard_s is None else max(0.05, min(0.5, hard_s / 4.0))
@@ -548,7 +535,7 @@ class WarmBackend(ExecutionBackend):
         self._chunk_counter += 1
         try:
             worker.conn.send(("run", self._chunk_counter, chunk[0].key,
-                              tasks, dynamic_policy_entries()))
+                              tasks))
         except (BrokenPipeError, OSError):
             # Dead before dispatch: this chunk never left the parent and
             # any chunks already queued in the pipe died unexecuted with
@@ -604,7 +591,7 @@ class WarmBackend(ExecutionBackend):
               runner: "SweepRunner", batch: BatchState,
               sched: AffinityScheduler) -> None:
         """Fold one chunk response into results/journal/retries."""
-        tag, chunk_id, meta, block, interrupted = msg
+        tag, chunk_id, meta, summaries, interrupted = msg
         if not worker.chunks:
             raise RuntimeError(
                 f"warm worker protocol violation: unsolicited {tag!r} for "
@@ -614,7 +601,6 @@ class WarmBackend(ExecutionBackend):
             raise RuntimeError(
                 f"warm worker protocol violation: got {tag!r} for chunk "
                 f"{chunk_id} while expecting {expected_id}")
-        summaries = unpack_block(block)
         cursor = 0
         samples: List[float] = []
         for t, (ok, kind, error, elapsed_s) in zip(chunk, meta):

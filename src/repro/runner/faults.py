@@ -21,10 +21,10 @@ hooks are inert and the happy path is untouched.
 Fault kinds
 -----------
 ``crash``
-    The worker process exits abnormally (``os._exit``), breaking the
-    process pool mid-task.  In inline/serial execution (where a real
-    crash would kill the caller) it degrades to a raised
-    :class:`InjectedFault` tagged as a simulated crash.
+    The worker process exits abnormally (``os._exit``) mid-task.  In
+    inline/serial execution (where a real crash would kill the caller)
+    it degrades to a raised :class:`InjectedFault` tagged as a simulated
+    crash.
 ``hang``
     The worker sleeps for ``hang_s`` before simulating — long enough to
     trip any configured task timeout.
@@ -226,7 +226,7 @@ def _dist_opts(backend: str, transport: str, *,
 
 def _scenario_crash_retry(workdir: Path, jobs: int, seed: int,
                           backend: str, transport: str) -> ScenarioResult:
-    """A crashed worker breaks the pool; the runner respawns it, requeues
+    """A worker crashes mid-task; the runner respawns it, requeues
     the lost tasks, retries the crasher, and the sweep completes with
     results identical to a fault-free serial run."""
     from .runner import SweepRunner
@@ -244,7 +244,7 @@ def _scenario_crash_retry(workdir: Path, jobs: int, seed: int,
           and runner.stats.pool_respawns >= 1 and runner.stats.retries >= crashed)
     return ScenarioResult(
         "crash-retry-completes", ok,
-        f"{crashed} injected crash(es), {runner.stats.pool_respawns} pool "
+        f"{crashed} injected crash(es), {runner.stats.pool_respawns} worker "
         f"respawn(s), {runner.stats.retries} retries; results "
         f"{'bit-identical to' if results == reference else 'DIVERGED from'} "
         f"serial reference")
@@ -354,7 +354,7 @@ def _scenario_interrupt_resume(workdir: Path, jobs: int, seed: int,
 def _scenario_happy_path_identity(workdir: Path, jobs: int, seed: int,
                                   backend: str, transport: str) -> ScenarioResult:
     """With injection disabled, the fully hardened runner (timeouts,
-    retries, checkpointing, parallel pool) is bit-identical to the plain
+    retries, checkpointing, parallel workers) is bit-identical to the plain
     serial reference."""
     from .cache import ResultCache
     from .runner import SweepRunner

@@ -13,9 +13,10 @@ guaranteeing the output is **bit-identical** to serial execution:
 ``jobs=0`` (or 1) is a strict serial fallback executing in-process;
 ``jobs=None`` uses one worker per CPU.  With ``jobs>1`` the ``backend``
 parameter picks the execution engine: ``"warm"`` (default) keeps
-persistent affinity-routed workers alive across batches, ``"pool"`` is
-the conservative per-batch process pool, ``"serial"`` forces in-process
-execution regardless of ``jobs`` (see :mod:`repro.runner.backends`).
+persistent affinity-routed workers alive across batches,
+``"distributed"`` leases chunks to worker agents over a network
+transport, and ``"serial"`` forces in-process execution regardless of
+``jobs`` (see :mod:`repro.runner.backends`).
 A :class:`ResultCache` makes re-runs of ``repro all``, the tests, and
 the benchmarks skip already-computed points; identical configs *within*
 one batch are also deduplicated so e.g. a repeated baseline run is
@@ -28,12 +29,12 @@ process can be interrupted, without throwing away completed work:
 
 - **Timeouts** — ``timeout_s`` bounds each task's wall clock (SIGALRM
   deadline inside the worker, plus a hard parent-side watchdog that
-  replaces a wedged pool/worker), so a hung config is *reported*, never
+  replaces a wedged worker), so a hung config is *reported*, never
   a deadlock.
 - **Retries** — each failed/timed-out task is retried up to ``retries``
   times with deterministic (seedless, jitter-free) exponential backoff.
-- **Pool recovery** — a crashed worker (BrokenProcessPool / warm-worker
-  pipe EOF) is respawned and only the lost tasks requeued; after
+- **Worker recovery** — a crashed warm worker (pipe EOF) or distributed
+  agent is respawned and only the lost tasks requeued; after
   ``max_pool_failures`` respawns the runner degrades gracefully to
   serial in-process execution for the remainder.
 - **Checkpoint/resume** — completed tasks are journaled (see
@@ -114,7 +115,7 @@ class RunnerStats:
     retries: int = 0         # re-submissions after a failed attempt
     timeouts: int = 0        # attempts that exceeded the task budget
     failures: int = 0        # tasks that exhausted every attempt
-    pool_respawns: int = 0   # worker processes/pools replaced after breaking
+    pool_respawns: int = 0   # worker processes replaced after breaking
     batches: int = 0
     chunks: int = 0          # warm/distributed chunk dispatches
     affinity_hits: int = 0   # tasks routed to an already-warm worker
@@ -148,7 +149,7 @@ class RunnerStats:
         if self.retries:
             parts.append(f"({self.retries} retries, {self.timeouts} timeouts)")
         if self.pool_respawns:
-            parts.append(f"({self.pool_respawns} pool respawns)")
+            parts.append(f"({self.pool_respawns} worker respawns)")
         if self.chunks:
             parts.append(f"({self.chunks} chunks, {self.affinity_hits} affine,"
                          f" {self.steals} stolen)")
@@ -252,9 +253,9 @@ class SweepRunner:
         the cache disabled.
     backend:
         Execution engine for ``jobs>1``: ``"warm"`` (default; persistent
-        affinity-routed workers), ``"pool"`` (per-batch process pool),
-        ``"distributed"`` (lease-based coordinator + worker-agent fleet
-        over tcp or a file spool), or ``"serial"`` (force in-process).
+        affinity-routed workers), ``"distributed"`` (lease-based
+        coordinator + worker-agent fleet over tcp or a file spool), or
+        ``"serial"`` (force in-process).
         Backend choice can never change results — only wall-clock
         (``docs/RUNNER.md``, ``docs/DISTRIBUTED.md``).
     warm_options:
@@ -287,8 +288,8 @@ class SweepRunner:
     fault_plan:
         Optional deterministic fault injector (tests/CI only).
     max_pool_failures:
-        Worker/pool respawns tolerated per batch before degrading to
-        serial execution.
+        Worker respawns tolerated per batch before degrading to serial
+        execution.
     """
 
     def __init__(self, jobs: Optional[int] = 0,

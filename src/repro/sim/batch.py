@@ -156,6 +156,11 @@ _SCALAR_FALLBACK_POLICIES: Dict[str, str] = {
         "documented random_choice draw-order contract pins it to the "
         "scalar engine"
     ),
+    "IPSRandomPolicy": (
+        "E11's unaffinitized reference draws a random idle processor per "
+        "dispatch; the fused IPS loop has no random_choice draw point, so "
+        "it stays on the scalar engine"
+    ),
 }
 
 

@@ -382,8 +382,6 @@ class TestRegistries:
 
     def test_all_ips_policies_constructible(self):
         for name in IPS_POLICIES:
-            if name == "ips-random":  # registered dynamically by E11
-                continue
             pol = make_ips_policy(name)
             assert pol.name == name
 

@@ -1,12 +1,12 @@
 """Execution backends can never affect results — property-based contract.
 
 The affinity machinery (MRU routing, fair-share splitting, idle stealing,
-chunked dispatch, columnar transport, warm model reuse) exists purely for
-wall-clock: every config carries its own seed, so *where* and *in what
-grouping* a task runs must be invisible in the output.  Hypothesis drives
-the adversarial levers — submission order, backend choice, routing mode
-(including ``scatter``, which deliberately destroys affinity), and forced
-chunk sizes — and demands bit-identity with the serial reference.
+chunked dispatch, warm model reuse) exists purely for wall-clock: every
+config carries its own seed, so *where* and *in what grouping* a task
+runs must be invisible in the output.  Hypothesis drives the adversarial
+levers — submission order, routing mode (including ``scatter``, which
+deliberately destroys affinity), and forced chunk sizes — and demands
+bit-identity with the serial reference.
 
 A separate deterministic case forces idle stealing (more workers than one
 key's fair share leaves a worker with an empty queue, so its first
@@ -56,15 +56,14 @@ class TestBackendBitIdentity:
     @settings(max_examples=8, deadline=None)
     @given(
         order=st.permutations(range(6)),
-        backend=st.sampled_from(["pool", "warm"]),
         route=st.sampled_from(["affinity", "scatter"]),
         chunk=st.sampled_from([None, 1, 3]),
     )
     def test_order_backend_routing_chunking_invisible(
-            self, order, backend, route, chunk):
+            self, order, route, chunk):
         grid, ref = _grid(), _reference()
         runner = SweepRunner(
-            jobs=2, backend=backend,
+            jobs=2, backend="warm",
             warm_options=WarmOptions(route=route, chunk_tasks=chunk))
         try:
             got = runner.run_many([grid[i] for i in order])

@@ -1,10 +1,9 @@
 """Unit tests for the sweep execution backends.
 
-Covers the pieces the warm backend is built from — columnar transport
-(exact round-trip), affinity keys and the MRU/steal scheduler, the
-in-process chunk path with its model cache, options validation, the
-backend factory — plus small end-to-end warm==serial checks.  The
-heavyweight bit-identity contracts live in
+Covers the pieces the warm backend is built from — affinity keys and
+the MRU/steal scheduler, the in-process chunk path with its model cache,
+options validation, the backend factory — plus small end-to-end
+warm==serial checks.  The heavyweight bit-identity contracts live in
 ``tests/properties/test_backend_determinism.py`` and the fault suite.
 """
 
@@ -14,13 +13,7 @@ import pytest
 
 from repro.core.exec_model import ExecutionTimeModel
 from repro.core.params import PAPER_COMPOSITION, PAPER_COSTS
-from repro.core.policies import (
-    LOCKING_POLICIES,
-    MRUPolicy,
-    dynamic_policy_entries,
-    make_locking_policy,
-    merge_policy_entries,
-)
+from repro.core.policies import make_locking_policy
 from repro.runner import SweepRunner, use_runner
 from repro.runner.affinity import (
     AffinityScheduler,
@@ -36,7 +29,6 @@ from repro.runner.backends.warm import (
     _run_chunk,
     reset_warm_state,
 )
-from repro.runner.columnar import pack_block, unpack_block
 from repro.sim.system import NetworkProcessingSystem, run_simulation
 
 from ..conftest import fast_config
@@ -46,73 +38,6 @@ def _tiny(**overrides):
     overrides.setdefault("duration_us", 40_000.0)
     overrides.setdefault("warmup_us", 10_000.0)
     return fast_config(**overrides)
-
-
-class _LateRegisteredMRU(MRUPolicy):
-    """Stand-in for a policy an experiment registers at run time (like
-    E11's ips-random).  Module level so it pickles by reference into a
-    live worker."""
-
-    name = "late-mru"
-
-
-# ----------------------------------------------------------------------
-# Columnar transport
-# ----------------------------------------------------------------------
-@pytest.fixture(params=["rows", "columnar"])
-def _layout(request, monkeypatch):
-    """Force each block layout in turn (the threshold normally picks)."""
-    from repro.runner import columnar
-
-    if request.param == "columnar":
-        monkeypatch.setattr(columnar, "_COLUMNAR_MIN_ROWS", 1)
-    return request.param
-
-
-class TestColumnar:
-    def test_round_trip_is_exact(self, _layout):
-        summaries = [run_simulation(_tiny(seed=s)) for s in (1, 2, 3)]
-        restored = unpack_block(pack_block(summaries))
-        assert restored == summaries
-
-    def test_layout_switches_at_threshold(self):
-        block = pack_block([run_simulation(_tiny(seed=1))])
-        assert "rows" in block          # small blocks ship as rows
-        from repro.runner import columnar
-        assert columnar._COLUMNAR_MIN_ROWS > 1
-
-    def test_round_trip_restores_pure_python_types(self, _layout):
-        s = unpack_block(pack_block([run_simulation(_tiny(seed=4))]))[0]
-        assert type(s.n_packets) is int
-        assert type(s.mean_delay_us) is float
-        assert type(s.delay_ci_us) is tuple
-        assert type(s.per_stream_mean_delay_us) is dict
-        for k, v in s.per_stream_mean_delay_us.items():
-            assert type(k) is int and type(v) is float
-        for k, v in s.ooo_depth_counts.items():
-            assert type(k) is int and type(v) is int
-
-    def test_empty_block(self):
-        assert unpack_block(pack_block([])) == []
-
-    def test_empty_ragged_rows(self, _layout):
-        base = run_simulation(_tiny(seed=5))
-        hollow = dataclasses.replace(
-            base,
-            per_stream_mean_delay_us={},
-            ooo_depth_counts={},
-            per_stream_out_of_order={},
-            per_stream_migrations={},
-        )
-        restored = unpack_block(pack_block([hollow, base]))
-        assert restored == [hollow, base]
-
-    def test_schema_drift_fails_loudly(self, monkeypatch):
-        from repro.runner import columnar
-
-        monkeypatch.setattr(columnar, "_INT_FIELDS", ("n_packets",))
-        with pytest.raises(TypeError, match="schema drifted"):
-            columnar._check_schema()
 
 
 # ----------------------------------------------------------------------
@@ -225,11 +150,11 @@ class TestWarmChunkPath:
         try:
             configs = [_tiny(seed=s) for s in (1, 2, 3)]
             akey = affinity_key(configs[0])
-            meta, block, interrupted = _run_chunk(
+            meta, summaries, interrupted = _run_chunk(
                 akey, tuple(_worker_task(c) for c in configs))
             assert not interrupted
             assert all(ok for ok, *_ in meta)
-            assert unpack_block(block) == [run_simulation(c) for c in configs]
+            assert summaries == tuple(run_simulation(c) for c in configs)
             assert list(_MODEL_CACHE) == [akey]
             model = _MODEL_CACHE[akey]
             _run_chunk(akey, (_worker_task(_tiny(seed=9)),))
@@ -248,8 +173,8 @@ class TestWarmChunkPath:
                 dataclasses.replace(PAPER_COSTS, t_cold_us=PAPER_COSTS.t_cold_us * 2),
                 PAPER_COMPOSITION, cfg.platform.hierarchy)
             _MODEL_CACHE[akey] = wrong
-            _, block, _ = _run_chunk(akey, (_worker_task(cfg),))
-            assert unpack_block(block) == [run_simulation(cfg)]
+            _, summaries, _ = _run_chunk(akey, (_worker_task(cfg),))
+            assert summaries == (run_simulation(cfg),)
         finally:
             reset_warm_state()
 
@@ -275,7 +200,7 @@ class TestWarmChunkPath:
 # ----------------------------------------------------------------------
 class TestBackendSelection:
     def test_backend_names(self):
-        assert BACKEND_NAMES == ("serial", "pool", "warm", "distributed")
+        assert BACKEND_NAMES == ("serial", "warm", "distributed")
 
     def test_factory_builds_each(self):
         for name in BACKEND_NAMES:
@@ -284,8 +209,9 @@ class TestBackendSelection:
             backend.close()
 
     def test_factory_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            make_backend("threads")
+        for name in ("threads", "pool"):
+            with pytest.raises(ValueError, match="unknown backend"):
+                make_backend(name)
 
     def test_runner_rejects_unknown(self):
         with pytest.raises(ValueError):
@@ -361,46 +287,3 @@ class TestWarmEndToEnd:
         with use_runner(SweepRunner(jobs=2, backend="warm")) as runner:
             assert runner.run_many(configs) == serial
             runner.close()
-
-
-# ----------------------------------------------------------------------
-# Runtime policy registrations must reach persistent workers
-# ----------------------------------------------------------------------
-class TestDynamicPolicyPropagation:
-    def test_snapshot_excludes_builtins_and_merge_restores(self):
-        builtin_names = {e[1] for e in dynamic_policy_entries()}
-        assert "mru" not in builtin_names and "fcfs" not in builtin_names
-        LOCKING_POLICIES["late-mru"] = _LateRegisteredMRU
-        try:
-            snap = dynamic_policy_entries()
-            assert ("locking", "late-mru", _LateRegisteredMRU) in snap
-            del LOCKING_POLICIES["late-mru"]
-            merge_policy_entries(snap)
-            assert LOCKING_POLICIES["late-mru"] is _LateRegisteredMRU
-        finally:
-            LOCKING_POLICIES.pop("late-mru", None)
-
-    def test_unpicklable_factory_is_skipped_not_fatal(self):
-        LOCKING_POLICIES["lambda-policy"] = lambda: MRUPolicy()
-        try:
-            assert "lambda-policy" not in {
-                e[1] for e in dynamic_policy_entries()}
-        finally:
-            LOCKING_POLICIES.pop("lambda-policy", None)
-
-    def test_policy_registered_after_spawn_reaches_live_workers(self):
-        # The e11 regression: workers spawn on the first batch, the
-        # parent registers a policy afterwards, and a later batch needs
-        # it — a per-batch pool would fork fresh and inherit it, the
-        # persistent fleet must learn it via the chunk protocol.
-        LOCKING_POLICIES.pop("late-mru", None)
-        runner = SweepRunner(jobs=2, backend="warm")
-        try:
-            runner.run_many([_tiny(seed=9)])          # fleet is now live
-            LOCKING_POLICIES["late-mru"] = _LateRegisteredMRU
-            configs = [_tiny(seed=s, policy="late-mru") for s in (1, 2)]
-            serial = SweepRunner(jobs=0).run_many(configs)
-            assert runner.run_many(configs) == serial
-        finally:
-            runner.close()
-            LOCKING_POLICIES.pop("late-mru", None)

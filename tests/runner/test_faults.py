@@ -179,7 +179,7 @@ class TestInterruptCheckpoint:
 
 @pytest.mark.slow
 class TestFaultSuite:
-    @pytest.mark.parametrize("backend", ["pool", "warm"])
+    @pytest.mark.parametrize("backend", ["warm"])
     def test_every_scenario_passes(self, tmp_path, backend):
         results = run_fault_suite(tmp_path, jobs=2, seed=1, backend=backend)
         expected = [
@@ -188,12 +188,9 @@ class TestFaultSuite:
             "corrupt-entry-quarantined-and-recomputed",
             "interrupt-checkpoint-resume",
             "happy-path-bit-identical",
+            "warm-crash-cold-respawn-bit-identical",
+            "warm-hung-worker-queue-stolen",
         ]
-        if backend == "warm":
-            expected += [
-                "warm-crash-cold-respawn-bit-identical",
-                "warm-hung-worker-queue-stolen",
-            ]
         assert [r.name for r in results] == expected
         failed = [r for r in results if not r.ok]
         assert failed == [], "\n".join(f"{r.name}: {r.detail}" for r in failed)

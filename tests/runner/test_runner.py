@@ -136,7 +136,7 @@ class TestParallelDeterminism:
     """``jobs=4`` must reproduce serial output exactly (common random
     numbers: every grid point carries its own seed)."""
 
-    @pytest.mark.parametrize("backend", ["pool", "warm"])
+    @pytest.mark.parametrize("backend", ["warm"])
     @pytest.mark.parametrize("eid", ["e06", "e10"])
     def test_parallel_matches_serial(self, eid, backend):
         serial = run_experiment(eid, fast=True)

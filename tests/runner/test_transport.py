@@ -11,6 +11,7 @@ import threading
 import pytest
 
 from repro.runner import FaultPlan
+from repro.runner.backends import transport
 from repro.runner.backends.transport import (
     ChaosCoordinatorTransport,
     CoordinatorTransport,
@@ -26,8 +27,8 @@ from repro.runner.backends.transport import (
 
 class TestFrameCodec:
     def test_round_trip(self):
-        msgs = [("hello", "w0"), ("lease", 1, "akey", [1, 2], []),
-                ("result", "w0", 1, [(True, "", "", 0.5)], "block", False)]
+        msgs = [("hello", "w0"), ("lease", 1, "akey", [1, 2]),
+                ("result", "w0", 1, [(True, "", "", 0.5)], ("s",), False)]
         buffer = bytearray()
         for m in msgs:
             buffer += encode_frame(m)
@@ -47,9 +48,10 @@ class TestFrameCodec:
         with pytest.raises(TransportError, match="magic"):
             decode_frames(buffer)
 
-    def test_wrong_version_is_loud(self):
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_wrong_version_is_loud(self, version):
         frame = bytearray(encode_frame(("hello", "w0")))
-        frame[4] = 99  # version byte
+        frame[4] = version  # version byte
         with pytest.raises(TransportError, match="version"):
             decode_frames(frame)
 
@@ -58,7 +60,8 @@ class TestFrameCodec:
         import struct
 
         payload = pickle.dumps(["not", "a", "tuple"])
-        frame = struct.Struct(">4sBI").pack(b"RPRD", 1, len(payload)) + payload
+        frame = struct.Struct(">4sBI").pack(
+            b"RPRD", transport._VERSION, len(payload)) + payload
         with pytest.raises(TransportError, match="tuple"):
             decode_frames(bytearray(frame))
 

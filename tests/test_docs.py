@@ -65,7 +65,5 @@ class TestExperimentIndexConsistency:
 
     def test_policy_names_in_readme_exist(self, docs):
         from repro.core.policies import IPS_POLICIES, LOCKING_POLICIES
-        for name in list(LOCKING_POLICIES) + [
-            n for n in IPS_POLICIES if n != "ips-random"
-        ]:
+        for name in list(LOCKING_POLICIES) + list(IPS_POLICIES):
             assert name in docs["README.md"], name
