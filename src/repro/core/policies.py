@@ -266,7 +266,64 @@ class StreamMRUPolicy(_GlobalQueuePolicy):
         return self.view.mru_idle()
 
 
-class PerProcessorPoolsPolicy(LockingPolicy):
+class _PerProcessorQueuePolicy(LockingPolicy):
+    """Shared base: per-processor (or per-group) FIFO queues served by
+    processor-bound threads.
+
+    A subclass is its routing rule: :meth:`route` names the queue an
+    arriving packet joins, and :attr:`routing` names that rule for the
+    fused engine (:mod:`repro.sim.batch`), which runs ``wired``, ``last``,
+    ``steer`` and ``group`` in one loop.  The default serve rule is "own
+    queue": an idle processor serves the queue it owns, scanned in idle
+    order.
+    """
+
+    per_processor_threads = True
+    #: Routing rule replicated by the fused engine ("" = not fused).
+    routing: str = ""
+    #: Imbalance beyond which the ``last``/``steer`` rules spill to the
+    #: shortest queue.
+    spill_threshold: int = 0
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._queues: List[Deque] = []
+
+    def attach(self, view: SchedulerView) -> None:
+        super().attach(view)
+        self._queues = [deque() for _ in range(self._n_queues(view))]
+
+    def _n_queues(self, view: SchedulerView) -> int:
+        return view.n_processors
+
+    @abstractmethod
+    def route(self, stream_id: int) -> int:
+        """Index of the queue an arriving packet of ``stream_id`` joins."""
+
+    def _spill(self, preferred: int) -> int:
+        """``preferred``, or the first shortest queue when ``preferred``
+        exceeds it by more than :attr:`spill_threshold` packets."""
+        queues = self._queues
+        shortest = min(range(len(queues)), key=lambda p: (len(queues[p]), p))
+        if len(queues[preferred]) > len(queues[shortest]) + self.spill_threshold:
+            return shortest
+        return preferred
+
+    def on_arrival(self, packet) -> None:
+        self._queues[self.route(packet.stream_id)].append(packet)
+
+    def next_dispatch(self) -> Optional[Tuple[int, object]]:
+        queues = self._queues
+        for proc in self.view.idle_processors():
+            if queues[proc]:
+                return proc, queues[proc].popleft()
+        return None
+
+    def queued(self) -> int:
+        return sum(len(q) for q in self._queues)
+
+
+class PerProcessorPoolsPolicy(_PerProcessorQueuePolicy):
     """Per-processor packet pools served by processor-bound threads.
 
     Packets join the pool of their stream's last processor (affinity),
@@ -280,42 +337,33 @@ class PerProcessorPoolsPolicy(LockingPolicy):
     """
 
     name = "pools"
-    per_processor_threads = True
+    routing = "last"
 
     def __init__(self, balance_threshold: int = 2) -> None:
         super().__init__()
         if balance_threshold < 0:
             raise ValueError("balance_threshold must be >= 0")
-        self.balance_threshold = balance_threshold
-        self._pools: Dict[int, Deque] = {}
+        self.spill_threshold = balance_threshold
 
-    def attach(self, view: SchedulerView) -> None:
-        super().attach(view)
-        self._pools = {p: deque() for p in range(view.n_processors)}
-
-    def on_arrival(self, packet) -> None:
-        preferred = self.view.stream_last_processor(packet.stream_id)
+    def route(self, stream_id: int) -> int:
+        preferred = self.view.stream_last_processor(stream_id)
         if preferred is None:
-            preferred = packet.stream_id % self.view.n_processors
-        shortest = min(self._pools, key=lambda p: (len(self._pools[p]), p))
-        if len(self._pools[preferred]) > len(self._pools[shortest]) + self.balance_threshold:
-            preferred = shortest
-        self._pools[preferred].append(packet)
+            preferred = stream_id % self.view.n_processors
+        return self._spill(preferred)
 
     def next_dispatch(self) -> Optional[Tuple[int, object]]:
-        idle = self.view.idle_processors()
-        # Serve the longest eligible pool first to drain imbalance.
-        candidates = [p for p in idle if self._pools[p]]
+        # Serve the longest eligible pool first to drain imbalance.  (At
+        # most one idle pool is ever nonempty, so this is the own-queue
+        # rule in effect; the scalar reference keeps the general form.)
+        queues = self._queues
+        candidates = [p for p in self.view.idle_processors() if queues[p]]
         if not candidates:
             return None
-        proc = max(candidates, key=lambda p: (len(self._pools[p]), -p))
-        return proc, self._pools[proc].popleft()
-
-    def queued(self) -> int:
-        return sum(len(q) for q in self._pools.values())
+        proc = max(candidates, key=lambda p: (len(queues[p]), -p))
+        return proc, queues[proc].popleft()
 
 
-class WiredStreamsPolicy(LockingPolicy):
+class WiredStreamsPolicy(_PerProcessorQueuePolicy):
     """Streams statically wired to processors (``stream_id mod N``).
 
     Maximal stream-state and thread-stack affinity; no load balancing — a
@@ -326,30 +374,12 @@ class WiredStreamsPolicy(LockingPolicy):
     """
 
     name = "wired-streams"
-    per_processor_threads = True
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._pools: Dict[int, Deque] = {}
-
-    def attach(self, view: SchedulerView) -> None:
-        super().attach(view)
-        self._pools = {p: deque() for p in range(view.n_processors)}
+    routing = "wired"
 
     def wired_processor(self, stream_id: int) -> int:
         return stream_id % self.view.n_processors
 
-    def on_arrival(self, packet) -> None:
-        self._pools[self.wired_processor(packet.stream_id)].append(packet)
-
-    def next_dispatch(self) -> Optional[Tuple[int, object]]:
-        for proc in self.view.idle_processors():
-            if self._pools[proc]:
-                return proc, self._pools[proc].popleft()
-        return None
-
-    def queued(self) -> int:
-        return sum(len(q) for q in self._pools.values())
+    route = wired_processor
 
 
 class HybridPolicy(WiredStreamsPolicy):
@@ -362,10 +392,13 @@ class HybridPolicy(WiredStreamsPolicy):
     state while recruiting extra processors for bursts — the TR's "high
     throughput, high intra-stream scalability, and robustness in the
     presence of bursty arrivals".
+
+    Not fused (:attr:`routing` is empty): a steal serves a queue whose
+    owner is busy, so a completion may refill another processor.
     """
 
     name = "hybrid"
-    per_processor_threads = True
+    routing = ""
 
     def __init__(self, overflow_threshold: int = 2) -> None:
         super().__init__()
@@ -382,20 +415,21 @@ class HybridPolicy(WiredStreamsPolicy):
             return None
         # Steal from the most backed-up wired queue, if any exceeds the
         # threshold; the thief is the MRU idle processor.
+        queues = self._queues
         overloaded = [
-            p for p, q in self._pools.items() if len(q) > self.overflow_threshold
+            p for p, q in enumerate(queues) if len(q) > self.overflow_threshold
         ]
         if not overloaded:
             return None
-        victim = max(overloaded, key=lambda p: (len(self._pools[p]), -p))
+        victim = max(overloaded, key=lambda p: (len(queues[p]), -p))
         thief = self.view.mru_idle()
-        return thief, self._pools[victim].popleft()
+        return thief, queues[victim].popleft()
 
 
 # ----------------------------------------------------------------------
 # Modern policy zoo (post-paper designs, same interfaces)
 # ----------------------------------------------------------------------
-class FlowSteerPolicy(LockingPolicy):
+class FlowSteerPolicy(_PerProcessorQueuePolicy):
     """Flow-Director-style hash steering with rebalance-triggered migration.
 
     Each stream is steered to a per-processor queue, initially by hash
@@ -412,20 +446,18 @@ class FlowSteerPolicy(LockingPolicy):
     """
 
     name = "flow-steer"
-    per_processor_threads = True
+    routing = "steer"
 
     def __init__(self, rebalance_threshold: int = 1) -> None:
         super().__init__()
         if rebalance_threshold < 0:
             raise ValueError("rebalance_threshold must be >= 0")
-        self.rebalance_threshold = rebalance_threshold
-        self._queues: Dict[int, Deque] = {}
+        self.spill_threshold = rebalance_threshold
         self._steer: Dict[int, int] = {}
         self.resteers = 0
 
     def attach(self, view: SchedulerView) -> None:
         super().attach(view)
-        self._queues = {p: deque() for p in range(view.n_processors)}
         self._steer = {}
         self.resteers = 0
 
@@ -437,27 +469,16 @@ class FlowSteerPolicy(LockingPolicy):
             self._steer[stream_id] = target
         return target
 
-    def on_arrival(self, packet) -> None:
-        target = self.target_processor(packet.stream_id)
-        queues = self._queues
-        shortest = min(queues, key=lambda p: (len(queues[p]), p))
-        if len(queues[target]) > len(queues[shortest]) + self.rebalance_threshold:
-            target = shortest
-            self._steer[packet.stream_id] = shortest
+    def route(self, stream_id: int) -> int:
+        target = self.target_processor(stream_id)
+        spilled = self._spill(target)
+        if spilled != target:
+            self._steer[stream_id] = spilled
             self.resteers += 1
-        queues[target].append(packet)
-
-    def next_dispatch(self) -> Optional[Tuple[int, object]]:
-        for proc in self.view.idle_processors():
-            if self._queues[proc]:
-                return proc, self._queues[proc].popleft()
-        return None
-
-    def queued(self) -> int:
-        return sum(len(q) for q in self._queues.values())
+        return spilled
 
 
-class WorkStealingPolicy(LockingPolicy):
+class WorkStealingPolicy(_PerProcessorQueuePolicy):
     """Per-processor queues with idle processors stealing from the longest.
 
     Packets join the queue of their stream's last processor (hash default
@@ -475,19 +496,16 @@ class WorkStealingPolicy(LockingPolicy):
     """
 
     name = "work-steal"
-    per_processor_threads = True
 
     def __init__(self, steal_threshold: int = 1) -> None:
         super().__init__()
         if steal_threshold < 1:
             raise ValueError("steal_threshold must be >= 1")
         self.steal_threshold = steal_threshold
-        self._queues: Dict[int, Deque] = {}
         self.steals = 0
 
     def attach(self, view: SchedulerView) -> None:
         super().attach(view)
-        self._queues = {p: deque() for p in range(view.n_processors)}
         self.steals = 0
 
     def home_processor(self, stream_id: int) -> int:
@@ -496,25 +514,23 @@ class WorkStealingPolicy(LockingPolicy):
             return last
         return stream_id % self.view.n_processors
 
-    def on_arrival(self, packet) -> None:
-        self._queues[self.home_processor(packet.stream_id)].append(packet)
+    route = home_processor
 
     def next_dispatch(self) -> Optional[Tuple[int, object]]:
-        idle = self.view.idle_processors()
-        if not idle:
+        own = super().next_dispatch()
+        if own is not None:
+            return own
+        if not self.view.idle_processors():
             return None
-        queues = self._queues
-        for proc in idle:
-            if queues[proc]:
-                return proc, queues[proc].popleft()
         # Every idle processor's own queue is empty: steal.  Victims are
         # the longest queues strictly above the threshold; the victim
         # tie-break draw precedes the thief tie-break draw (see
         # SchedulerView.random_choice).
+        queues = self._queues
         best_len = self.steal_threshold
         victims: List[int] = []
-        for p in range(self.view.n_processors):
-            n = len(queues[p])
+        for p, q in enumerate(queues):
+            n = len(q)
             if n > best_len:
                 best_len = n
                 victims = [p]
@@ -527,11 +543,8 @@ class WorkStealingPolicy(LockingPolicy):
         self.steals += 1
         return thief, queues[victim].pop()
 
-    def queued(self) -> int:
-        return sum(len(q) for q in self._queues.values())
 
-
-class GroupedAffinityPolicy(LockingPolicy):
+class GroupedAffinityPolicy(_PerProcessorQueuePolicy):
     """Cache-aware grouped scheduling: co-schedule streams per group.
 
     Processors are partitioned into ``n_groups`` groups (processor ``p``
@@ -548,7 +561,7 @@ class GroupedAffinityPolicy(LockingPolicy):
     """
 
     name = "grouped"
-    per_processor_threads = True
+    routing = "group"
 
     def __init__(self, n_groups: int = 2) -> None:
         super().__init__()
@@ -556,12 +569,10 @@ class GroupedAffinityPolicy(LockingPolicy):
             raise ValueError("n_groups must be >= 1")
         self.n_groups = n_groups
         self._n_eff = n_groups
-        self._queues: List[Deque] = []
 
-    def attach(self, view: SchedulerView) -> None:
-        super().attach(view)
+    def _n_queues(self, view: SchedulerView) -> int:
         self._n_eff = min(self.n_groups, view.n_processors)
-        self._queues = [deque() for _ in range(self._n_eff)]
+        return self._n_eff
 
     @property
     def effective_groups(self) -> int:
@@ -570,8 +581,7 @@ class GroupedAffinityPolicy(LockingPolicy):
     def group_of(self, stream_id: int) -> int:
         return stream_id % self._n_eff
 
-    def on_arrival(self, packet) -> None:
-        self._queues[packet.stream_id % self._n_eff].append(packet)
+    route = group_of
 
     def next_dispatch(self) -> Optional[Tuple[int, object]]:
         idle = self.view.idle_processors()
@@ -586,9 +596,6 @@ class GroupedAffinityPolicy(LockingPolicy):
                 continue
             return _mru_idle(self.view, members), q.popleft()
         return None
-
-    def queued(self) -> int:
-        return sum(len(q) for q in self._queues)
 
 
 # ----------------------------------------------------------------------

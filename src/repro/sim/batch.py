@@ -6,28 +6,32 @@ attribute loads and method frames per packet.  This module replaces that
 tower with **one flat loop** over two pre-merged event feeds:
 
 1. **Arrivals are pregenerated and merged up front.**  Every stream's
-   interarrival gaps are drawn in blocks from its private RNG substream
-   (``ArrivalProcess.next_batches_array``) and turned into absolute times
-   with a cumulative sum — ``np.add.accumulate`` is a strict sequential
-   left fold, so the times are bit-identical to the scalar
-   ``t += gap`` chain.  The per-stream time arrays are merged into one
-   global arrival order with a stable ``argsort``; in the (measure-zero
-   for Poisson, common for deterministic workloads) case of exact
-   cross-stream time ties the merge falls back to an explicit k-way heap
-   merge that reproduces the scalar engine's push-order tie-breaking
-   decision for decision.
+   interarrival gaps (and batch sizes) are drawn in blocks from its
+   private RNG substream (``ArrivalProcess.next_batches_array``) and
+   turned into absolute times with a cumulative sum —
+   ``np.add.accumulate`` is a strict sequential left fold, so the times
+   are bit-identical to the scalar ``t += gap`` chain.  All streams'
+   batch times are merged into one global arrival order with a stable
+   ``argsort``; in the (measure-zero for Poisson, common for
+   deterministic workloads) case of exact cross-stream time ties the
+   merge falls back to an explicit k-way heap merge that reproduces the
+   scalar engine's push-order tie-breaking decision for decision.  A
+   batch of ``k`` packets expands to ``k`` same-time feed entries; it
+   stays **one event**, exactly as the scalar ``_arrival_fire``: one
+   stamp, one ``seq`` step, one count in ``_events_processed``.
 
 2. **Completions live in a tiny local heap** keyed ``(time, stamp)``
    where ``stamp`` mirrors — increment for increment — the scalar
    engine's global ``seq`` counter, so arrival/completion ties resolve in
    exactly the historical order.
 
-The loop body inlines the dispatcher's service-start and completion
-sequences (idle-clock accrual, touch-table reads/stamps, thread-pool
-acquire/release, lock reservation, the penalty analytic/cache/flush
-ladder) **preserving every float expression tree operation for
-operation**: moving work is allowed, changing arithmetic is not.
-Representation tricks that keep the loop allocation- and
+Each loop body has one arrival path, one completion path and one shared
+service-start block (the dispatcher's ``_start_service``: idle-clock
+accrual, touch-table reads, thread acquire, lock reservation and the
+penalty analytic/cache/flush ladder) that both an arrival dispatch and a
+completion refill fall into.  Every float expression tree is preserved
+operation for operation: moving work is allowed, changing arithmetic is
+not.  Representation tricks that keep the loop allocation- and
 attribute-access-free without changing results:
 
 - touch tables are per-processor ``list``\\ s initialized to ``-inf``
@@ -38,6 +42,9 @@ attribute-access-free without changing results:
 - queued packets are ``(arrival_us, stream_id, packet_id)`` tuples;
   real :class:`~repro.sim.entities.Packet` objects are only materialized
   for work still pending when the horizon folds back;
+- a feed entry that is not the last packet of its batch carries the
+  stream id minus ``n_streams``: negative list indexing reads the same
+  stream's stamp, and the sign says "no ``seq`` step yet";
 - completed-service tuples double as the metrics rows: they are
   collected into a ``done`` list and folded into the collector's columnar
   store in one transpose at the end (completions fire in nondecreasing
@@ -51,17 +58,23 @@ run is externally indistinguishable from the scalar engine (the
 batched-vs-scalar equality tests assert byte-identical summaries and
 metrics).
 
-**Support matrix.**  The fused loop replicates exact semantics only for
-configurations it was proven against: Poisson/deterministic arrivals,
-fixed packet sizes, no churn, no trace, no invariant checking, and the
-policies ``mru``/``fcfs``/``stream-mru`` (Locking, one coarse lock,
-shared thread pool), ``flow-steer``/``grouped`` (Locking, one coarse
-lock, per-processor threads and queues — see ``_run_locking_pools``) and
-``ips-mru``/``ips-wired`` (IPS).  Anything else — notably the
-``work-steal`` policy, whose victim/thief draw interleaving has no
-proven fused replication — falls back to the scalar engine: silently
-under ``REPRO_ENGINE=auto`` (the default), loudly under
-``REPRO_ENGINE=batched``.
+**Support matrix.**  The fused loops replicate exact semantics only for
+configurations they were proven against: Poisson, deterministic,
+batch-Poisson and packet-train arrivals, fixed packet sizes, no churn, no
+trace, no invariant checking, one coarse lock, and the policies
+
+- ``mru``/``fcfs``/``stream-mru`` (Locking, shared queue and thread
+  pool; ``_run_locking``),
+- ``wired-streams``/``pools``/``flow-steer``/``grouped`` (Locking,
+  per-processor threads and queues; ``_run_locking_pools`` runs their
+  routing rules ``wired``/``last``/``steer``/``group``),
+- ``ips-mru``/``ips-wired`` (IPS; ``_run_ips``).
+
+Anything else falls back to the scalar engine — silently under
+``REPRO_ENGINE=auto`` (the default), loudly under
+``REPRO_ENGINE=batched``.  The registered policies left on the scalar
+engine are ``hybrid``, ``work-steal`` and ``ips-random``
+(``_SCALAR_FALLBACK_POLICIES`` says why).
 """
 
 from __future__ import annotations
@@ -72,7 +85,7 @@ import math
 import os
 from bisect import bisect_left
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -84,13 +97,17 @@ from ..core.policies import (
     IPSMRUPolicy,
     IPSWiredPolicy,
     MRUPolicy,
+    PerProcessorPoolsPolicy,
     StreamMRUPolicy,
+    WiredStreamsPolicy,
 )
-from ..workloads.arrivals import DeterministicSpec, PoissonSpec
+from ..workloads.arrivals import BatchPoissonSpec, DeterministicSpec, PoissonSpec
+from ..workloads.packet_train import PacketTrainSpec
 from ..workloads.traffic import FixedSize
 from .entities import Packet
 
 if TYPE_CHECKING:
+    from .dispatch import LockingDispatcher
     from .system import NetworkProcessingSystem
 
 __all__ = ["ENGINE_ENV", "engine_mode", "unsupported_reason", "run_fused"]
@@ -127,10 +144,13 @@ def engine_mode() -> str:
 
 _LOCKING_POLICIES = (MRUPolicy, FCFSPolicy, StreamMRUPolicy)
 #: Locking policies with per-processor threads and per-processor (or
-#: per-group) queues, fused by ``_run_locking_pools``.
-_LOCKING_POOL_POLICIES = (FlowSteerPolicy, GroupedAffinityPolicy)
+#: per-group) queues, fused by ``_run_locking_pools`` from their
+#: ``routing`` description.
+_LOCKING_POOL_POLICIES = (WiredStreamsPolicy, PerProcessorPoolsPolicy,
+                          FlowSteerPolicy, GroupedAffinityPolicy)
 _IPS_POLICIES = (IPSMRUPolicy, IPSWiredPolicy)
-_ARRIVAL_SPECS = (PoissonSpec, DeterministicSpec)
+_ARRIVAL_SPECS = (PoissonSpec, DeterministicSpec, BatchPoissonSpec,
+                  PacketTrainSpec)
 
 #: RPR008 parity ledger: config fields the scalar path reads that this
 #: engine deliberately never reads, mapped to the reason.  Kept empty on
@@ -148,8 +168,9 @@ _BATCH_IRRELEVANT_FIELDS: Dict[str, str] = {}
 #: fused tuples above or in this dict with a reason.
 _SCALAR_FALLBACK_POLICIES: Dict[str, str] = {
     "HybridPolicy": (
-        "hybrid wired/MRU switching re-evaluates residency per packet; "
-        "kept on the scalar engine until a fused variant is profiled"
+        "hybrid lets an idle thief (an MRU draw) steal from a busy "
+        "processor's queue, so a completion may refill another processor "
+        "and the per-processor-queue loop's invariant does not hold"
     ),
     "WorkStealingPolicy": (
         "stealing inspects victim queues at completion time; the "
@@ -210,78 +231,94 @@ def unsupported_reason(system: "NetworkProcessingSystem") -> Optional[str]:
 # ----------------------------------------------------------------------
 def _pregenerate_arrivals(
     system: "NetworkProcessingSystem",
-) -> Tuple[List[float], List[int], List[int]]:
+) -> Tuple[List[float], List[int], List[int], int]:
     """Draw, truncate and merge every stream's arrivals for the full run.
 
-    Returns ``(times, stream_ids, per_stream_counts)`` in exactly the
-    order the scalar engine would fire the arrival events.  Drawing past
-    each stream's first beyond-horizon arrival is unobservable: the
+    Returns ``(times, stream_ids, per_stream_batches, n_batches)``: one
+    feed entry per packet, in exactly the order the scalar engine would
+    inject them.  A batch's packets are consecutive; all but its last
+    carry ``stream_id - n_streams`` (see the module docstring).  Drawing
+    past each stream's first beyond-horizon batch is unobservable: the
     per-stream RNG substream is private, so surplus draws are discarded
     values no other consumer can see (the same argument as the scalar
     engine's chunked ``_ArrivalSource`` pregeneration).
+
+    The per-stream work is one draw and one cumulative sum per block;
+    truncation, merge and batch expansion are a fixed number of
+    whole-run array operations, so short runs pay little fixed cost.
     """
     cfg = system.config
     duration_us = cfg.duration_us
-    per_stream: List[List[float]] = []
-    for stream_id, spec in enumerate(cfg.traffic.stream_specs):
+    specs = cfg.traffic.stream_specs
+    n_streams = len(specs)
+    t_parts: List[np.ndarray] = []
+    z_parts: List[Optional[np.ndarray]] = []
+    lens = [0] * n_streams
+    for stream_id, spec in enumerate(specs):
         process = spec.build(system.rngs.arrivals(stream_id))
         expected = spec.mean_rate_pps * duration_us * 1e-6
         chunk = min(4_000_000, max(64, int(expected * 1.05) + 16))
-        chunks: List[np.ndarray] = []
         base = 0.0
-        drawn = 0
         while True:
-            gaps, _sizes = process.next_batches_array(chunk)
+            gaps, sizes = process.next_batches_array(chunk)
             # Strict left fold from the previous absolute time: identical
-            # to the scalar t_k = t_{k-1} + gap_k chain.
-            times = np.add.accumulate(np.concatenate(((base,), gaps)))[1:]
-            chunks.append(times)
-            base = float(times[-1])
-            drawn += chunk
+            # to the scalar t_k = t_{k-1} + gap_k chain (base + gap_1 is
+            # the chain's first step, and 0.0 + gap == gap for the
+            # non-negative gaps; gaps is a fresh array).
+            if base:
+                gaps[0] += base
+            times = np.add.accumulate(gaps)
+            t_parts.append(times)
+            z_parts.append(sizes)
+            lens[stream_id] += chunk
+            base = times[-1]
             if base > duration_us:
                 break
-            if drawn > 4.0 * expected + 1e6:
+            if lens[stream_id] > 4.0 * expected + 1e6:
                 raise RuntimeError(
                     f"stream {stream_id} pregeneration ran away "
-                    f"({drawn} draws without passing the horizon)"
+                    f"({lens[stream_id]} draws without passing the horizon)"
                 )
-        merged = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-        # Keep arrivals with time <= duration: the scalar horizon test is
-        # strictly `when > horizon` ends the stream, and gaps are
-        # non-negative so the first exceedance ends it for good.
-        cut = int(np.searchsorted(merged, duration_us, side="right"))
-        per_stream.append(merged[:cut].tolist())
-    counts = [len(t) for t in per_stream]
-    total = sum(counts)
-    if total == 0:
-        return [], [], counts
-    n_streams = len(per_stream)
-    cat = np.empty(total, dtype=np.float64)
-    sid_arr = np.empty(total, dtype=np.int64)
-    pos = 0
-    for s, times_list in enumerate(per_stream):
-        n = len(times_list)
-        cat[pos:pos + n] = times_list
-        sid_arr[pos:pos + n] = s
-        pos += n
-    order = np.argsort(cat, kind="stable")
-    sorted_t = cat[order]
+    # Keep batches with time <= duration: the scalar horizon test is
+    # strictly `when > horizon` ends the stream, and gaps are non-negative
+    # so every stream's kept batches are a prefix of its draws.
+    t = np.concatenate(t_parts) if t_parts else np.empty(0)
+    keep = t <= duration_us
+    t = t[keep]
+    owner = np.repeat(np.arange(n_streams), lens)[keep]
+    sizes_all = None
+    if any(z is not None for z in z_parts):
+        sizes_all = np.concatenate([
+            np.ones(len(tp), dtype=np.int64) if z is None else z
+            for tp, z in zip(t_parts, z_parts)
+        ])[keep]
+    counts = np.bincount(owner, minlength=n_streams).tolist()
+    n_batches = len(t)
+    if n_batches == 0:
+        return [], [], counts, 0
+    order = np.argsort(t, kind="stable")
+    sorted_t = t[order]
+    sorted_s = owner[order]
     # Exact cross-stream time ties need the scalar push-order resolution;
     # same-stream duplicates are already in order under the stable sort.
-    if total > 1:
-        eq = sorted_t[1:] == sorted_t[:-1]
-        if bool(eq.any()):
-            sorted_s = sid_arr[order]
-            if bool((sorted_s[1:][eq] != sorted_s[:-1][eq]).any()):
-                return _merge_with_push_order(per_stream, n_streams) + (counts,)
-    return sorted_t.tolist(), sid_arr[order].tolist(), counts
+    eq = sorted_t[1:] == sorted_t[:-1]
+    if eq.any() and (sorted_s[1:][eq] != sorted_s[:-1][eq]).any():
+        m_times, m_sids = _merge_with_push_order(t, sizes_all, counts)
+        return m_times, m_sids, counts, n_batches
+    if sizes_all is None:
+        return sorted_t.tolist(), sorted_s.tolist(), counts, n_batches
+    sizes_all = sizes_all[order]
+    sids = np.repeat(sorted_s - n_streams, sizes_all)
+    sids[np.cumsum(sizes_all) - 1] += n_streams
+    return np.repeat(sorted_t, sizes_all).tolist(), sids.tolist(), counts, n_batches
 
 
 def _merge_with_push_order(
-    per_stream: List[List[float]], n_streams: int,
+    t: np.ndarray, sizes: Optional[np.ndarray], counts: List[int],
 ) -> Tuple[List[float], List[int]]:
     """Exact-tie fallback: k-way merge with scalar push-order stamps.
 
+    ``t``/``sizes`` hold each stream's kept batches, stream after stream.
     The scalar engine breaks equal-time ties by the heap-insertion
     sequence number; an arrival event's relative insertion order among
     arrival events equals the firing order of its predecessor (stream
@@ -292,34 +329,41 @@ def _merge_with_push_order(
     (deterministic arrivals), where merge cost is dwarfed by service
     simulation anyway.
     """
+    n_streams = len(counts)
+    times = t.tolist()
+    batch = [1] * len(times) if sizes is None else sizes.tolist()
+    nxt = [0] * n_streams
+    end = [0] * n_streams
     heap: List[Tuple[float, int, int]] = []
-    idx = [1] * n_streams
+    pos = 0
     for s in range(n_streams):
-        times_list = per_stream[s]
-        if times_list:
+        nxt[s] = pos
+        pos += counts[s]
+        end[s] = pos
+        if nxt[s] < pos:
             # Initial pushes happen in stream order before the run starts.
-            heap.append((times_list[0], s, s))
+            heap.append((times[nxt[s]], s, s))
     heapq.heapify(heap)
     counter = n_streams
     out_t: List[float] = []
     out_s: List[int] = []
-    heappush = heapq.heappush
-    heappop = heapq.heappop
     while heap:
-        t, _po, s = heappop(heap)
-        out_t.append(t)
+        when, _po, s = heapq.heappop(heap)
+        i = nxt[s]
+        k = batch[i]
+        out_t.extend([when] * k)
+        out_s.extend([s - n_streams] * (k - 1))
         out_s.append(s)
-        i = idx[s]
-        times_list = per_stream[s]
-        if i < len(times_list):
-            heappush(heap, (times_list[i], counter, s))
+        i += 1
+        nxt[s] = i
+        if i < end[s]:
+            heapq.heappush(heap, (times[i], counter, s))
             counter += 1
-            idx[s] = i + 1
     return out_t, out_s
 
 
 # ----------------------------------------------------------------------
-# Entry point
+# Entry point and shared per-run pieces
 # ----------------------------------------------------------------------
 def run_fused(system: "NetworkProcessingSystem") -> None:
     """Run the configured horizon with the fused core.
@@ -329,7 +373,7 @@ def run_fused(system: "NetworkProcessingSystem") -> None:
     proceeds with summarization as usual.  Call only when
     :func:`unsupported_reason` returned ``None``.
     """
-    m_times, m_sids, counts = _pregenerate_arrivals(system)
+    feed = _pregenerate_arrivals(system)
     # The loops allocate short-lived acyclic tuples at a rate that makes
     # generational GC scans pure overhead (~8% of the run); results are
     # unaffected, so suspend collection for the duration.
@@ -338,27 +382,211 @@ def run_fused(system: "NetworkProcessingSystem") -> None:
         gc.disable()
     try:
         if system.config.paradigm != "locking":
-            _run_ips(system, m_times, m_sids, counts)
+            _run_ips(system, *feed)
         elif type(system.dispatcher.policy) in _LOCKING_POOL_POLICIES:
-            _run_locking_pools(system, m_times, m_sids, counts)
+            _run_locking_pools(system, *feed)
         else:
-            _run_locking(system, m_times, m_sids, counts)
+            _run_locking(system, *feed)
     finally:
         if gc_was_enabled:
             gc.enable()
 
 
+def _flush_fn(
+    system: "NetworkProcessingSystem",
+) -> Optional[Callable[[float], float]]:
+    """The two-level flush math of ``ExecutionTimeModel._pen1``, verbatim,
+    over hoisted constants (cache maintenance included; the caller counts
+    the compute).  ``None`` unless both cache levels are direct-mapped —
+    the loops then call ``model._pen1`` itself, which probes the cache and
+    counts on the model."""
+    model = system.model
+    if model._fast_l1 is None:
+        return None
+    split1, c01, slope1, u11, lp1 = model._fast_l1
+    split2, c02, slope2, u12, lp2 = model._fast_l2
+    delta1 = model._delta1
+    delta2 = model._delta2
+    cache = model._penalty_cache
+    cache_max = model._PENALTY_CACHE_MAX
+    log10 = math.log10
+    expm1 = math.expm1
+
+    def flush(refs: float) -> float:
+        r = refs * split1
+        u = r * u11 if r < 1.0 else 10.0 ** (c01 + slope1 * log10(r))
+        if u > r:
+            u = r
+        f = -expm1(u * lp1)
+        f1 = 1.0 if f > 1.0 else (0.0 if f < 0.0 else f)
+        r = refs * split2
+        u = r * u12 if r < 1.0 else 10.0 ** (c02 + slope2 * log10(r))
+        if u > r:
+            u = r
+        f = -expm1(u * lp2)
+        f2 = 1.0 if f > 1.0 else (0.0 if f < 0.0 else f)
+        value = f1 * delta1 + f2 * delta2
+        if len(cache) >= cache_max:
+            cache.clear()
+        cache[refs] = value
+        return value
+
+    return flush
+
+
+#: Per-processor/per-stream state lists of one fused run (see
+#: :func:`_proc_arrays`).
+_ProcArrays = Tuple[List[float], List[float], List[float], List[float],
+                    List[float], List[int], List[float], List[List[float]],
+                    List[int]]
+
+
+def _proc_arrays(n_procs: int, n_streams: int) -> _ProcArrays:
+    """Fresh per-processor/per-stream state lists shared by the loops:
+    ``(ref_clock, accrued, np_us, pbusy_us, last_end, epoch_seen,
+    code_touch, stream_touch, stream_lp)`` (``-inf``/``-1`` = never)."""
+    return ([0.0] * n_procs, [0.0] * n_procs, [0.0] * n_procs,
+            [0.0] * n_procs, [_NEVER] * n_procs, [-1] * n_procs,
+            [_NEVER] * n_procs,
+            [[_NEVER] * n_streams for _ in range(n_procs)],
+            [-1] * n_streams)
+
+
+def _first_stamps(counts: List[int]) -> Tuple[List[int], int]:
+    """Each stream's first arrival stamp and the next free ``seq``: the
+    scalar engine pushes every stream's first batch, in stream order,
+    before the run starts."""
+    next_stamp = [-1] * len(counts)
+    seq = 0
+    for s, c in enumerate(counts):
+        if c:
+            next_stamp[s] = seq
+            seq += 1
+    return next_stamp, seq
+
+
+def _fold_back(
+    system: "NetworkProcessingSystem",
+    arrays: _ProcArrays,
+    thread_touch: Sequence[Sequence[float]],
+    thread_keys: Sequence[Tuple[str, int]],
+    *,
+    idle_mask: int,
+    epoch: int,
+    seq: int,
+    n_batches: int,
+    n_packets: int,
+    done: List[tuple],
+    comp_heap: List[tuple],
+    queues: Sequence[Deque[Tuple[float, int, int]]],
+    dst_queues: Sequence[Deque[Packet]],
+    first_completion_order: List[int],
+    counters: Tuple[int, int, int, int, int],
+    backlog: int,
+    max_backlog: int,
+) -> None:
+    """Write a finished loop's state back into the live objects.
+
+    ``thread_touch[p][t]`` is the touch time of thread (IPS: stack) ``t``
+    on processor ``p``, keyed ``thread_keys[t]``.  In-flight entries of
+    ``comp_heap`` become real packets on the simulator heap; queued
+    tuples become packets in ``dst_queues``.
+    """
+    (ref_clock, accrued, np_us, pbusy_us, last_end, epoch_seen,
+     code_touch, stream_touch, stream_lp) = arrays
+    n_comp_fired = len(done)
+    sim = system.sim
+    sim._seq = seq
+    sim._events_processed += n_batches + n_comp_fired
+    duration_us = system.config.duration_us
+    sim._now = duration_us if duration_us > sim._now else sim._now
+
+    model = system.model
+    n_calls, n_analytic, n_cache, n_flush, migrations = counters
+    model._n_fast_calls += n_calls
+    model._n_analytic_hits += n_analytic
+    model._n_cache_hits += n_cache
+    model._n_flush_computes += n_flush
+    dispatcher = system.dispatcher
+    dispatcher.migrations += migrations
+
+    skeys = dispatcher._stream_keys
+    for s in first_completion_order:
+        skeys[s] = ("stream", s)
+        dispatcher._stream_last_proc[s] = stream_lp[s]
+    procs = system.processors
+    for p, proc in enumerate(procs):
+        if epoch_seen[p] < 0 and idle_mask >> p & 1:
+            continue  # never served: the processor is still in its initial state
+        proc.busy = not (idle_mask >> p & 1)
+        proc._ref_clock = ref_clock[p]
+        proc._accrued_until = accrued[p]
+        proc.nonprotocol_us = np_us[p]
+        proc.protocol_busy_us = pbusy_us[p]
+        proc.last_protocol_end = last_end[p]
+        proc.protocol_epoch_seen = epoch_seen[p]
+        touch = proc._last_touch
+        v = code_touch[p]
+        if v != _NEVER:
+            touch[_CODE_KEY] = v
+        row = stream_touch[p]
+        touch.update({skeys[s]: row[s] for s in first_completion_order
+                      if row[s] != _NEVER})
+        touch.update({thread_keys[t]: v for t, v in enumerate(thread_touch[p])
+                      if v != _NEVER})
+    dispatcher.protocol_epoch = epoch
+    dispatcher._idle[:] = [q for q in range(len(procs)) if idle_mask >> q & 1]
+
+    size_bytes = system._fixed_size
+    pool = getattr(dispatcher, "threads", None)
+    records = dispatcher._completion_records
+    sim_heap = sim._heap
+    for entry in comp_heap:
+        ctime, stamp, p, s, arr_t, sstart, ex, lw, tid, pid = entry
+        pkt = Packet(pid, s, arr_t, size_bytes)
+        pkt.service_start_us = sstart
+        pkt.exec_time_us = ex
+        pkt.lock_wait_us = lw
+        pkt.processor_id = p
+        pkt.thread_id = tid
+        procs[p].current_packet = pkt
+        if pool is not None:
+            pool._busy[tid] = p
+        heapq.heappush(sim_heap, (ctime, stamp, records[p]))
+    for src, dst in zip(queues, dst_queues):
+        for a, s, pid in src:
+            dst.append(Packet(pid, s, a, size_bytes))
+
+    system._packet_counter = n_packets
+    _fold_metrics_rows(system, done)
+    system.metrics.fold_batch_counts(n_packets, n_comp_fired,
+                                     backlog, max_backlog)
+
+
+def _fold_locking(dispatcher: "LockingDispatcher", free: List[int],
+                  tlp: List[int],
+                  lock_state: Tuple[float, float, float, int, int]) -> None:
+    """Locking-only fold-back: thread pool and the single coarse lock."""
+    pool = dispatcher.threads
+    pool._free[:] = free
+    for t, lp in enumerate(tlp):
+        pool._last_proc[t] = lp if lp >= 0 else None
+    lock0 = dispatcher.lock.locks[0]
+    (lock0._free_at, lock0.total_wait_us, lock0.total_hold_us,
+     lock0.acquisitions, lock0.contended) = lock_state
+
+
 def _fold_metrics_rows(
     system: "NetworkProcessingSystem",
     done: List[tuple],
-    lw_col: Optional[int],
 ) -> None:
     """Fold completed-service tuples into the collector's columns.
 
     ``done`` holds the completion-heap tuples in firing order —
-    ``(completion, stamp, proc, stream, arrival, start, exec, ...)`` —
-    with nondecreasing completion times, so the scalar per-completion
-    ``completion_us >= warmup_us`` filter reduces to one binary search.
+    ``(completion, stamp, proc, stream, arrival, start, exec, lock_wait,
+    ...)`` — with nondecreasing completion times, so the scalar
+    per-completion ``completion_us >= warmup_us`` filter reduces to one
+    binary search.
     """
     warmup_us = system.config.warmup_us
     lo, hi = 0, len(done)
@@ -372,23 +600,20 @@ def _fold_metrics_rows(
     if not rows:
         return
     cols = list(zip(*rows))
-    lock_waits_us = (
-        cols[lw_col] if lw_col is not None
-        else [0.0] * len(rows)
-    )
     system.metrics.extend_columns(
-        cols[3], cols[4], cols[5], cols[0], cols[6], lock_waits_us, cols[2],
+        cols[3], cols[4], cols[5], cols[0], cols[6], cols[7], cols[2],
     )
 
 
 # ----------------------------------------------------------------------
-# Locking paradigm
+# Locking paradigm, shared queue (mru, fcfs, stream-mru)
 # ----------------------------------------------------------------------
 def _run_locking(
     system: "NetworkProcessingSystem",
     m_times: List[float],
     m_sids: List[int],
     counts: List[int],
+    n_batches: int,
 ) -> None:
     cfg = system.config
     dispatcher = system.dispatcher
@@ -406,7 +631,8 @@ def _run_locking(
     # code's tree exactly — see exec_model.execution_time_scalar,
     # exec_model._pen1 and dispatch.LockingDispatcher).
     COLD_ = COLD
-    fast_ok = model._fast_l1 is not None
+    flush = _flush_fn(system)
+    fast_ok = flush is not None
     pen_cold = model._pen_cold
     w_shared = model._w_shared
     w_code = model._w_code
@@ -416,22 +642,17 @@ def _run_locking(
     dispatch_c = model._dispatch_us
     lock_oh = model._lock_oh
     extra_c = cfg.fixed_overhead_us
-    cache = model._penalty_cache
-    cache_get = cache.get
-    cache_max = model._PENALTY_CACHE_MAX
+    cache_get = model._penalty_cache.get
     model_pen1 = model._pen1
     data_touching = cfg.data_touching
     dt_const = (
         model.costs.data_touching_us(system._fixed_size)
         if data_touching else 0.0
     )
-    size_bytes = system._fixed_size
     refs_per_us = cfg.platform.references_per_us
     v_intensity = cfg.nonprotocol_intensity
     cs_us = dispatcher._lock_cs_us
     sched_int = system.rngs.scheduling.integers
-    log10 = math.log10
-    expm1 = math.expm1
 
     n_calls = 0
     n_analytic = 0
@@ -439,66 +660,20 @@ def _run_locking(
     n_flush = 0
     migrations = 0
 
-    if fast_ok:
-        split1, c01, slope1, u11, lp1 = model._fast_l1
-        split2, c02, slope2, u12, lp2 = model._fast_l2
-        delta1 = model._delta1
-        delta2 = model._delta2
-
-        def flush(refs: float) -> float:
-            """Two-level flush math of ExecutionTimeModel._pen1, verbatim
-            (cache maintenance included; counters folded by the caller)."""
-            r = refs * split1
-            u = r * u11 if r < 1.0 else 10.0 ** (c01 + slope1 * log10(r))
-            if u > r:
-                u = r
-            f = -expm1(u * lp1)
-            f1 = 1.0 if f > 1.0 else (0.0 if f < 0.0 else f)
-            r = refs * split2
-            u = r * u12 if r < 1.0 else 10.0 ** (c02 + slope2 * log10(r))
-            if u > r:
-                u = r
-            f = -expm1(u * lp2)
-            f2 = 1.0 if f > 1.0 else (0.0 if f < 0.0 else f)
-            value = f1 * delta1 + f2 * delta2
-            if len(cache) >= cache_max:
-                cache.clear()
-            cache[refs] = value
-            return value
-
-    def pen_of(refs: float) -> float:
-        """Non-fast-path fallback (associative cache levels): cache probe
-        here, everything else delegated to the model."""
-        nonlocal n_cache
-        hit = cache_get(refs)
-        if hit is not None:
-            n_cache += 1
-            return hit
-        return model_pen1(refs)
-
     # --- processor state (parallel lists; -inf touch sentinels)
-    busy = [False] * n_procs
-    ref_clock = [0.0] * n_procs
-    accrued = [0.0] * n_procs
-    np_us = [0.0] * n_procs
-    pbusy_us = [0.0] * n_procs
-    last_end = [_NEVER] * n_procs
-    epoch_seen = [-1] * n_procs
-    code_touch = [_NEVER] * n_procs
-    stream_touch = [[_NEVER] * n_streams for _ in range(n_procs)]
+    arrays = _proc_arrays(n_procs, n_streams)
+    (ref_clock, accrued, np_us, pbusy_us, last_end, epoch_seen,
+     code_touch, stream_touch, stream_lp) = arrays
     thread_touch = [[_NEVER] * n_procs for _ in range(n_procs)]
     epoch = 0
     # Idle set as a bitmask; scanned in ascending processor order exactly
     # like the dispatcher's sorted ``_idle`` list.
     idle_mask = (1 << n_procs) - 1
+    first_completion_order: List[int] = []
 
     # --- shared thread pool (free LIFO list; -1 = "never ran anywhere")
     free = list(range(n_procs - 1, -1, -1))
     tlp = [-1] * n_procs
-
-    # --- stream affinity / key interning order
-    stream_lp = [-1] * n_streams
-    first_completion_order: List[int] = []
 
     # --- single coarse lock
     lock_free_at = 0.0
@@ -518,15 +693,9 @@ def _run_locking(
     done_append = done.append
 
     rem = list(counts)
-    next_stamp = [-1] * n_streams
-    seq = 0
-    for s in range(n_streams):
-        if rem[s]:
-            next_stamp[s] = seq
-            seq += 1
-
+    next_stamp, seq = _first_stamps(counts)
     ai = 0
-    n_merged = len(m_times)
+    n_packets = len(m_times)
     m_times.append(math.inf)  # sentinel: loop needs no bounds check
     m_sids.append(0)
     backlog = 0
@@ -558,13 +727,16 @@ def _run_locking(
                 # next completion can only queue.  Process that whole
                 # presorted slice in one sweep — each firing does exactly
                 # what the scalar per-event path does (enqueue, then
-                # stamp the stream's next arrival), and the backlog rises
+                # stamp the stream's next batch), and the backlog rises
                 # monotonically so one max update at the end is exact.
                 j = bisect_left(m_times, ct, ai)
                 if j == ai:
                     j = ai + 1  # tie with the completion, won on stamp
                 for i in range(ai, j):
                     s = m_sids[i]
+                    if s < 0:
+                        queue_append((m_times[i], s + n_streams, i))
+                        continue
                     queue_append((m_times[i], s, i))
                     rem_s = rem[s] - 1
                     rem[s] = rem_s
@@ -577,161 +749,49 @@ def _run_locking(
                 ai = j
                 continue
             s = m_sids[ai]
-            now = at
+            now = a = at
             pid = ai
             ai += 1
             backlog += 1
             if backlog > max_backlog:
                 max_backlog = backlog
-            if idle_mask:
-                # Queue is empty (loop invariant): dispatch immediately.
-                if not (idle_mask & (idle_mask - 1)):
-                    p = idle_mask.bit_length() - 1
-                elif pk_fcfs:
-                    idle = [q for q in range(n_procs) if idle_mask >> q & 1]
-                    p = idle[int(sched_int(0, len(idle)))]
-                else:
-                    p = -1
-                    if pk_stream:
-                        lastp = stream_lp[s]
-                        if lastp >= 0 and idle_mask >> lastp & 1:
-                            p = lastp
-                    if p < 0:
-                        best_t = _NEVER
-                        best = []
-                        for q in range(n_procs):
-                            if idle_mask >> q & 1:
-                                tq = last_end[q]
-                                if tq > best_t:
-                                    best_t = tq
-                                    best = [q]
-                                elif tq == best_t:
-                                    best.append(q)
-                        p = (best[0] if len(best) == 1
-                             else best[int(sched_int(0, len(best)))])
-                # --- inlined _start_service (dispatch.LockingDispatcher)
-                tid = free[-1]
-                if tlp[tid] == p:
-                    free.pop()
-                else:
-                    found = -1
-                    for cand in reversed(free):
-                        if tlp[cand] == p:
-                            found = cand
-                            break
-                    if found < 0:
-                        tid = free.pop()
-                    else:
-                        tid = found
-                        free.remove(tid)
-                dt = now - accrued[p]
-                if dt > 0.0:
-                    ref_clock[p] += dt * refs_per_us * v_intensity
-                    np_us[p] += dt
-                    accrued[p] = now
-                elif dt < -1e-9:
-                    raise ValueError(f"time went backwards: {now} < {accrued[p]}")
-                clock = ref_clock[p]
-                d = clock - code_touch[p]
-                code_refs = d if d > 0.0 else 0.0
-                lp_s = stream_lp[s]
-                if lp_s != p:
-                    if lp_s >= 0:
-                        migrations += 1
-                    stream_refs = COLD_
-                else:
-                    d = clock - stream_touch[p][s]
-                    stream_refs = d if d > 0.0 else 0.0
-                if tlp[tid] == p:
-                    d = clock - thread_touch[p][tid]
-                    thread_refs = d if d > 0.0 else 0.0
-                else:
-                    thread_refs = COLD_
-                n_calls += 1
-                if fast_ok:
-                    if code_refs == 0.0:
-                        n_analytic += 1
-                        pc = 0.0
-                    elif code_refs == COLD_:
-                        n_analytic += 1
-                        pc = pen_cold
-                    else:
-                        pc = cache_get(code_refs)
-                        if pc is None:
-                            n_flush += 1
-                            pc = flush(code_refs)
-                        else:
-                            n_cache += 1
-                    if stream_refs == code_refs:
-                        ps = pc
-                    elif stream_refs == 0.0:
-                        n_analytic += 1
-                        ps = 0.0
-                    elif stream_refs == COLD_:
-                        n_analytic += 1
-                        ps = pen_cold
-                    else:
-                        ps = cache_get(stream_refs)
-                        if ps is None:
-                            n_flush += 1
-                            ps = flush(stream_refs)
-                        else:
-                            n_cache += 1
-                    if thread_refs == code_refs:
-                        pt = pc
-                    elif thread_refs == stream_refs:
-                        pt = ps
-                    elif thread_refs == 0.0:
-                        n_analytic += 1
-                        pt = 0.0
-                    elif thread_refs == COLD_:
-                        n_analytic += 1
-                        pt = pen_cold
-                    else:
-                        pt = cache_get(thread_refs)
-                        if pt is None:
-                            n_flush += 1
-                            pt = flush(thread_refs)
-                        else:
-                            n_cache += 1
-                else:
-                    pc = pen_of(code_refs)
-                    ps = pc if stream_refs == code_refs else pen_of(stream_refs)
-                    if thread_refs == code_refs:
-                        pt = pc
-                    elif thread_refs == stream_refs:
-                        pt = ps
-                    else:
-                        pt = pen_of(thread_refs)
-                if epoch > epoch_seen[p]:
-                    pen_code = w_shared * pen_cold + (1.0 - w_shared) * pc
-                else:
-                    pen_code = pc
-                penalty = w_code * pen_code + w_stream * ps + w_thread * pt
-                t_exec = t_warm + penalty + dispatch_c + extra_c
-                t_exec += lock_oh
-                if data_touching:
-                    t_exec += dt_const
-                w = lock_free_at - now
-                if w > 0.0:
-                    lock_wait_us = w
-                    lock_contended += 1
-                else:
-                    lock_wait_us = 0.0
-                lock_free_at = now + lock_wait_us + cs_us
-                lock_total_wait_us += lock_wait_us
-                lock_total_hold_us += cs_us
-                lock_acqs += 1
-                busy[p] = True
-                idle_mask ^= 1 << p
-                heappush(comp_heap, (now + (lock_wait_us + t_exec), seq, p, s,
-                                     now, now, t_exec, lock_wait_us, tid, pid))
-                seq += 1
-            rem_s = rem[s] - 1
-            rem[s] = rem_s
-            if rem_s:
-                next_stamp[s] = seq
-                seq += 1
+            # Queue is empty (loop invariant) and a processor is idle:
+            # the packet dispatches; its completion takes the next stamp,
+            # then (at its batch's last packet) the stream's next batch.
+            cstamp = seq
+            seq += 1
+            if s < 0:
+                s += n_streams
+            else:
+                rem_s = rem[s] - 1
+                rem[s] = rem_s
+                if rem_s:
+                    next_stamp[s] = seq
+                    seq += 1
+            if not (idle_mask & (idle_mask - 1)):
+                p = idle_mask.bit_length() - 1
+            elif pk_fcfs:
+                idle = [q for q in range(n_procs) if idle_mask >> q & 1]
+                p = idle[int(sched_int(0, len(idle)))]
+            else:
+                p = -1
+                if pk_stream:
+                    lastp = stream_lp[s]
+                    if lastp >= 0 and idle_mask >> lastp & 1:
+                        p = lastp
+                if p < 0:
+                    best_t = _NEVER
+                    best = []
+                    for q in range(n_procs):
+                        if idle_mask >> q & 1:
+                            tq = last_end[q]
+                            if tq > best_t:
+                                best_t = tq
+                                best = [q]
+                            elif tq == best_t:
+                                best.append(q)
+                    p = (best[0] if len(best) == 1
+                         else best[int(sched_int(0, len(best)))])
         else:
             # ---------------- completion event ----------------
             heappop(comp_heap)
@@ -757,237 +817,198 @@ def _run_locking(
             if stream_lp[s] < 0:
                 first_completion_order.append(s)
             stream_lp[s] = p
-            if queue:
-                # Queue non-empty ⇒ every other processor is busy: the
-                # policy (all three) must pick p, consulting no RNG.
-                a2, s2, pid2 = queue_popleft()
-                tid = free[-1]
-                if tlp[tid] == p:
-                    free.pop()
-                else:
-                    found = -1
-                    for cand in reversed(free):
-                        if tlp[cand] == p:
-                            found = cand
-                            break
-                    if found < 0:
-                        tid = free.pop()
-                    else:
-                        tid = found
-                        free.remove(tid)
-                # dt = now - accrued[p] == 0.0 here: no accrual (exactly
-                # the scalar no-op branch after _complete set accrued=now).
-                d = clock - code_touch[p]
-                code_refs = d if d > 0.0 else 0.0
-                lp_s2 = stream_lp[s2]
-                if lp_s2 != p:
-                    if lp_s2 >= 0:
-                        migrations += 1
-                    stream_refs = COLD_
-                else:
-                    d = clock - stream_touch[p][s2]
-                    stream_refs = d if d > 0.0 else 0.0
-                if tlp[tid] == p:
-                    d = clock - thread_touch[p][tid]
-                    thread_refs = d if d > 0.0 else 0.0
-                else:
-                    thread_refs = COLD_
-                n_calls += 1
-                if fast_ok:
-                    if code_refs == 0.0:
-                        n_analytic += 1
-                        pc = 0.0
-                    elif code_refs == COLD_:
-                        n_analytic += 1
-                        pc = pen_cold
-                    else:
-                        pc = cache_get(code_refs)
-                        if pc is None:
-                            n_flush += 1
-                            pc = flush(code_refs)
-                        else:
-                            n_cache += 1
-                    if stream_refs == code_refs:
-                        ps = pc
-                    elif stream_refs == 0.0:
-                        n_analytic += 1
-                        ps = 0.0
-                    elif stream_refs == COLD_:
-                        n_analytic += 1
-                        ps = pen_cold
-                    else:
-                        ps = cache_get(stream_refs)
-                        if ps is None:
-                            n_flush += 1
-                            ps = flush(stream_refs)
-                        else:
-                            n_cache += 1
-                    if thread_refs == code_refs:
-                        pt = pc
-                    elif thread_refs == stream_refs:
-                        pt = ps
-                    elif thread_refs == 0.0:
-                        n_analytic += 1
-                        pt = 0.0
-                    elif thread_refs == COLD_:
-                        n_analytic += 1
-                        pt = pen_cold
-                    else:
-                        pt = cache_get(thread_refs)
-                        if pt is None:
-                            n_flush += 1
-                            pt = flush(thread_refs)
-                        else:
-                            n_cache += 1
-                else:
-                    pc = pen_of(code_refs)
-                    ps = pc if stream_refs == code_refs else pen_of(stream_refs)
-                    if thread_refs == code_refs:
-                        pt = pc
-                    elif thread_refs == stream_refs:
-                        pt = ps
-                    else:
-                        pt = pen_of(thread_refs)
-                if epoch > epoch_seen[p]:
-                    pen_code = w_shared * pen_cold + (1.0 - w_shared) * pc
-                else:
-                    pen_code = pc
-                penalty = w_code * pen_code + w_stream * ps + w_thread * pt
-                t_exec = t_warm + penalty + dispatch_c + extra_c
-                t_exec += lock_oh
-                if data_touching:
-                    t_exec += dt_const
-                w = lock_free_at - now
-                if w > 0.0:
-                    lock_wait_us = w
-                    lock_contended += 1
-                else:
-                    lock_wait_us = 0.0
-                lock_free_at = now + lock_wait_us + cs_us
-                lock_total_wait_us += lock_wait_us
-                lock_total_hold_us += cs_us
-                lock_acqs += 1
-                # busy[p] stays True (scalar: False in _complete, True in
-                # the immediately following _start_service).
-                heappush(comp_heap, (now + (lock_wait_us + t_exec), seq, p, s2,
-                                     a2, now, t_exec, lock_wait_us, tid, pid2))
-                seq += 1
-            else:
-                busy[p] = False
+            if not queue:
                 idle_mask |= 1 << p
+                continue
+            # Queue non-empty ⇒ every other processor is busy: the
+            # policy (all three) must pick p, consulting no RNG.
+            a, s, pid = queue_popleft()
+            cstamp = seq
+            seq += 1
 
-    # ------------------------------------------------------------------
-    # Fold back into the live objects
-    # ------------------------------------------------------------------
-    n_comp_fired = len(done)
-    sim = system.sim
-    sim._seq = seq
-    sim._events_processed += n_merged + n_comp_fired
-    sim._now = duration_us if duration_us > sim._now else sim._now
+        # ---------------- service start (inlined _start_service) -------
+        tid = free[-1]
+        if tlp[tid] == p:
+            free.pop()
+        else:
+            found = -1
+            for cand in reversed(free):
+                if tlp[cand] == p:
+                    found = cand
+                    break
+            if found < 0:
+                tid = free.pop()
+            else:
+                tid = found
+                free.remove(tid)
+        # A completion refill has dt == 0.0 here (accrued[p] == now): the
+        # scalar no-op branch.
+        dt = now - accrued[p]
+        if dt > 0.0:
+            ref_clock[p] += dt * refs_per_us * v_intensity
+            np_us[p] += dt
+            accrued[p] = now
+        elif dt < -1e-9:
+            raise ValueError(f"time went backwards: {now} < {accrued[p]}")
+        clock = ref_clock[p]
+        d = clock - code_touch[p]
+        code_refs = d if d > 0.0 else 0.0
+        lp_s = stream_lp[s]
+        if lp_s != p:
+            if lp_s >= 0:
+                migrations += 1
+            stream_refs = COLD_
+        else:
+            d = clock - stream_touch[p][s]
+            stream_refs = d if d > 0.0 else 0.0
+        if tlp[tid] == p:
+            d = clock - thread_touch[p][tid]
+            thread_refs = d if d > 0.0 else 0.0
+        else:
+            thread_refs = COLD_
+        n_calls += 1
+        if fast_ok:
+            if code_refs == 0.0:
+                n_analytic += 1
+                pc = 0.0
+            elif code_refs == COLD_:
+                n_analytic += 1
+                pc = pen_cold
+            else:
+                pc = cache_get(code_refs)
+                if pc is None:
+                    n_flush += 1
+                    pc = flush(code_refs)
+                else:
+                    n_cache += 1
+            if stream_refs == code_refs:
+                ps = pc
+            elif stream_refs == 0.0:
+                n_analytic += 1
+                ps = 0.0
+            elif stream_refs == COLD_:
+                n_analytic += 1
+                ps = pen_cold
+            else:
+                ps = cache_get(stream_refs)
+                if ps is None:
+                    n_flush += 1
+                    ps = flush(stream_refs)
+                else:
+                    n_cache += 1
+            if thread_refs == code_refs:
+                pt = pc
+            elif thread_refs == stream_refs:
+                pt = ps
+            elif thread_refs == 0.0:
+                n_analytic += 1
+                pt = 0.0
+            elif thread_refs == COLD_:
+                n_analytic += 1
+                pt = pen_cold
+            else:
+                pt = cache_get(thread_refs)
+                if pt is None:
+                    n_flush += 1
+                    pt = flush(thread_refs)
+                else:
+                    n_cache += 1
+        else:
+            pc = model_pen1(code_refs)
+            ps = pc if stream_refs == code_refs else model_pen1(stream_refs)
+            if thread_refs == code_refs:
+                pt = pc
+            elif thread_refs == stream_refs:
+                pt = ps
+            else:
+                pt = model_pen1(thread_refs)
+        if epoch > epoch_seen[p]:
+            pen_code = w_shared * pen_cold + (1.0 - w_shared) * pc
+        else:
+            pen_code = pc
+        penalty = w_code * pen_code + w_stream * ps + w_thread * pt
+        t_exec = t_warm + penalty + dispatch_c + extra_c
+        t_exec += lock_oh
+        if data_touching:
+            t_exec += dt_const
+        w = lock_free_at - now
+        if w > 0.0:
+            lock_wait_us = w
+            lock_contended += 1
+        else:
+            lock_wait_us = 0.0
+        lock_free_at = now + lock_wait_us + cs_us
+        lock_total_wait_us += lock_wait_us
+        lock_total_hold_us += cs_us
+        lock_acqs += 1
+        # A refill keeps p busy (scalar: idle in _complete, busy again in
+        # the immediately following _start_service).
+        idle_mask &= ~(1 << p)
+        heappush(comp_heap, (now + (lock_wait_us + t_exec), cstamp, p, s,
+                             a, now, t_exec, lock_wait_us, tid, pid))
 
-    model._n_fast_calls += n_calls
-    model._n_analytic_hits += n_analytic
-    model._n_cache_hits += n_cache
-    model._n_flush_computes += n_flush
-    dispatcher.migrations += migrations
-
-    skeys = dispatcher._stream_keys
-    for s in first_completion_order:
-        skeys[s] = ("stream", s)
-        dispatcher._stream_last_proc[s] = stream_lp[s]
-    thread_keys = dispatcher._thread_keys
-    procs = system.processors
-    for p in range(n_procs):
-        proc = procs[p]
-        proc.busy = busy[p]
-        proc._ref_clock = ref_clock[p]
-        proc._accrued_until = accrued[p]
-        proc.nonprotocol_us = np_us[p]
-        proc.protocol_busy_us = pbusy_us[p]
-        proc.last_protocol_end = last_end[p]
-        proc.protocol_epoch_seen = epoch_seen[p]
-        touch = proc._last_touch
-        v = code_touch[p]
-        if v != _NEVER:
-            touch[_CODE_KEY] = v
-        row = stream_touch[p]
-        for s in range(n_streams):
-            v = row[s]
-            if v != _NEVER:
-                touch[skeys[s]] = v
-        row = thread_touch[p]
-        for t in range(n_procs):
-            v = row[t]
-            if v != _NEVER:
-                touch[thread_keys[t]] = v
-    dispatcher.protocol_epoch = epoch
-    dispatcher._idle[:] = [q for q in range(n_procs) if idle_mask >> q & 1]
-
-    pool = dispatcher.threads
-    pool._free[:] = free
-    pool_last = pool._last_proc
-    for t in range(n_procs):
-        pool_last[t] = tlp[t] if tlp[t] >= 0 else None
-
-    lock0 = dispatcher.lock.locks[0]
-    lock0._free_at = lock_free_at
-    lock0.total_wait_us = lock_total_wait_us
-    lock0.total_hold_us = lock_total_hold_us
-    lock0.acquisitions = lock_acqs
-    lock0.contended = lock_contended
-
-    records = dispatcher._completion_records
-    sim_heap = sim._heap
-    for entry in comp_heap:
-        ctime, stamp, p, s, arr_t, sstart, ex, lw, tid, pid = entry
-        pkt = Packet(pid, s, arr_t, size_bytes)
-        pkt.service_start_us = sstart
-        pkt.exec_time_us = ex
-        pkt.lock_wait_us = lw
-        pkt.processor_id = p
-        pkt.thread_id = tid
-        procs[p].current_packet = pkt
-        pool._busy[tid] = p
-        heappush(sim_heap, (ctime, stamp, records[p]))
-
-    pqueue = policy._queue
-    for a, s, pid in queue:
-        pqueue.append(Packet(pid, s, a, size_bytes))
-
-    system._packet_counter = n_merged
-    _fold_metrics_rows(system, done, 7)
-    system.metrics.fold_batch_counts(n_merged, n_comp_fired,
-                                     backlog, max_backlog)
+    _fold_locking(dispatcher, free, tlp,
+                  (lock_free_at, lock_total_wait_us, lock_total_hold_us,
+                   lock_acqs, lock_contended))
+    _fold_back(
+        system, arrays, thread_touch, dispatcher._thread_keys,
+        idle_mask=idle_mask, epoch=epoch, seq=seq, n_batches=n_batches,
+        n_packets=n_packets, done=done, comp_heap=comp_heap,
+        queues=[queue], dst_queues=[policy._queue],
+        first_completion_order=first_completion_order,
+        counters=(n_calls, n_analytic, n_cache, n_flush, migrations),
+        backlog=backlog, max_backlog=max_backlog,
+    )
 
 
 # ----------------------------------------------------------------------
-# Locking paradigm, per-processor-queue policies (flow-steer, grouped)
+# Locking paradigm, per-processor queues (wired-streams, pools,
+# flow-steer, grouped)
 # ----------------------------------------------------------------------
 def _run_locking_pools(
     system: "NetworkProcessingSystem",
     m_times: List[float],
     m_sids: List[int],
     counts: List[int],
+    n_batches: int,
 ) -> None:
-    """Fused loop for :class:`FlowSteerPolicy` / :class:`GroupedAffinityPolicy`.
+    """Fused loop for the per-processor-queue policies.
 
-    Both policies keep per-processor (flow-steer) or per-group (grouped)
-    queues and run with processor-bound threads (``tid == proc``, so the
+    The policy's ``routing`` attribute selects how an arrival picks its
+    queue (``spill_threshold`` and the queue count complete the
+    description):
+
+    - ``wired`` (``wired-streams``): ``s % N``, never spills;
+    - ``last`` (``pools``): the stream's last processor (``s % N`` before
+      its first completion), spilling to the first shortest queue when
+      the preferred one is longer by more than the threshold;
+    - ``steer`` (``flow-steer``): a persistent steer table with the same
+      spill, which re-steers the stream and counts a ``resteer``;
+    - ``group`` (``grouped``): ``s % G``, dispatched MRU among the
+      group's idle members with the scheduling-RNG tie-break.
+
+    All four run with processor-bound threads (``tid == proc``, so the
     shared-pool preference scan of ``_run_locking`` collapses to
     ``free.remove(p)``/``free.append(p)`` — exactly the scalar
-    per-processor :class:`~repro.sim.entities.ThreadPool` history).  The
-    structural invariant making the fusion exact: **a nonempty queue
-    implies its owning processor (flow-steer) / every processor of its
-    group (grouped) is busy** — arrivals whose final target is idle
-    dispatch immediately (the target's queue is empty, so the new packet
-    is the head), and a completion can only refill its own processor
-    (every other idle processor's queue is empty), so the completion
-    path consults no RNG.  The only RNG use in the whole loop is the
-    grouped policy's MRU tie-break among a group's idle members at
-    arrival, replicated draw for draw from ``_mru_idle``.  Flow-steer's
-    rebalance check runs on every arrival; it can never trigger toward
-    an idle processor's (empty) queue, so re-steers only move *queued*
-    streams — the Flow Director reordering pathology.
+    per-processor :class:`~repro.sim.entities.ThreadPool` history), and
+    all four serve the "own queue".  The structural invariant making that
+    exact: **a nonempty queue implies its owning processor (or every
+    processor of its group) is busy.**  An arrival whose final target is
+    idle dispatches immediately (the target's queue is empty, so the new
+    packet is the head), and a completion can only refill its own
+    processor, because every other idle processor's queue is empty.  So
+    at every dispatch point at most one idle processor has work: the
+    completing one or the arrival's target.  That is why ``pools``' scalar
+    serve rule, "longest eligible pool among the idle processors", always
+    picks the same processor as "own queue", and why the completion path
+    consults no RNG.  The only RNG use in the loop is the ``group`` rule's
+    MRU tie-break at arrival, replicated draw for draw from ``_mru_idle``.
+    The spill test runs on every ``last``/``steer`` arrival, also while
+    every processor is busy; a spill to an idle processor's (empty) queue
+    dispatches at once, like any arrival with an idle target.  A re-steer
+    leaves the stream's queued packets behind — the Flow Director
+    reordering pathology.  (``hybrid`` breaks the invariant: its steal
+    serves a busy processor's queue from an idle thief.)
     """
     cfg = system.config
     dispatcher = system.dispatcher
@@ -997,22 +1018,22 @@ def _run_locking_pools(
     n_streams = cfg.traffic.n_streams
     duration_us = cfg.duration_us
 
-    pk_flow = type(policy) is FlowSteerPolicy
-    if pk_flow:
-        n_queues = n_procs
-        threshold = policy.rebalance_threshold
-        steer = [-1] * n_streams
-        resteers = 0
-        n_eff = 1  # unused
-    else:
-        n_eff = policy._n_eff
-        n_queues = n_eff
-        threshold = 0  # unused
-        steer = []  # unused
-        resteers = 0  # unused
+    # --- routing description
+    routing = policy.routing
+    threshold = policy.spill_threshold
+    n_queues = len(policy._queues)
+    queues: List[Deque[Tuple[float, int, int]]] = [
+        deque() for _ in range(n_queues)
+    ]
+    r_group = routing == "group"
+    r_wired = routing == "wired"
+    r_steer = routing == "steer"
+    steer = [-1] * n_streams
+    resteers = 0
 
     COLD_ = COLD
-    fast_ok = model._fast_l1 is not None
+    flush = _flush_fn(system)
+    fast_ok = flush is not None
     pen_cold = model._pen_cold
     w_shared = model._w_shared
     w_code = model._w_code
@@ -1022,22 +1043,16 @@ def _run_locking_pools(
     dispatch_c = model._dispatch_us
     lock_oh = model._lock_oh
     extra_c = cfg.fixed_overhead_us
-    cache = model._penalty_cache
-    cache_get = cache.get
-    cache_max = model._PENALTY_CACHE_MAX
+    cache_get = model._penalty_cache.get
     model_pen1 = model._pen1
     data_touching = cfg.data_touching
     dt_const = (
         model.costs.data_touching_us(system._fixed_size)
         if data_touching else 0.0
     )
-    size_bytes = system._fixed_size
     refs_per_us = cfg.platform.references_per_us
     v_intensity = cfg.nonprotocol_intensity
     cs_us = dispatcher._lock_cs_us
-    sched_int = system.rngs.scheduling.integers
-    log10 = math.log10
-    expm1 = math.expm1
 
     n_calls = 0
     n_analytic = 0
@@ -1045,65 +1060,19 @@ def _run_locking_pools(
     n_flush = 0
     migrations = 0
 
-    if fast_ok:
-        split1, c01, slope1, u11, lp1 = model._fast_l1
-        split2, c02, slope2, u12, lp2 = model._fast_l2
-        delta1 = model._delta1
-        delta2 = model._delta2
-
-        def flush(refs: float) -> float:
-            """Two-level flush math of ExecutionTimeModel._pen1, verbatim
-            (cache maintenance included; counters folded by the caller)."""
-            r = refs * split1
-            u = r * u11 if r < 1.0 else 10.0 ** (c01 + slope1 * log10(r))
-            if u > r:
-                u = r
-            f = -expm1(u * lp1)
-            f1 = 1.0 if f > 1.0 else (0.0 if f < 0.0 else f)
-            r = refs * split2
-            u = r * u12 if r < 1.0 else 10.0 ** (c02 + slope2 * log10(r))
-            if u > r:
-                u = r
-            f = -expm1(u * lp2)
-            f2 = 1.0 if f > 1.0 else (0.0 if f < 0.0 else f)
-            value = f1 * delta1 + f2 * delta2
-            if len(cache) >= cache_max:
-                cache.clear()
-            cache[refs] = value
-            return value
-
-    def pen_of(refs: float) -> float:
-        """Non-fast-path fallback (associative cache levels): cache probe
-        here, everything else delegated to the model."""
-        nonlocal n_cache
-        hit = cache_get(refs)
-        if hit is not None:
-            n_cache += 1
-            return hit
-        return model_pen1(refs)
-
-    # --- processor state (parallel lists; -inf touch sentinels)
-    busy = [False] * n_procs
-    ref_clock = [0.0] * n_procs
-    accrued = [0.0] * n_procs
-    np_us = [0.0] * n_procs
-    pbusy_us = [0.0] * n_procs
-    last_end = [_NEVER] * n_procs
-    epoch_seen = [-1] * n_procs
-    code_touch = [_NEVER] * n_procs
-    stream_touch = [[_NEVER] * n_streams for _ in range(n_procs)]
+    arrays = _proc_arrays(n_procs, n_streams)
+    (ref_clock, accrued, np_us, pbusy_us, last_end, epoch_seen,
+     code_touch, stream_touch, stream_lp) = arrays
     # Per-processor threads: tid == p always, so one touch cell per
     # processor replaces the shared pool's per-thread table.
     thread_touch = [_NEVER] * n_procs
     epoch = 0
     idle_mask = (1 << n_procs) - 1
+    first_completion_order: List[int] = []
 
     # --- per-processor thread pool (tid == p; -1 = never released here)
     free = list(range(n_procs - 1, -1, -1))
     tlp = [-1] * n_procs
-
-    stream_lp = [-1] * n_streams
-    first_completion_order: List[int] = []
 
     lock_free_at = 0.0
     lock_total_wait_us = 0.0
@@ -1111,9 +1080,30 @@ def _run_locking_pools(
     lock_acqs = 0
     lock_contended = 0
 
-    queues: List[Deque[Tuple[float, int, int]]] = [
-        deque() for _ in range(n_queues)
-    ]
+    def spill_route(s: int) -> int:
+        """``last``/``steer`` routing, statement for statement
+        ``_PerProcessorQueuePolicy._spill`` and the two ``route``s."""
+        nonlocal resteers
+        if r_steer:
+            tgt = steer[s]
+            if tgt < 0:
+                tgt = s % n_procs
+                steer[s] = tgt
+        else:
+            tgt = stream_lp[s]
+            if tgt < 0:
+                tgt = s % n_procs
+        short_len = min(map(len, queues))
+        if len(queues[tgt]) > short_len + threshold:
+            for q in range(n_procs):
+                if len(queues[q]) == short_len:
+                    tgt = q
+                    break
+            if r_steer:
+                steer[s] = tgt
+                resteers += 1
+        return tgt
+
     comp_heap: List[tuple] = []
     heappush = heapq.heappush
     heappop = heapq.heappop
@@ -1121,15 +1111,9 @@ def _run_locking_pools(
     done_append = done.append
 
     rem = list(counts)
-    next_stamp = [-1] * n_streams
-    seq = 0
-    for s in range(n_streams):
-        if rem[s]:
-            next_stamp[s] = seq
-            seq += 1
-
+    next_stamp, seq = _first_stamps(counts)
     ai = 0
-    n_merged = len(m_times)
+    n_packets = len(m_times)
     m_times.append(math.inf)  # sentinel: loop needs no bounds check
     m_sids.append(0)
     backlog = 0
@@ -1158,78 +1142,46 @@ def _run_locking_pools(
             # ---------------- arrival event ----------------
             if not idle_mask:
                 # Every processor is busy: no dispatch is possible, but
-                # the policy's enqueue step (including flow-steer's
-                # rebalance test, which consults no RNG) still runs per
-                # arrival, exactly as the scalar on_arrival path does.
+                # the routing rule (including the spill test, which
+                # consults no RNG) still runs per arrival, exactly as the
+                # scalar on_arrival path does.
                 j = bisect_left(m_times, ct, ai)
                 if j == ai:
                     j = ai + 1  # tie with the completion, won on stamp
                 for i in range(ai, j):
                     s = m_sids[i]
-                    if pk_flow:
-                        tgt = steer[s]
-                        if tgt < 0:
-                            tgt = s % n_procs
-                            steer[s] = tgt
-                        short_len = len(queues[0])
-                        for q in range(1, n_procs):
-                            lq = len(queues[q])
-                            if lq < short_len:
-                                short_len = lq
-                        if len(queues[tgt]) > short_len + threshold:
-                            for q in range(n_procs):
-                                if len(queues[q]) == short_len:
-                                    tgt = q
-                                    break
-                            steer[s] = tgt
-                            resteers += 1
-                        queues[tgt].append((m_times[i], s, i))
+                    step = s >= 0
+                    if not step:
+                        s += n_streams
+                    if r_wired or r_group:
+                        queues[s % n_queues].append((m_times[i], s, i))
                     else:
-                        queues[s % n_eff].append((m_times[i], s, i))
-                    rem_s = rem[s] - 1
-                    rem[s] = rem_s
-                    if rem_s:
-                        next_stamp[s] = seq
-                        seq += 1
+                        queues[spill_route(s)].append((m_times[i], s, i))
+                    if step:
+                        rem_s = rem[s] - 1
+                        rem[s] = rem_s
+                        if rem_s:
+                            next_stamp[s] = seq
+                            seq += 1
                 backlog += j - ai
                 if backlog > max_backlog:
                     max_backlog = backlog
                 ai = j
                 continue
             s = m_sids[ai]
-            now = at
+            step = s >= 0
+            if not step:
+                s += n_streams
+            now = a = at
             pid = ai
             ai += 1
             backlog += 1
             if backlog > max_backlog:
                 max_backlog = backlog
-            # --- policy enqueue + dispatch decision
+            # --- routing + dispatch decision
             p = -1
-            if pk_flow:
-                tgt = steer[s]
-                if tgt < 0:
-                    tgt = s % n_procs
-                    steer[s] = tgt
-                short_len = len(queues[0])
-                for q in range(1, n_procs):
-                    lq = len(queues[q])
-                    if lq < short_len:
-                        short_len = lq
-                if len(queues[tgt]) > short_len + threshold:
-                    for q in range(n_procs):
-                        if len(queues[q]) == short_len:
-                            tgt = q
-                            break
-                    steer[s] = tgt
-                    resteers += 1
-                if idle_mask >> tgt & 1:
-                    # Idle target ⇒ its queue is empty (invariant): the
-                    # new packet dispatches without touching the deque.
-                    p = tgt
-                else:
-                    queues[tgt].append((at, s, pid))
-            else:
-                g = s % n_eff
+            if r_group:
+                g = s % n_queues
                 qg = queues[g]
                 if qg:
                     # Nonempty group queue ⇒ no idle group member.
@@ -1240,8 +1192,8 @@ def _run_locking_pools(
                     # ascending order, RNG only for genuine ties.
                     best_t = _NEVER
                     best: List[int] = []
-                    for q in range(n_procs):
-                        if idle_mask >> q & 1 and q % n_eff == g:
+                    for q in range(g, n_procs, n_queues):
+                        if idle_mask >> q & 1:
                             tq = last_end[q]
                             if tq > best_t:
                                 best_t = tq
@@ -1250,121 +1202,33 @@ def _run_locking_pools(
                                 best.append(q)
                     if not best:
                         qg.append((at, s, pid))
+                    elif len(best) == 1:
+                        p = best[0]
                     else:
-                        p = (best[0] if len(best) == 1
-                             else best[int(sched_int(0, len(best)))])
+                        # A genuine tie (rare): only now is the scheduling
+                        # substream created, as in the scalar engine.
+                        p = best[int(system.rngs.scheduling.integers(
+                            0, len(best)))]
+            else:
+                tgt = s % n_procs if r_wired else spill_route(s)
+                if idle_mask >> tgt & 1:
+                    # Idle target ⇒ its queue is empty (invariant): the
+                    # new packet dispatches without touching the deque.
+                    p = tgt
+                else:
+                    queues[tgt].append((at, s, pid))
             if p >= 0:
-                # --- inlined _start_service (per-processor thread pool:
-                # acquire is free.remove(p), preference scan not needed)
-                free.remove(p)
-                dt = now - accrued[p]
-                if dt > 0.0:
-                    ref_clock[p] += dt * refs_per_us * v_intensity
-                    np_us[p] += dt
-                    accrued[p] = now
-                elif dt < -1e-9:
-                    raise ValueError(f"time went backwards: {now} < {accrued[p]}")
-                clock = ref_clock[p]
-                d = clock - code_touch[p]
-                code_refs = d if d > 0.0 else 0.0
-                lp_s = stream_lp[s]
-                if lp_s != p:
-                    if lp_s >= 0:
-                        migrations += 1
-                    stream_refs = COLD_
-                else:
-                    d = clock - stream_touch[p][s]
-                    stream_refs = d if d > 0.0 else 0.0
-                if tlp[p] == p:
-                    d = clock - thread_touch[p]
-                    thread_refs = d if d > 0.0 else 0.0
-                else:
-                    thread_refs = COLD_
-                n_calls += 1
-                if fast_ok:
-                    if code_refs == 0.0:
-                        n_analytic += 1
-                        pc = 0.0
-                    elif code_refs == COLD_:
-                        n_analytic += 1
-                        pc = pen_cold
-                    else:
-                        pc = cache_get(code_refs)
-                        if pc is None:
-                            n_flush += 1
-                            pc = flush(code_refs)
-                        else:
-                            n_cache += 1
-                    if stream_refs == code_refs:
-                        ps = pc
-                    elif stream_refs == 0.0:
-                        n_analytic += 1
-                        ps = 0.0
-                    elif stream_refs == COLD_:
-                        n_analytic += 1
-                        ps = pen_cold
-                    else:
-                        ps = cache_get(stream_refs)
-                        if ps is None:
-                            n_flush += 1
-                            ps = flush(stream_refs)
-                        else:
-                            n_cache += 1
-                    if thread_refs == code_refs:
-                        pt = pc
-                    elif thread_refs == stream_refs:
-                        pt = ps
-                    elif thread_refs == 0.0:
-                        n_analytic += 1
-                        pt = 0.0
-                    elif thread_refs == COLD_:
-                        n_analytic += 1
-                        pt = pen_cold
-                    else:
-                        pt = cache_get(thread_refs)
-                        if pt is None:
-                            n_flush += 1
-                            pt = flush(thread_refs)
-                        else:
-                            n_cache += 1
-                else:
-                    pc = pen_of(code_refs)
-                    ps = pc if stream_refs == code_refs else pen_of(stream_refs)
-                    if thread_refs == code_refs:
-                        pt = pc
-                    elif thread_refs == stream_refs:
-                        pt = ps
-                    else:
-                        pt = pen_of(thread_refs)
-                if epoch > epoch_seen[p]:
-                    pen_code = w_shared * pen_cold + (1.0 - w_shared) * pc
-                else:
-                    pen_code = pc
-                penalty = w_code * pen_code + w_stream * ps + w_thread * pt
-                t_exec = t_warm + penalty + dispatch_c + extra_c
-                t_exec += lock_oh
-                if data_touching:
-                    t_exec += dt_const
-                w = lock_free_at - now
-                if w > 0.0:
-                    lock_wait_us = w
-                    lock_contended += 1
-                else:
-                    lock_wait_us = 0.0
-                lock_free_at = now + lock_wait_us + cs_us
-                lock_total_wait_us += lock_wait_us
-                lock_total_hold_us += cs_us
-                lock_acqs += 1
-                busy[p] = True
-                idle_mask ^= 1 << p
-                heappush(comp_heap, (now + (lock_wait_us + t_exec), seq, p, s,
-                                     now, now, t_exec, lock_wait_us, p, pid))
+                cstamp = seq
                 seq += 1
-            rem_s = rem[s] - 1
-            rem[s] = rem_s
-            if rem_s:
-                next_stamp[s] = seq
-                seq += 1
+            if step:
+                rem_s = rem[s] - 1
+                rem[s] = rem_s
+                if rem_s:
+                    next_stamp[s] = seq
+                    seq += 1
+            if p < 0:
+                continue
+            free.remove(p)  # per-processor thread acquire
         else:
             # ---------------- completion event ----------------
             heappop(comp_heap)
@@ -1388,205 +1252,142 @@ def _run_locking_pools(
             if stream_lp[s] < 0:
                 first_completion_order.append(s)
             stream_lp[s] = p
-            qp = queues[p if pk_flow else p % n_eff]
-            if qp:
-                # Only p can refill (every other idle processor's queue
-                # is empty by the invariant), so no RNG is consulted; the
-                # scalar release-append + acquire-remove cancel out, so
-                # the free list is untouched.
-                a2, s2, pid2 = qp.popleft()
-                # dt = now - accrued[p] == 0.0 here: no accrual.
-                d = clock - code_touch[p]
-                code_refs = d if d > 0.0 else 0.0
-                lp_s2 = stream_lp[s2]
-                if lp_s2 != p:
-                    if lp_s2 >= 0:
-                        migrations += 1
-                    stream_refs = COLD_
-                else:
-                    d = clock - stream_touch[p][s2]
-                    stream_refs = d if d > 0.0 else 0.0
-                # tlp[p] == p (just released): thread stack warm here.
-                d = clock - thread_touch[p]
-                thread_refs = d if d > 0.0 else 0.0
-                n_calls += 1
-                if fast_ok:
-                    if code_refs == 0.0:
-                        n_analytic += 1
-                        pc = 0.0
-                    elif code_refs == COLD_:
-                        n_analytic += 1
-                        pc = pen_cold
-                    else:
-                        pc = cache_get(code_refs)
-                        if pc is None:
-                            n_flush += 1
-                            pc = flush(code_refs)
-                        else:
-                            n_cache += 1
-                    if stream_refs == code_refs:
-                        ps = pc
-                    elif stream_refs == 0.0:
-                        n_analytic += 1
-                        ps = 0.0
-                    elif stream_refs == COLD_:
-                        n_analytic += 1
-                        ps = pen_cold
-                    else:
-                        ps = cache_get(stream_refs)
-                        if ps is None:
-                            n_flush += 1
-                            ps = flush(stream_refs)
-                        else:
-                            n_cache += 1
-                    if thread_refs == code_refs:
-                        pt = pc
-                    elif thread_refs == stream_refs:
-                        pt = ps
-                    elif thread_refs == 0.0:
-                        n_analytic += 1
-                        pt = 0.0
-                    elif thread_refs == COLD_:
-                        n_analytic += 1
-                        pt = pen_cold
-                    else:
-                        pt = cache_get(thread_refs)
-                        if pt is None:
-                            n_flush += 1
-                            pt = flush(thread_refs)
-                        else:
-                            n_cache += 1
-                else:
-                    pc = pen_of(code_refs)
-                    ps = pc if stream_refs == code_refs else pen_of(stream_refs)
-                    if thread_refs == code_refs:
-                        pt = pc
-                    elif thread_refs == stream_refs:
-                        pt = ps
-                    else:
-                        pt = pen_of(thread_refs)
-                if epoch > epoch_seen[p]:
-                    pen_code = w_shared * pen_cold + (1.0 - w_shared) * pc
-                else:
-                    pen_code = pc
-                penalty = w_code * pen_code + w_stream * ps + w_thread * pt
-                t_exec = t_warm + penalty + dispatch_c + extra_c
-                t_exec += lock_oh
-                if data_touching:
-                    t_exec += dt_const
-                w = lock_free_at - now
-                if w > 0.0:
-                    lock_wait_us = w
-                    lock_contended += 1
-                else:
-                    lock_wait_us = 0.0
-                lock_free_at = now + lock_wait_us + cs_us
-                lock_total_wait_us += lock_wait_us
-                lock_total_hold_us += cs_us
-                lock_acqs += 1
-                # busy[p] stays True.
-                heappush(comp_heap, (now + (lock_wait_us + t_exec), seq, p, s2,
-                                     a2, now, t_exec, lock_wait_us, p, pid2))
-                seq += 1
-            else:
-                busy[p] = False
+            qp = queues[p % n_queues]
+            if not qp:
                 idle_mask |= 1 << p
                 free.append(p)
+                continue
+            # Only p can refill (every other idle processor's queue is
+            # empty by the invariant), so no RNG is consulted; the scalar
+            # release-append + acquire-remove cancel out, so the free
+            # list is untouched.
+            a, s, pid = qp.popleft()
+            cstamp = seq
+            seq += 1
 
-    # ------------------------------------------------------------------
-    # Fold back into the live objects
-    # ------------------------------------------------------------------
-    n_comp_fired = len(done)
-    sim = system.sim
-    sim._seq = seq
-    sim._events_processed += n_merged + n_comp_fired
-    sim._now = duration_us if duration_us > sim._now else sim._now
+        # ---------------- service start (inlined _start_service) -------
+        dt = now - accrued[p]
+        if dt > 0.0:
+            ref_clock[p] += dt * refs_per_us * v_intensity
+            np_us[p] += dt
+            accrued[p] = now
+        elif dt < -1e-9:
+            raise ValueError(f"time went backwards: {now} < {accrued[p]}")
+        clock = ref_clock[p]
+        d = clock - code_touch[p]
+        code_refs = d if d > 0.0 else 0.0
+        lp_s = stream_lp[s]
+        if lp_s != p:
+            if lp_s >= 0:
+                migrations += 1
+            stream_refs = COLD_
+        else:
+            d = clock - stream_touch[p][s]
+            stream_refs = d if d > 0.0 else 0.0
+        if tlp[p] == p:
+            d = clock - thread_touch[p]
+            thread_refs = d if d > 0.0 else 0.0
+        else:
+            thread_refs = COLD_
+        n_calls += 1
+        if fast_ok:
+            if code_refs == 0.0:
+                n_analytic += 1
+                pc = 0.0
+            elif code_refs == COLD_:
+                n_analytic += 1
+                pc = pen_cold
+            else:
+                pc = cache_get(code_refs)
+                if pc is None:
+                    n_flush += 1
+                    pc = flush(code_refs)
+                else:
+                    n_cache += 1
+            if stream_refs == code_refs:
+                ps = pc
+            elif stream_refs == 0.0:
+                n_analytic += 1
+                ps = 0.0
+            elif stream_refs == COLD_:
+                n_analytic += 1
+                ps = pen_cold
+            else:
+                ps = cache_get(stream_refs)
+                if ps is None:
+                    n_flush += 1
+                    ps = flush(stream_refs)
+                else:
+                    n_cache += 1
+            if thread_refs == code_refs:
+                pt = pc
+            elif thread_refs == stream_refs:
+                pt = ps
+            elif thread_refs == 0.0:
+                n_analytic += 1
+                pt = 0.0
+            elif thread_refs == COLD_:
+                n_analytic += 1
+                pt = pen_cold
+            else:
+                pt = cache_get(thread_refs)
+                if pt is None:
+                    n_flush += 1
+                    pt = flush(thread_refs)
+                else:
+                    n_cache += 1
+        else:
+            pc = model_pen1(code_refs)
+            ps = pc if stream_refs == code_refs else model_pen1(stream_refs)
+            if thread_refs == code_refs:
+                pt = pc
+            elif thread_refs == stream_refs:
+                pt = ps
+            else:
+                pt = model_pen1(thread_refs)
+        if epoch > epoch_seen[p]:
+            pen_code = w_shared * pen_cold + (1.0 - w_shared) * pc
+        else:
+            pen_code = pc
+        penalty = w_code * pen_code + w_stream * ps + w_thread * pt
+        t_exec = t_warm + penalty + dispatch_c + extra_c
+        t_exec += lock_oh
+        if data_touching:
+            t_exec += dt_const
+        w = lock_free_at - now
+        if w > 0.0:
+            lock_wait_us = w
+            lock_contended += 1
+        else:
+            lock_wait_us = 0.0
+        lock_free_at = now + lock_wait_us + cs_us
+        lock_total_wait_us += lock_wait_us
+        lock_total_hold_us += cs_us
+        lock_acqs += 1
+        idle_mask &= ~(1 << p)
+        heappush(comp_heap, (now + (lock_wait_us + t_exec), cstamp, p, s,
+                             a, now, t_exec, lock_wait_us, p, pid))
 
-    model._n_fast_calls += n_calls
-    model._n_analytic_hits += n_analytic
-    model._n_cache_hits += n_cache
-    model._n_flush_computes += n_flush
-    dispatcher.migrations += migrations
-
-    skeys = dispatcher._stream_keys
-    for s in first_completion_order:
-        skeys[s] = ("stream", s)
-        dispatcher._stream_last_proc[s] = stream_lp[s]
-    thread_keys = dispatcher._thread_keys
-    procs = system.processors
+    _fold_locking(dispatcher, free, tlp,
+                  (lock_free_at, lock_total_wait_us, lock_total_hold_us,
+                   lock_acqs, lock_contended))
+    thread_rows = [[_NEVER] * n_procs for _ in range(n_procs)]
     for p in range(n_procs):
-        proc = procs[p]
-        proc.busy = busy[p]
-        proc._ref_clock = ref_clock[p]
-        proc._accrued_until = accrued[p]
-        proc.nonprotocol_us = np_us[p]
-        proc.protocol_busy_us = pbusy_us[p]
-        proc.last_protocol_end = last_end[p]
-        proc.protocol_epoch_seen = epoch_seen[p]
-        touch = proc._last_touch
-        v = code_touch[p]
-        if v != _NEVER:
-            touch[_CODE_KEY] = v
-        row = stream_touch[p]
-        for s in range(n_streams):
-            v = row[s]
-            if v != _NEVER:
-                touch[skeys[s]] = v
-        v = thread_touch[p]
-        if v != _NEVER:
-            touch[thread_keys[p]] = v
-    dispatcher.protocol_epoch = epoch
-    dispatcher._idle[:] = [q for q in range(n_procs) if idle_mask >> q & 1]
-
-    pool = dispatcher.threads
-    pool._free[:] = free
-    pool_last = pool._last_proc
-    for t in range(n_procs):
-        pool_last[t] = tlp[t] if tlp[t] >= 0 else None
-
-    lock0 = dispatcher.lock.locks[0]
-    lock0._free_at = lock_free_at
-    lock0.total_wait_us = lock_total_wait_us
-    lock0.total_hold_us = lock_total_hold_us
-    lock0.acquisitions = lock_acqs
-    lock0.contended = lock_contended
-
-    records = dispatcher._completion_records
-    sim_heap = sim._heap
-    for entry in comp_heap:
-        ctime, stamp, p, s, arr_t, sstart, ex, lw, tid, pid = entry
-        pkt = Packet(pid, s, arr_t, size_bytes)
-        pkt.service_start_us = sstart
-        pkt.exec_time_us = ex
-        pkt.lock_wait_us = lw
-        pkt.processor_id = p
-        pkt.thread_id = tid
-        procs[p].current_packet = pkt
-        pool._busy[tid] = p
-        heappush(sim_heap, (ctime, stamp, records[p]))
-
-    if pk_flow:
-        psteer = policy._steer
+        thread_rows[p][p] = thread_touch[p]
+    _fold_back(
+        system, arrays, thread_rows, dispatcher._thread_keys,
+        idle_mask=idle_mask, epoch=epoch, seq=seq, n_batches=n_batches,
+        n_packets=n_packets, done=done, comp_heap=comp_heap,
+        queues=queues, dst_queues=policy._queues,
+        first_completion_order=first_completion_order,
+        counters=(n_calls, n_analytic, n_cache, n_flush, migrations),
+        backlog=backlog, max_backlog=max_backlog,
+    )
+    if r_steer:
         for s in range(n_streams):
             if steer[s] >= 0:
-                psteer[s] = steer[s]
+                policy._steer[s] = steer[s]
         policy.resteers = resteers
-        pqueues = policy._queues
-        for q in range(n_procs):
-            dst = pqueues[q]
-            for a, s, pid in queues[q]:
-                dst.append(Packet(pid, s, a, size_bytes))
-    else:
-        gqueues = policy._queues
-        for g in range(n_eff):
-            dst = gqueues[g]
-            for a, s, pid in queues[g]:
-                dst.append(Packet(pid, s, a, size_bytes))
-
-    system._packet_counter = n_merged
-    _fold_metrics_rows(system, done, 7)
-    system.metrics.fold_batch_counts(n_merged, n_comp_fired,
-                                     backlog, max_backlog)
 
 
 # ----------------------------------------------------------------------
@@ -1597,6 +1398,7 @@ def _run_ips(
     m_times: List[float],
     m_sids: List[int],
     counts: List[int],
+    n_batches: int,
 ) -> None:
     cfg = system.config
     dispatcher = system.dispatcher
@@ -1610,7 +1412,8 @@ def _run_ips(
     pk_wired = type(policy) is IPSWiredPolicy
 
     COLD_ = COLD
-    fast_ok = model._fast_l1 is not None
+    flush = _flush_fn(system)
+    fast_ok = flush is not None
     pen_cold = model._pen_cold
     w_shared = model._w_shared
     w_code = model._w_code
@@ -1619,21 +1422,15 @@ def _run_ips(
     t_warm = model._t_warm
     dispatch_c = model._dispatch_us
     extra_c = cfg.fixed_overhead_us
-    cache = model._penalty_cache
-    cache_get = cache.get
-    cache_max = model._PENALTY_CACHE_MAX
+    cache_get = model._penalty_cache.get
     model_pen1 = model._pen1
     data_touching = cfg.data_touching
     dt_const = (
         model.costs.data_touching_us(system._fixed_size)
         if data_touching else 0.0
     )
-    size_bytes = system._fixed_size
     refs_per_us = cfg.platform.references_per_us
     v_intensity = cfg.nonprotocol_intensity
-    sched_int = system.rngs.scheduling.integers
-    log10 = math.log10
-    expm1 = math.expm1
 
     n_calls = 0
     n_analytic = 0
@@ -1641,59 +1438,16 @@ def _run_ips(
     n_flush = 0
     migrations = 0
 
-    if fast_ok:
-        split1, c01, slope1, u11, lp1 = model._fast_l1
-        split2, c02, slope2, u12, lp2 = model._fast_l2
-        delta1 = model._delta1
-        delta2 = model._delta2
-
-        def flush(refs: float) -> float:
-            """Two-level flush math of ExecutionTimeModel._pen1, verbatim
-            (cache maintenance included; counters folded by the caller)."""
-            r = refs * split1
-            u = r * u11 if r < 1.0 else 10.0 ** (c01 + slope1 * log10(r))
-            if u > r:
-                u = r
-            f = -expm1(u * lp1)
-            f1 = 1.0 if f > 1.0 else (0.0 if f < 0.0 else f)
-            r = refs * split2
-            u = r * u12 if r < 1.0 else 10.0 ** (c02 + slope2 * log10(r))
-            if u > r:
-                u = r
-            f = -expm1(u * lp2)
-            f2 = 1.0 if f > 1.0 else (0.0 if f < 0.0 else f)
-            value = f1 * delta1 + f2 * delta2
-            if len(cache) >= cache_max:
-                cache.clear()
-            cache[refs] = value
-            return value
-
-    def pen_of(refs: float) -> float:
-        """Non-fast-path fallback (associative cache levels)."""
-        nonlocal n_cache
-        hit = cache_get(refs)
-        if hit is not None:
-            n_cache += 1
-            return hit
-        return model_pen1(refs)
-
-    busy = [False] * n_procs
-    ref_clock = [0.0] * n_procs
-    accrued = [0.0] * n_procs
-    np_us = [0.0] * n_procs
-    pbusy_us = [0.0] * n_procs
-    last_end = [_NEVER] * n_procs
-    epoch_seen = [-1] * n_procs
-    code_touch = [_NEVER] * n_procs
-    stream_touch = [[_NEVER] * n_streams for _ in range(n_procs)]
+    arrays = _proc_arrays(n_procs, n_streams)
+    (ref_clock, accrued, np_us, pbusy_us, last_end, epoch_seen,
+     code_touch, stream_touch, stream_lp) = arrays
     stack_touch = [[_NEVER] * n_stacks for _ in range(n_procs)]
     epoch = 0
     idle_mask = (1 << n_procs) - 1
+    first_completion_order: List[int] = []
 
-    stream_lp = [-1] * n_streams
     stack_lp = [-1] * n_stacks
     stack_busy = [False] * n_stacks
-    first_completion_order: List[int] = []
 
     queues: List[Deque[Tuple[float, int, int]]] = [deque() for _ in range(n_stacks)]
     # Runnable stacks: lazily validated min-heaps of (head_arrival, k).
@@ -1710,15 +1464,9 @@ def _run_ips(
     done_append = done.append
 
     rem = list(counts)
-    next_stamp = [-1] * n_streams
-    seq = 0
-    for s in range(n_streams):
-        if rem[s]:
-            next_stamp[s] = seq
-            seq += 1
-
+    next_stamp, seq = _first_stamps(counts)
     ai = 0
-    n_merged = len(m_times)
+    n_packets = len(m_times)
     m_times.append(math.inf)  # sentinel: loop needs no bounds check
     m_sids.append(0)
     backlog = 0
@@ -1757,29 +1505,34 @@ def _run_ips(
                     j = ai + 1  # tie with the completion, won on stamp
                 for i in range(ai, j):
                     s = m_sids[i]
+                    step = s >= 0
+                    if not step:
+                        s += n_streams
                     k = s % n_stacks
                     qk = queues[k]
-                    if stack_busy[k] or qk:
-                        qk.append((m_times[i], s, i))
-                    else:
-                        t2b = m_times[i]
-                        qk.append((t2b, s, i))
+                    t2b = m_times[i]
+                    if not (stack_busy[k] or qk):
                         if pk_wired:
                             heappush(runnable_by_proc[k % n_procs], (t2b, k))
                         else:
                             heappush(runnable, (t2b, k))
-                    rem_s = rem[s] - 1
-                    rem[s] = rem_s
-                    if rem_s:
-                        next_stamp[s] = seq
-                        seq += 1
+                    qk.append((t2b, s, i))
+                    if step:
+                        rem_s = rem[s] - 1
+                        rem[s] = rem_s
+                        if rem_s:
+                            next_stamp[s] = seq
+                            seq += 1
                 backlog += j - ai
                 if backlog > max_backlog:
                     max_backlog = backlog
                 ai = j
                 continue
             s = m_sids[ai]
-            now = at
+            step = s >= 0
+            if not step:
+                s += n_streams
+            now = a = at
             pid = ai
             ai += 1
             backlog += 1
@@ -1787,146 +1540,54 @@ def _run_ips(
                 max_backlog = backlog
             k = s % n_stacks
             qk = queues[k]
+            p = -1
             if stack_busy[k] or qk:
                 qk.append((at, s, pid))
             else:
                 # Stack idle with empty queue: this packet is its head.
                 # Every other runnable stack was already refused with the
                 # same idle set, so at most this stack can dispatch.
-                p = -1
                 if pk_wired:
                     wp = k % n_procs
                     if idle_mask >> wp & 1:
                         p = wp
-                elif idle_mask:
-                    if not (idle_mask & (idle_mask - 1)):
-                        p = idle_mask.bit_length() - 1
+                elif not (idle_mask & (idle_mask - 1)):
+                    p = idle_mask.bit_length() - 1
+                else:
+                    lastp = stack_lp[k]
+                    if lastp >= 0 and idle_mask >> lastp & 1:
+                        p = lastp
                     else:
-                        lastp = stack_lp[k]
-                        if lastp >= 0 and idle_mask >> lastp & 1:
-                            p = lastp
-                        else:
-                            best_t = _NEVER
-                            best = []
-                            for q in range(n_procs):
-                                if idle_mask >> q & 1:
-                                    tq = last_end[q]
-                                    if tq > best_t:
-                                        best_t = tq
-                                        best = [q]
-                                    elif tq == best_t:
-                                        best.append(q)
-                            p = (best[0] if len(best) == 1
-                                 else best[int(sched_int(0, len(best)))])
+                        best_t = _NEVER
+                        best = []
+                        for q in range(n_procs):
+                            if idle_mask >> q & 1:
+                                tq = last_end[q]
+                                if tq > best_t:
+                                    best_t = tq
+                                    best = [q]
+                                elif tq == best_t:
+                                    best.append(q)
+                        p = (best[0] if len(best) == 1
+                             else best[int(system.rngs.scheduling.integers(
+                                 0, len(best)))])
                 if p < 0:
                     qk.append((at, s, pid))
                     if pk_wired:
                         heappush(runnable_by_proc[k % n_procs], (at, k))
                     else:
                         heappush(runnable, (at, k))
-                else:
-                    # --- inlined IPS _start_service
-                    migrated = stack_lp[k] != p
-                    stack_busy[k] = True
-                    dt = now - accrued[p]
-                    if dt > 0.0:
-                        ref_clock[p] += dt * refs_per_us * v_intensity
-                        np_us[p] += dt
-                        accrued[p] = now
-                    elif dt < -1e-9:
-                        raise ValueError(
-                            f"time went backwards: {now} < {accrued[p]}")
-                    clock = ref_clock[p]
-                    d = clock - code_touch[p]
-                    code_refs = d if d > 0.0 else 0.0
-                    lp_s = stream_lp[s]
-                    if lp_s != p:
-                        if lp_s >= 0:
-                            migrations += 1
-                        stream_refs = COLD_
-                    else:
-                        d = clock - stream_touch[p][s]
-                        stream_refs = d if d > 0.0 else 0.0
-                    if migrated:
-                        thread_refs = COLD_
-                    else:
-                        d = clock - stack_touch[p][k]
-                        thread_refs = d if d > 0.0 else 0.0
-                    n_calls += 1
-                    if fast_ok:
-                        if code_refs == 0.0:
-                            n_analytic += 1
-                            pc = 0.0
-                        elif code_refs == COLD_:
-                            n_analytic += 1
-                            pc = pen_cold
-                        else:
-                            pc = cache_get(code_refs)
-                            if pc is None:
-                                n_flush += 1
-                                pc = flush(code_refs)
-                            else:
-                                n_cache += 1
-                        if stream_refs == code_refs:
-                            ps = pc
-                        elif stream_refs == 0.0:
-                            n_analytic += 1
-                            ps = 0.0
-                        elif stream_refs == COLD_:
-                            n_analytic += 1
-                            ps = pen_cold
-                        else:
-                            ps = cache_get(stream_refs)
-                            if ps is None:
-                                n_flush += 1
-                                ps = flush(stream_refs)
-                            else:
-                                n_cache += 1
-                        if thread_refs == code_refs:
-                            pt = pc
-                        elif thread_refs == stream_refs:
-                            pt = ps
-                        elif thread_refs == 0.0:
-                            n_analytic += 1
-                            pt = 0.0
-                        elif thread_refs == COLD_:
-                            n_analytic += 1
-                            pt = pen_cold
-                        else:
-                            pt = cache_get(thread_refs)
-                            if pt is None:
-                                n_flush += 1
-                                pt = flush(thread_refs)
-                            else:
-                                n_cache += 1
-                    else:
-                        pc = pen_of(code_refs)
-                        ps = (pc if stream_refs == code_refs
-                              else pen_of(stream_refs))
-                        if thread_refs == code_refs:
-                            pt = pc
-                        elif thread_refs == stream_refs:
-                            pt = ps
-                        else:
-                            pt = pen_of(thread_refs)
-                    if migrated:
-                        pen_code = w_shared * pen_cold + (1.0 - w_shared) * pc
-                    else:
-                        pen_code = pc
-                    penalty = w_code * pen_code + w_stream * ps + w_thread * pt
-                    t_exec = t_warm + penalty + dispatch_c + extra_c
-                    if data_touching:
-                        t_exec += dt_const
-                    busy[p] = True
-                    idle_mask ^= 1 << p
-                    heappush(comp_heap, (now + t_exec, seq, p, s,
-                                         now, now, t_exec, k, pid))
-                    seq += 1
-            rem_s = rem[s] - 1
-            rem[s] = rem_s
-            if rem_s:
-                next_stamp[s] = seq
+            if p >= 0:
+                cstamp = seq
                 seq += 1
+            if step:
+                rem_s = rem[s] - 1
+                rem[s] = rem_s
+                if rem_s:
+                    next_stamp[s] = seq
+                    seq += 1
+            if p < 0:
+                continue
         else:
             # ---------------- completion event ----------------
             heappop(comp_heap)
@@ -1935,7 +1596,7 @@ def _run_ips(
             p = head[2]
             s = head[3]
             ex = head[6]
-            k = head[7]
+            k = head[8]
             epoch += 1
             clock = ref_clock[p] + ex * refs_per_us
             ref_clock[p] = clock
@@ -1960,178 +1621,123 @@ def _run_ips(
             # now; under both fused IPS policies the chosen processor can
             # only be p (every other idle processor was already refused),
             # so no RNG is consulted.
-            k2 = -1
+            k = -1
             while rh:
-                t2, kk = rh[0]
+                t2, kk = heappop(rh)
                 q2 = queues[kk]
-                if stack_busy[kk] or not q2 or q2[0][0] != t2:
-                    heappop(rh)
-                    continue
-                heappop(rh)
-                k2 = kk
-                break
-            if k2 >= 0:
-                a2, s2, pid2 = queues[k2].popleft()
-                migrated = stack_lp[k2] != p
-                stack_busy[k2] = True
-                # dt == 0.0: accrued[p] was just set to now.
-                d = clock - code_touch[p]
-                code_refs = d if d > 0.0 else 0.0
-                lp_s2 = stream_lp[s2]
-                if lp_s2 != p:
-                    if lp_s2 >= 0:
-                        migrations += 1
-                    stream_refs = COLD_
-                else:
-                    d = clock - stream_touch[p][s2]
-                    stream_refs = d if d > 0.0 else 0.0
-                if migrated:
-                    thread_refs = COLD_
-                else:
-                    d = clock - stack_touch[p][k2]
-                    thread_refs = d if d > 0.0 else 0.0
-                n_calls += 1
-                if fast_ok:
-                    if code_refs == 0.0:
-                        n_analytic += 1
-                        pc = 0.0
-                    elif code_refs == COLD_:
-                        n_analytic += 1
-                        pc = pen_cold
-                    else:
-                        pc = cache_get(code_refs)
-                        if pc is None:
-                            n_flush += 1
-                            pc = flush(code_refs)
-                        else:
-                            n_cache += 1
-                    if stream_refs == code_refs:
-                        ps = pc
-                    elif stream_refs == 0.0:
-                        n_analytic += 1
-                        ps = 0.0
-                    elif stream_refs == COLD_:
-                        n_analytic += 1
-                        ps = pen_cold
-                    else:
-                        ps = cache_get(stream_refs)
-                        if ps is None:
-                            n_flush += 1
-                            ps = flush(stream_refs)
-                        else:
-                            n_cache += 1
-                    if thread_refs == code_refs:
-                        pt = pc
-                    elif thread_refs == stream_refs:
-                        pt = ps
-                    elif thread_refs == 0.0:
-                        n_analytic += 1
-                        pt = 0.0
-                    elif thread_refs == COLD_:
-                        n_analytic += 1
-                        pt = pen_cold
-                    else:
-                        pt = cache_get(thread_refs)
-                        if pt is None:
-                            n_flush += 1
-                            pt = flush(thread_refs)
-                        else:
-                            n_cache += 1
-                else:
-                    pc = pen_of(code_refs)
-                    ps = (pc if stream_refs == code_refs
-                          else pen_of(stream_refs))
-                    if thread_refs == code_refs:
-                        pt = pc
-                    elif thread_refs == stream_refs:
-                        pt = ps
-                    else:
-                        pt = pen_of(thread_refs)
-                if migrated:
-                    pen_code = w_shared * pen_cold + (1.0 - w_shared) * pc
-                else:
-                    pen_code = pc
-                penalty = w_code * pen_code + w_stream * ps + w_thread * pt
-                t_exec = t_warm + penalty + dispatch_c + extra_c
-                if data_touching:
-                    t_exec += dt_const
-                heappush(comp_heap, (now + t_exec, seq, p, s2,
-                                     a2, now, t_exec, k2, pid2))
-                seq += 1
-            else:
-                busy[p] = False
+                if not stack_busy[kk] and q2 and q2[0][0] == t2:
+                    k = kk
+                    break
+            if k < 0:
                 idle_mask |= 1 << p
+                continue
+            a, s, pid = queues[k].popleft()
+            cstamp = seq
+            seq += 1
 
-    # ------------------------------------------------------------------
-    # Fold back into the live objects
-    # ------------------------------------------------------------------
-    n_comp_fired = len(done)
-    sim = system.sim
-    sim._seq = seq
-    sim._events_processed += n_merged + n_comp_fired
-    sim._now = duration_us if duration_us > sim._now else sim._now
+        # ---------------- service start (inlined IPS _start_service) ---
+        migrated = stack_lp[k] != p
+        stack_busy[k] = True
+        dt = now - accrued[p]
+        if dt > 0.0:
+            ref_clock[p] += dt * refs_per_us * v_intensity
+            np_us[p] += dt
+            accrued[p] = now
+        elif dt < -1e-9:
+            raise ValueError(f"time went backwards: {now} < {accrued[p]}")
+        clock = ref_clock[p]
+        d = clock - code_touch[p]
+        code_refs = d if d > 0.0 else 0.0
+        lp_s = stream_lp[s]
+        if lp_s != p:
+            if lp_s >= 0:
+                migrations += 1
+            stream_refs = COLD_
+        else:
+            d = clock - stream_touch[p][s]
+            stream_refs = d if d > 0.0 else 0.0
+        if migrated:
+            thread_refs = COLD_
+        else:
+            d = clock - stack_touch[p][k]
+            thread_refs = d if d > 0.0 else 0.0
+        n_calls += 1
+        if fast_ok:
+            if code_refs == 0.0:
+                n_analytic += 1
+                pc = 0.0
+            elif code_refs == COLD_:
+                n_analytic += 1
+                pc = pen_cold
+            else:
+                pc = cache_get(code_refs)
+                if pc is None:
+                    n_flush += 1
+                    pc = flush(code_refs)
+                else:
+                    n_cache += 1
+            if stream_refs == code_refs:
+                ps = pc
+            elif stream_refs == 0.0:
+                n_analytic += 1
+                ps = 0.0
+            elif stream_refs == COLD_:
+                n_analytic += 1
+                ps = pen_cold
+            else:
+                ps = cache_get(stream_refs)
+                if ps is None:
+                    n_flush += 1
+                    ps = flush(stream_refs)
+                else:
+                    n_cache += 1
+            if thread_refs == code_refs:
+                pt = pc
+            elif thread_refs == stream_refs:
+                pt = ps
+            elif thread_refs == 0.0:
+                n_analytic += 1
+                pt = 0.0
+            elif thread_refs == COLD_:
+                n_analytic += 1
+                pt = pen_cold
+            else:
+                pt = cache_get(thread_refs)
+                if pt is None:
+                    n_flush += 1
+                    pt = flush(thread_refs)
+                else:
+                    n_cache += 1
+        else:
+            pc = model_pen1(code_refs)
+            ps = pc if stream_refs == code_refs else model_pen1(stream_refs)
+            if thread_refs == code_refs:
+                pt = pc
+            elif thread_refs == stream_refs:
+                pt = ps
+            else:
+                pt = model_pen1(thread_refs)
+        if migrated:
+            pen_code = w_shared * pen_cold + (1.0 - w_shared) * pc
+        else:
+            pen_code = pc
+        penalty = w_code * pen_code + w_stream * ps + w_thread * pt
+        t_exec = t_warm + penalty + dispatch_c + extra_c
+        if data_touching:
+            t_exec += dt_const
+        idle_mask &= ~(1 << p)
+        heappush(comp_heap, (now + t_exec, cstamp, p, s,
+                             a, now, t_exec, 0.0, k, pid))
 
-    model._n_fast_calls += n_calls
-    model._n_analytic_hits += n_analytic
-    model._n_cache_hits += n_cache
-    model._n_flush_computes += n_flush
-    dispatcher.migrations += migrations
-
-    skeys = dispatcher._stream_keys
-    for s in first_completion_order:
-        skeys[s] = ("stream", s)
-        dispatcher._stream_last_proc[s] = stream_lp[s]
-    stack_keys = dispatcher._stack_thread_keys
-    procs = system.processors
-    for p in range(n_procs):
-        proc = procs[p]
-        proc.busy = busy[p]
-        proc._ref_clock = ref_clock[p]
-        proc._accrued_until = accrued[p]
-        proc.nonprotocol_us = np_us[p]
-        proc.protocol_busy_us = pbusy_us[p]
-        proc.last_protocol_end = last_end[p]
-        proc.protocol_epoch_seen = epoch_seen[p]
-        touch = proc._last_touch
-        v = code_touch[p]
-        if v != _NEVER:
-            touch[_CODE_KEY] = v
-        row = stream_touch[p]
-        for s in range(n_streams):
-            v = row[s]
-            if v != _NEVER:
-                touch[skeys[s]] = v
-        row = stack_touch[p]
-        for t in range(n_stacks):
-            v = row[t]
-            if v != _NEVER:
-                touch[stack_keys[t]] = v
-    dispatcher.protocol_epoch = epoch
-    dispatcher._idle[:] = [q for q in range(n_procs) if idle_mask >> q & 1]
+    _fold_back(
+        system, arrays, stack_touch, dispatcher._stack_thread_keys,
+        idle_mask=idle_mask, epoch=epoch, seq=seq, n_batches=n_batches,
+        n_packets=n_packets, done=done, comp_heap=comp_heap,
+        queues=queues, dst_queues=dispatcher._queues,
+        first_completion_order=first_completion_order,
+        counters=(n_calls, n_analytic, n_cache, n_flush, migrations),
+        backlog=backlog, max_backlog=max_backlog,
+    )
     for k in range(n_stacks):
         dispatcher._stack_busy[k] = stack_busy[k]
         dispatcher._stack_last_proc[k] = stack_lp[k] if stack_lp[k] >= 0 else None
-
-    records = dispatcher._completion_records
-    sim_heap = sim._heap
-    for entry in comp_heap:
-        ctime, stamp, p, s, arr_t, sstart, ex, k, pid = entry
-        pkt = Packet(pid, s, arr_t, size_bytes)
-        pkt.service_start_us = sstart
-        pkt.exec_time_us = ex
-        pkt.lock_wait_us = 0.0
-        pkt.processor_id = p
-        pkt.thread_id = k
-        procs[p].current_packet = pkt
-        heappush(sim_heap, (ctime, stamp, records[p]))
-
-    dqueues = dispatcher._queues
-    for k in range(n_stacks):
-        dq = dqueues[k]
-        for a, s, pid in queues[k]:
-            dq.append(Packet(pid, s, a, size_bytes))
-
-    system._packet_counter = n_merged
-    _fold_metrics_rows(system, done, None)
-    system.metrics.fold_batch_counts(n_merged, n_comp_fired,
-                                     backlog, max_backlog)

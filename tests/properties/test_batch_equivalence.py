@@ -7,9 +7,12 @@ Three layers, matching the batching architecture (``docs/PERFORMANCE.md``):
   same-timestamp runs and callbacks that schedule at the current time),
 - system: full runs under ``REPRO_ENGINE=batched`` vs ``scalar``,
   compared on summaries, metrics columns, queue/backlog state and model
-  counters — over randomized workloads and over an adversarial
-  all-streams-tied deterministic workload that forces the exact
-  cross-stream-tie merge fallback (``_merge_with_push_order``).
+  counters — over randomized workloads, over batch-Poisson and
+  packet-train arrivals (a batch is one event of several packets), and
+  over an adversarial all-streams-tied deterministic workload that forces
+  the exact cross-stream-tie merge fallback (``_merge_with_push_order``);
+- support: every registered policy on every fused arrival spec runs
+  fused, except the declared scalar-only policies.
 
 Equality is asserted exactly (``==``, no tolerance): the batched engine's
 contract is bit-identity, not approximation.
@@ -27,10 +30,12 @@ from hypothesis import given, settings
 from repro.cache.hierarchy import sgi_challenge_hierarchy
 from repro.core.exec_model import COLD, ComponentState, ExecutionTimeModel
 from repro.core.params import PAPER_COMPOSITION, PAPER_COSTS
+from repro.core.policies import IPS_POLICIES, LOCKING_POLICIES
 from repro.sim import batch
 from repro.sim.engine import Simulator
 from repro.sim.system import NetworkProcessingSystem, SystemConfig
-from repro.workloads.arrivals import DeterministicSpec, PoissonSpec
+from repro.workloads.arrivals import BatchPoissonSpec, DeterministicSpec, PoissonSpec
+from repro.workloads.packet_train import PacketTrainSpec
 from repro.workloads.traffic import FixedSize, TrafficSpec
 
 # ----------------------------------------------------------------------
@@ -179,18 +184,14 @@ def _system_state(system, summary):
     }
     if hasattr(d, "threads"):
         pol = d.policy
-        # MRU-family policies keep one shared queue; the zoo policies
-        # keep per-processor (dict) or per-group (list) queues.
-        if hasattr(pol, "_queue"):
-            queues = {"shared": pol._queue}
-        elif isinstance(pol._queues, dict):
-            queues = pol._queues
-        else:
-            queues = dict(enumerate(pol._queues))
-        state["queue"] = {
-            key: [(p.packet_id, p.stream_id, p.arrival_us) for p in q]
-            for key, q in queues.items()
-        }
+        # MRU-family policies keep one shared queue; the per-processor
+        # queue policies keep one list of per-processor (or per-group)
+        # queues.
+        queues = [pol._queue] if hasattr(pol, "_queue") else pol._queues
+        state["queue"] = [
+            [(p.packet_id, p.stream_id, p.arrival_us) for p in q]
+            for q in queues
+        ]
         state["free_threads"] = list(d.threads._free)
         state["thread_last_proc"] = dict(d.threads._last_proc)
         state["migrations"] = d.migrations
@@ -223,6 +224,8 @@ _CASES = [
     ("locking", "mru"),
     ("locking", "fcfs"),
     ("locking", "stream-mru"),
+    ("locking", "wired-streams"),
+    ("locking", "pools"),
     ("locking", "flow-steer"),
     ("locking", "grouped"),
     ("ips", "ips-mru"),
@@ -246,8 +249,8 @@ def test_full_system_batched_equals_scalar(paradigm, policy, monkeypatch):
 
 
 @pytest.mark.parametrize("paradigm,policy", [
-    ("locking", "mru"), ("locking", "flow-steer"), ("locking", "grouped"),
-    ("ips", "ips-mru"),
+    ("locking", "mru"), ("locking", "wired-streams"), ("locking", "pools"),
+    ("locking", "flow-steer"), ("locking", "grouped"), ("ips", "ips-mru"),
 ])
 def test_saturated_batched_equals_scalar(paradigm, policy, monkeypatch):
     """Deep-overload deterministic workload (the benchmark's regime):
@@ -267,8 +270,9 @@ def test_saturated_batched_equals_scalar(paradigm, policy, monkeypatch):
 
 
 @pytest.mark.parametrize("paradigm,policy", [
-    ("locking", "mru"), ("locking", "fcfs"), ("locking", "flow-steer"),
-    ("locking", "grouped"), ("ips", "ips-wired"),
+    ("locking", "mru"), ("locking", "fcfs"), ("locking", "wired-streams"),
+    ("locking", "pools"), ("locking", "flow-steer"), ("locking", "grouped"),
+    ("ips", "ips-wired"),
 ])
 def test_exact_cross_stream_ties_batched_equals_scalar(
     paradigm, policy, monkeypatch,
@@ -340,6 +344,127 @@ def test_randomized_workloads_batched_equals_scalar(
     assert states["scalar"] == states["batched"]
 
 
+#: Batched arrival shapes: geometric bursts, packet trains with spaced
+#: cars, and trains whose cars arrive together (``inter_car_us=0``: each
+#: car is its own one-packet event at the same time as the previous one,
+#: an exact same-stream tie).
+_BATCH_SPECS = {
+    "burst": lambda rate: BatchPoissonSpec(rate, mean_batch=4.0),
+    "train": lambda rate: PacketTrainSpec.for_rate(rate, 5.0, 20.0),
+    "train-tied": lambda rate: PacketTrainSpec.for_rate(rate, 5.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_BATCH_SPECS))
+@pytest.mark.parametrize("paradigm,policy", [
+    ("locking", "mru"), ("locking", "wired-streams"), ("ips", "ips-wired"),
+])
+def test_batched_arrivals_batched_equals_scalar(
+    paradigm, policy, shape, monkeypatch,
+):
+    """Batch-Poisson and packet-train arrivals (E13's grids): a batch
+    expands to same-time packets but stays one event (one stamp, one
+    ``seq`` step, one ``_events_processed`` count)."""
+    traffic = TrafficSpec(
+        stream_specs=tuple(_BATCH_SPECS[shape](3_000.0) for _ in range(4)),
+        size_model=FixedSize(1024),
+    )
+    states = _run_both(
+        dict(paradigm=paradigm, policy=policy, traffic=traffic,
+             duration_us=100_000.0, warmup_us=10_000.0, seed=5),
+        monkeypatch,
+    )
+    assert states["scalar"] == states["batched"]
+    arrivals, completions = states["batched"]["counts"][:2]
+    if shape == "burst":
+        # Some batch held several packets: fewer events than packets.
+        assert states["batched"]["events"] < arrivals + completions
+    else:
+        assert states["batched"]["events"] == arrivals + completions
+    if shape != "train":
+        # Same-time packets of one stream really occurred.
+        times = states["batched"]["cols"][1]
+        assert len(times) != len(set(times))
+
+
+@given(
+    paradigm_policy=st.sampled_from(_CASES),
+    shape=st.sampled_from(sorted(_BATCH_SPECS)),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    n_streams=st.integers(min_value=1, max_value=5),
+    rate=st.floats(min_value=500.0, max_value=14_000.0),
+)
+@settings(max_examples=12, deadline=None)
+def test_randomized_batched_arrivals_batched_equals_scalar(
+    paradigm_policy, shape, seed, n_streams, rate,
+):
+    paradigm, policy = paradigm_policy
+    specs = tuple(
+        _BATCH_SPECS[shape](rate / n_streams) for _ in range(n_streams)
+    )
+    kwargs = dict(
+        paradigm=paradigm, policy=policy,
+        traffic=TrafficSpec(stream_specs=specs, size_model=FixedSize(512)),
+        duration_us=50_000.0, warmup_us=5_000.0, seed=seed,
+    )
+    # Hypothesis reuses function-scoped fixtures across examples, so each
+    # example patches the environment in its own context.
+    with pytest.MonkeyPatch.context() as mp:
+        states = _run_both(kwargs, mp)
+    assert states["scalar"] == states["batched"]
+
+
+def test_push_order_merge_expands_batches():
+    """The exact-tie merge emits a batch's packets together, in scalar
+    push order, with every packet but the batch's last marked as a
+    continuation (``stream_id - n_streams``)."""
+    # Stream 0: batches at t=1 (2 packets) and t=2 (1); stream 1: t=1 (1)
+    # and t=2 (3).  Initial pushes go in stream order; stream 0 fires
+    # first at t=1, so it also re-pushes (and fires at t=2) first.
+    times, sids = batch._merge_with_push_order(
+        np.array([1.0, 2.0, 1.0, 2.0]), np.array([2, 1, 1, 3]), [2, 2],
+    )
+    assert times == [1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0]
+    assert sids == [-2, 0, 1, 0, -1, -1, 1]
+
+
+#: Registered policies deliberately left on the scalar engine.
+_SCALAR_ONLY = {"hybrid", "work-steal", "ips-random"}
+
+_GUARD_SPECS = {
+    "poisson": PoissonSpec(2_000.0),
+    "deterministic": DeterministicSpec(2_000.0, phase_us=3.0),
+    "burst": BatchPoissonSpec(2_000.0, mean_batch=3.0),
+    "train": PacketTrainSpec.for_rate(2_000.0, 4.0, 10.0),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(_GUARD_SPECS))
+@pytest.mark.parametrize("paradigm,policy", [
+    *(("locking", name) for name in LOCKING_POLICIES),
+    *(("ips", name) for name in IPS_POLICIES),
+])
+def test_no_silent_fallback(paradigm, policy, spec):
+    """Every registered policy on every fused arrival spec runs fused,
+    except the declared scalar-only policies: a change that quietly
+    drops a pair back to the scalar engine fails here."""
+    traffic = TrafficSpec(
+        stream_specs=(_GUARD_SPECS[spec],) * 3, size_model=FixedSize(1024),
+    )
+    system = NetworkProcessingSystem(SystemConfig(
+        paradigm=paradigm, policy=policy, traffic=traffic,
+        duration_us=10_000.0, warmup_us=1_000.0, seed=1,
+    ))
+    reason = batch.unsupported_reason(system)
+    if policy in _SCALAR_ONLY:
+        assert reason == (
+            f"{'locking' if paradigm == 'locking' else 'IPS'} policy "
+            f"{policy!r} is not fused"
+        )
+    else:
+        assert reason is None
+
+
 def test_unsupported_config_falls_back_to_scalar(monkeypatch):
     """Configs outside the fused core's support matrix run scalar under
     auto mode and raise under forced batched mode."""
@@ -368,6 +493,28 @@ def test_work_steal_falls_back_to_scalar(monkeypatch):
         size_model=FixedSize(1024),
     )
     kwargs = dict(paradigm="locking", policy="work-steal", traffic=traffic,
+                  duration_us=20_000.0, warmup_us=1_000.0, seed=1)
+    monkeypatch.setenv(batch.ENGINE_ENV, "auto")
+    system = NetworkProcessingSystem(SystemConfig(**kwargs))
+    assert "not fused" in batch.unsupported_reason(system)
+    summary = system.run()
+    assert summary.n_packets > 0
+    monkeypatch.setenv(batch.ENGINE_ENV, "batched")
+    system = NetworkProcessingSystem(SystemConfig(**kwargs))
+    with pytest.raises(RuntimeError, match="not supported by the fused core"):
+        system.run()
+
+
+def test_hybrid_falls_back_to_scalar(monkeypatch):
+    """Hybrid's overflow steal serves a busy processor's queue from an
+    idle thief, which breaks the per-processor-queue loop's invariant:
+    auto mode silently runs the scalar engine, forced batched mode
+    refuses."""
+    traffic = TrafficSpec(
+        stream_specs=tuple(PoissonSpec(4_000.0) for _ in range(2)),
+        size_model=FixedSize(1024),
+    )
+    kwargs = dict(paradigm="locking", policy="hybrid", traffic=traffic,
                   duration_us=20_000.0, warmup_us=1_000.0, seed=1)
     monkeypatch.setenv(batch.ENGINE_ENV, "auto")
     system = NetworkProcessingSystem(SystemConfig(**kwargs))
