@@ -237,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="experiments to check (default: every golden)")
     p_chk.add_argument("--rtol", type=float, default=None,
                        help="relative tolerance for float fields "
-                            "(default: 1e-3)")
+                            "(default: 1e-3; 0 = bit-exact)")
     p_chk.add_argument("--goldens", default=None, metavar="DIR")
     _add_runner_flags(p_chk)
 
@@ -400,11 +400,15 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         return 0
     print(f"cache dir: {cache.root}")
     print(f"entries:   {len(cache)}")
+    legacy = sum(1 for _ in cache.legacy_entries())
+    if legacy:
+        print(f"ignored:   {legacy} entries in the old one-file-per-key "
+              f"layout (not migrated; --clear removes them)")
     # Always surfaced, zero included: the quarantine ledger is where both
-    # unreadable cache entries and mismatched distributed results land,
+    # damaged cache frames and mismatched distributed results land,
     # and "0 quarantined" is itself the health signal worth reading.
     print(f"quarantined: {cache.quarantined_entries()} entries parked in "
-          f"{cache.quarantine_dir} (unreadable cache files and mismatched "
+          f"{cache.quarantine_dir} (damaged cache frames and mismatched "
           f"distributed results; see docs/ROBUSTNESS.md)")
     return 0
 
@@ -493,7 +497,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         run_worker_agent(args.transport, args.address, args.worker_id)
         return 0
     directory = _sweep_status_dir(args)
-    journals = sorted(directory.glob("*.jsonl")) if directory.is_dir() else []
+    journals = sorted(directory.glob("*.log")) if directory.is_dir() else []
     if args.sweep_id is not None:
         journals = [p for p in journals if p.stem.startswith(args.sweep_id)]
         if not journals:

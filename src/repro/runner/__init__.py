@@ -15,9 +15,10 @@ identical grid points).  This package provides:
 - :class:`ResultCache` — a content-addressed on-disk cache of
   :class:`~repro.sim.metrics.SimulationSummary` objects keyed by
   :func:`config_key` (canonical config serialization + simulator code
-  version), with atomic writes and quarantine of unreadable entries;
-- :class:`CheckpointJournal` — the append-only completed-task journal
-  behind ``--resume``;
+  version), stored as one append-only checksummed record log with group
+  commit and quarantine of damaged records;
+- :class:`CheckpointJournal` — the completed-task journal behind
+  ``--resume``, a record log in the same format;
 - :class:`FaultPlan` / :func:`run_fault_suite` — deterministic fault
   injection and the scenario harness behind ``repro faults``;
 - :func:`use_runner` / :func:`get_runner` — the default-runner hook the

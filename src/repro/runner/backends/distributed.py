@@ -240,8 +240,8 @@ def _agent_loop(link: WorkerTransport, worker_id: str,
         _, lease_id, akey, tasks = message
         leases_seen += 1
         plan = tasks[0].plan if tasks else None
-        if plan is not None and plan.decide(
-                "kill", f"agent|{worker_id}", leases_seen):
+        if plan is not None and plan.faulty(tasks[0].attempt) and \
+                plan.decide("kill", f"agent|{worker_id}", leases_seen):
             os._exit(_CRASH_EXIT_CODE)
         link.send(("beat", worker_id, lease_id))
 

@@ -434,7 +434,8 @@ class ChaosCoordinatorTransport(CoordinatorTransport):
     fault plan as ``"<worker>|<msg-type>"`` with a per-key sequence
     number as the attempt — so ``only_keys=("w0.1|result",)`` with
     ``max_faulty_attempts=1`` targets exactly worker ``w0.1``'s first
-    result message, on any machine, under any timing.
+    result message, on any machine, under any timing.  Lease traffic is
+    faulted only while its task is within ``max_faulty_attempts``.
 
     - **drop**: the message vanishes (sends still report success — a
       silent network loses bytes without telling the sender).
@@ -452,6 +453,8 @@ class ChaosCoordinatorTransport(CoordinatorTransport):
         self._inner = inner
         self._plan = plan
         self._key_seq: Dict[str, int] = {}
+        #: Lease id -> the task attempt it carries (from outbound leases).
+        self._lease_attempt: Dict[int, int] = {}
         self._traffic: Dict[str, int] = {}
         #: Held deliveries: [polls_left, worker_id, message, outbound].
         self._held: List[List[Any]] = []
@@ -470,12 +473,23 @@ class ChaosCoordinatorTransport(CoordinatorTransport):
             return True
         return False
 
-    def _decide(self, kind: str, worker_id: str, msg_type: str) -> bool:
-        key = f"{worker_id}|{msg_type}"
+    def _task_attempt(self, message: Message) -> int:
+        """The task attempt a lease, beat or result belongs to (1 for
+        fleet traffic such as hellos)."""
+        if message[0] == "lease":
+            self._lease_attempt[message[1]] = min(t.attempt for t in message[3])
+            return self._lease_attempt[message[1]]
+        if message[0] in ("beat", "result"):
+            return self._lease_attempt.get(message[2], 1)
+        return 1
+
+    def _decide(self, kind: str, worker_id: str, message: Message) -> bool:
+        key = f"{worker_id}|{message[0]}"
         seq_key = f"{kind}|{key}"
         seq = self._key_seq.get(seq_key, 0) + 1
         self._key_seq[seq_key] = seq
-        return self._plan.decide(kind, key, seq)
+        return (self._plan.faulty(self._task_attempt(message))
+                and self._plan.decide(kind, key, seq))
 
     # -- the wrapped interface ----------------------------------------
     def address(self) -> str:
@@ -503,38 +517,36 @@ class ChaosCoordinatorTransport(CoordinatorTransport):
             if worker_id is None:
                 out.append(message)
                 continue
-            msg_type = str(message[0])
             if self._partitioned(worker_id):
                 continue
-            if self._decide("drop", worker_id, msg_type):
+            if self._decide("drop", worker_id, message):
                 self.dropped += 1
                 continue
-            if self._decide("delay", worker_id, msg_type):
+            if self._decide("delay", worker_id, message):
                 self.delayed += 1
                 self._held.append(
                     [max(1, self._plan.delay_polls), worker_id, message,
                      False])
                 continue
             out.append(message)
-            if self._decide("duplicate", worker_id, msg_type):
+            if self._decide("duplicate", worker_id, message):
                 self.duplicated += 1
                 out.append(message)
         return out
 
     def send(self, worker_id: str, message: Message) -> bool:
-        msg_type = str(message[0]) if message else ""
         if self._partitioned(worker_id):
             return True  # silently lost: the sender cannot tell
-        if self._decide("drop", worker_id, msg_type):
+        if self._decide("drop", worker_id, message):
             self.dropped += 1
             return True
-        if self._decide("delay", worker_id, msg_type):
+        if self._decide("delay", worker_id, message):
             self.delayed += 1
             self._held.append(
                 [max(1, self._plan.delay_polls), worker_id, message, True])
             return True
         sent = self._inner.send(worker_id, message)
-        if sent and self._decide("duplicate", worker_id, msg_type):
+        if sent and self._decide("duplicate", worker_id, message):
             self.duplicated += 1
             self._inner.send(worker_id, message)
         return sent

@@ -1,38 +1,34 @@
 """Sweep checkpointing: a completed-task journal enabling resume.
 
-A *sweep* is one ``SweepRunner.run_many`` batch.  While the batch runs,
-every completed (cacheable) task is appended to a JSONL journal named
-after the sweep's identity — a digest of its ordered content keys — so
-an interrupted run (Ctrl-C, SIGTERM, crash, permanent task failure)
-leaves a durable record of exactly what finished.  Re-running the same
-batch with ``resume=True`` serves those entries from the journal and
-executes only the remainder: zero completed work is recomputed, even
-with the result cache disabled.
-
-The journal is append-only and torn-tail tolerant: each line is one
-self-contained JSON object flushed as it is written, and :meth:`load`
-silently skips a final line truncated by an interrupt mid-write.  A
-journal whose header does not match the expected sweep identity or
-layout version is ignored wholesale (resume falls back to a fresh run —
-never a wrong result).  On clean sweep completion the journal is
-deleted; it persists only when there is something to resume.
+A *sweep* is one ``SweepRunner.run_many`` batch.  While it runs, every
+completed (cacheable) task is appended to ``<sweep id>.log``, named by a
+digest of the sweep's ordered content keys, so an interrupted run leaves
+a record of exactly what finished; ``resume=True`` serves those entries
+and executes only the rest, even with the result cache disabled.  The
+journal is a :class:`~repro.runner.cache.RecordLog`: a header frame, then
+the completed tasks' frames (the very bytes the cache just wrote), read
+by the cache's scan rule, so a torn or damaged frame only means "not
+completed".  A journal whose first valid frame is not this sweep's header
+in this layout is ignored wholesale.  It is fsynced on the interrupt and
+failure paths and deleted on clean completion.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from pathlib import Path
-from typing import IO, Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..sim.metrics import SimulationSummary
-from .cache import summary_from_dict, summary_to_dict
+from .cache import RecordLog, decode_summary, encode_frame, frame
 
 __all__ = ["CheckpointJournal", "journal_status", "sweep_id"]
 
-#: Bump when the journal line layout changes.
-_FORMAT = 1
+#: Bump when the journal header layout changes.
+_FORMAT = 2
+#: Key of the header frame (content keys are hex digests).
+_HEADER_KEY = "sweep"
 
 
 def sweep_id(keys: Sequence[Optional[str]]) -> str:
@@ -43,15 +39,23 @@ def sweep_id(keys: Sequence[Optional[str]]) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-class CheckpointJournal:
-    """Append-only JSONL journal of one sweep's completed tasks.
+def _read(path: Path) -> Tuple[Dict[str, object], List[Tuple[str, bytes]]]:
+    """The header and ``(key, body)`` task frames of a journal; an empty
+    header when its first valid frame is no header of this layout."""
+    log = RecordLog(path)
+    try:
+        frames = [(key, body) for _, key, body in log.scan() if key is not None]
+    finally:
+        log.close()
+    header = json.loads(frames[0][1]) if frames and \
+        frames[0][0] == _HEADER_KEY else None
+    if not isinstance(header, dict) or header.get("format") != _FORMAT:
+        return {}, []
+    return header, frames[1:]
 
-    Line 1 is a header (``format``/``sweep``/``label``/``total``); every
-    subsequent line is ``{"key": ..., "summary": ...}``.  Lines are
-    flushed to the OS as written (an interrupt loses at most the line in
-    flight); :meth:`sync` additionally fsyncs, and is called on the
-    graceful-shutdown path.
-    """
+
+class CheckpointJournal:
+    """Append-only record log of one sweep's completed tasks."""
 
     def __init__(self, path: Path, sweep: str, label: str = "",
                  total: int = 0) -> None:
@@ -60,145 +64,68 @@ class CheckpointJournal:
         self.label = label
         self.total = total
         self.recorded = 0
-        self._fh: Optional[IO[str]] = None
+        self.is_open = False
+        self._log = RecordLog(self.path)
         self._seen: Set[str] = set()
 
-    # -- reading -----------------------------------------------------
     def exists(self) -> bool:
         return self.path.is_file()
 
     def load(self) -> Dict[str, SimulationSummary]:
-        """Completed entries from a prior (interrupted) run of this sweep.
-
-        Tolerant by construction: unreadable files, foreign headers, torn
-        or malformed lines, and schema-drifted summaries all degrade to
-        "not completed" — resume can only skip work, never corrupt it.
-        """
+        """Completed entries from a prior (interrupted) run of this sweep;
+        damaged, torn and schema-drifted frames count as not completed.
+        Loaded keys count as journaled, so a late re-delivery of the same
+        result is not appended twice."""
+        header, frames = _read(self.path)
         out: Dict[str, SimulationSummary] = {}
-        try:
-            lines: List[str] = self.path.read_text().splitlines()
-        except (OSError, UnicodeDecodeError):
+        if header.get("sweep") != self.sweep:
             return out
-        for line in lines:
-            if not line.strip():
-                continue
-            try:
-                data = json.loads(line)
-            except ValueError:
-                continue  # torn tail from an interrupted write
-            if not isinstance(data, dict):
-                continue
-            if "sweep" in data:  # header line
-                if data.get("sweep") != self.sweep or data.get("format") != _FORMAT:
-                    return {}  # another sweep/layout: ignore wholesale
-                continue
-            key = data.get("key")
-            summary = data.get("summary")
-            if not isinstance(key, str) or not isinstance(summary, dict):
-                continue
-            try:
-                out[key] = summary_from_dict(summary)
-            except (KeyError, TypeError, ValueError):
-                continue  # schema drift: recompute rather than trust it
+        for key, body in frames:
+            summary = decode_summary(body)
+            if summary is not None:
+                out.setdefault(key, summary)
+        self._seen.update(out)
         return out
-
-    # -- writing -----------------------------------------------------
-    @property
-    def is_open(self) -> bool:
-        return self._fh is not None
 
     def start(self, resume: bool) -> None:
         """Open for appending (``resume=True`` keeps prior entries) or
-        start fresh, writing the header line."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fresh = not (resume and self.exists())
-        self._fh = open(self.path, "a" if not fresh else "w")
-        if fresh:
-            self._write({"format": _FORMAT, "sweep": self.sweep,
-                         "label": self.label, "total": self.total})
-
-    def _write(self, data: Dict[str, object]) -> None:
-        assert self._fh is not None
-        self._fh.write(json.dumps(data, separators=(",", ":")) + "\n")
-        self._fh.flush()
-
-    def mark_seen(self, key: str) -> None:
-        """Register a key as already journaled (resume path), so a late
-        re-delivery of the same result is not appended twice."""
-        self._seen.add(key)
+        start fresh with a header frame."""
+        if not (resume and self.exists()):
+            self._log.remove()
+            self._log.append(frame(_HEADER_KEY, json.dumps({
+                "format": _FORMAT, "sweep": self.sweep, "label": self.label,
+                "total": self.total}).encode()))
+        self.is_open = True
 
     def record(self, key: str, summary: SimulationSummary) -> None:
         """Append one completed task (no-op when the journal is closed).
 
-        First write wins: a key already journaled — resumed from a prior
-        run or committed earlier in this one — is skipped, so
+        First write wins: a key already journaled is skipped, so
         at-least-once result delivery (the distributed backend) cannot
         bloat the journal or make resume ambiguous."""
-        if self._fh is None or key in self._seen:
+        if not self.is_open or key in self._seen:
             return
         self._seen.add(key)
-        self._write({"key": key, "summary": summary_to_dict(summary)})
+        self._log.append(encode_frame(key, summary))
         self.recorded += 1
 
     def sync(self) -> None:
-        """Flush and fsync — the graceful-shutdown durability point."""
-        if self._fh is not None:
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
+        """Group commit: fsync every record so far."""
+        self._log.sync()
 
     def close(self) -> None:
-        if self._fh is not None:
-            try:
-                self._fh.flush()
-            finally:
-                self._fh.close()
-                self._fh = None
+        self._log.close()
+        self.is_open = False
 
     def delete(self) -> None:
         """Remove the journal (the sweep completed; nothing to resume)."""
-        self.close()
-        try:
-            self.path.unlink()
-        except OSError:
-            pass
+        self._log.remove()
+        self.is_open = False
 
 
 def journal_status(path: Path) -> Optional[Dict[str, object]]:
-    """Header fields + completed-entry count of a journal file, without
-    deserializing any summaries (the ``repro sweep status`` reader).
-
-    Same tolerance as :meth:`CheckpointJournal.load`: unreadable files
-    and torn/malformed lines degrade to "not counted"; a file with no
-    parseable header returns None.
-    """
-    try:
-        lines = Path(path).read_text().splitlines()
-    except (OSError, UnicodeDecodeError):
-        return None
-    header: Optional[Dict[str, object]] = None
-    done = 0
-    for line in lines:
-        if not line.strip():
-            continue
-        try:
-            data = json.loads(line)
-        except ValueError:
-            continue
-        if not isinstance(data, dict):
-            continue
-        if "sweep" in data:
-            if header is None and data.get("format") == _FORMAT:
-                header = data
-            continue
-        if isinstance(data.get("key"), str) and \
-                isinstance(data.get("summary"), dict):
-            done += 1
-    if header is None:
-        return None
-    total = header.get("total")
-    return {
-        "sweep": str(header.get("sweep", "")),
-        "label": str(header.get("label", "")),
-        "total": total if isinstance(total, int) else 0,
-        "done": done,
-    }
+    """Header fields + completed-task count of a journal, without decoding
+    any summary (the ``repro sweep status`` reader); None without a
+    readable header."""
+    header, frames = _read(Path(path))
+    return {**header, "done": len({k for k, _ in frames})} if header else None

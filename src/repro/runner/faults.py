@@ -31,8 +31,9 @@ Fault kinds
 ``error``
     The worker raises :class:`InjectedFault` instead of returning.
 ``corrupt``
-    :meth:`ResultCache.put` writes a torn (truncated) entry, exercising
-    the quarantine-and-recompute path on the next read.
+    :meth:`ResultCache.put` writes a whole frame whose payload fails its
+    CRC, exercising the quarantine-and-recompute path on the next read
+    while the log stays parseable.
 ``interrupt``
     The task raises :class:`KeyboardInterrupt`, exercising the graceful
     shutdown + checkpoint-flush path exactly as a user Ctrl-C would.
@@ -61,6 +62,10 @@ bit-identically from its seed (``repro faults --backend distributed``).
 ``kill``
     The worker agent process exits abnormally on receipt of its Nth
     lease — the fleet-loss adversary behind ``max_fleet_failures``.
+
+Network and kill faults also respect ``max_faulty_attempts`` per task,
+so no task loses more attempts to chaos than budgeted however often its
+agents are respawned under fresh worker ids.
 """
 
 from __future__ import annotations
@@ -155,12 +160,18 @@ class FaultPlan:
             return False
         if self.only_keys is not None and key not in self.only_keys:
             return False
-        if self.max_faulty_attempts is not None and attempt > self.max_faulty_attempts:
+        if not self.faulty(attempt):
             return False
         blob = f"{self.seed}|{kind}|{key}|{attempt}".encode()
         digest = hashlib.sha256(blob).digest()
         draw = int.from_bytes(digest[:8], "big") / float(1 << 64)
         return draw < probability
+
+    def faulty(self, attempt: int) -> bool:
+        """Whether attempt ``attempt`` of a task is still within the
+        plan's ``max_faulty_attempts`` budget."""
+        return self.max_faulty_attempts is None or \
+            attempt <= self.max_faulty_attempts
 
     def affected(self, kind: str, keys: List[str], attempt: int = 1) -> List[str]:
         """The subset of ``keys`` this plan injects ``kind`` into at
@@ -294,8 +305,8 @@ def _scenario_hang_timeout(workdir: Path, jobs: int, seed: int,
 
 def _scenario_corrupt_quarantine(workdir: Path, jobs: int, seed: int,
                                  backend: str, transport: str) -> ScenarioResult:
-    """Corrupted cache entries are quarantined (moved, never deleted) and
-    transparently recomputed; results stay identical."""
+    """Corrupted cache frames are quarantined (copied aside, never served
+    or deleted) and transparently recomputed; results stay identical."""
     from .cache import ResultCache
     from .runner import SweepRunner
 

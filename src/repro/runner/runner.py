@@ -38,9 +38,12 @@ process can be interrupted, without throwing away completed work:
   ``max_pool_failures`` respawns the runner degrades gracefully to
   serial in-process execution for the remainder.
 - **Checkpoint/resume** — completed tasks are journaled (see
-  :mod:`repro.runner.checkpoint`); SIGINT/SIGTERM flush the journal and
-  print a resume hint, and ``resume=True`` replays completed entries so
-  an interrupted sweep recomputes nothing already done.
+  :mod:`repro.runner.checkpoint`); SIGINT/SIGTERM commit the cache and
+  journal and print a resume hint, and ``resume=True`` replays completed
+  entries so an interrupted sweep recomputes nothing already done.
+- **Group commit** — cache and journal appends are fsynced once per
+  ``run_many`` batch (and on the interrupt/failure paths), so a result
+  is durable once ``run_many`` has returned it.
 - **Failure reporting** — tasks that exhaust their attempts become
   structured :class:`FailureReport` entries inside a
   :class:`SweepExecutionError` (raised after the rest of the sweep
@@ -397,13 +400,9 @@ class SweepRunner:
         if root is None or not any(k is not None for k in keys):
             return None, {}
         sid = sweep_id(keys)
-        journal = CheckpointJournal(root / f"{sid}.jsonl", sweep=sid,
+        journal = CheckpointJournal(root / f"{sid}.log", sweep=sid,
                                     label=label, total=len(keys))
-        entries: Dict[str, SimulationSummary] = {}
-        if self.resume and journal.exists():
-            entries = journal.load()
-            for key in entries:
-                journal.mark_seen(key)
+        entries = journal.load() if self.resume else {}
         journal.start(resume=bool(entries))
         return journal, entries
 
@@ -482,13 +481,16 @@ class SweepRunner:
             self.stats.deduplicated += dedups
             self.stats.failures += len(failures)
             self.stats.batches += 1
-            self.stats.elapsed_s += time.perf_counter() - t0
+            # Group commit: one fsync per log per batch.
+            if self.cache is not None:
+                self.cache.log.sync()
             if journal is not None and journal.is_open:
                 if failures:
                     journal.sync()
                     journal.close()
                 else:
                     journal.delete()
+            self.stats.elapsed_s += time.perf_counter() - t0
 
         if failures:
             hint = ""
@@ -499,8 +501,10 @@ class SweepRunner:
         return results  # type: ignore[return-value]
 
     def _note_interrupt(self, journal: Optional[CheckpointJournal]) -> None:
-        """Graceful-shutdown bookkeeping: flush partial results, print a
+        """Graceful-shutdown bookkeeping: commit partial results, print a
         resume hint, leave the journal on disk."""
+        if self.cache is not None:
+            self.cache.log.sync()
         if journal is None or not journal.is_open:
             return
         journal.sync()

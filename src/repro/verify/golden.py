@@ -16,7 +16,8 @@ Comparison semantics
   exactly); otherwise a relative tolerance applies, calibrated well below
   the fast-grid batch-means CI half-widths so that statistically harmless
   float-order perturbations pass while any model-level drift (e.g. a
-  changed timing constant) fails;
+  changed timing constant) fails.  ``rtol=0`` is exact: no absolute
+  floor either, so only bit-equal floats pass;
 - non-finite floats — exact (``inf`` marks saturation and ``NaN`` marks
   empty runs; a point flipping either way is a behavioural change).
 
@@ -65,7 +66,7 @@ _FORMAT = 1
 DEFAULT_RTOL = 1e-3
 
 #: Absolute floor below which float differences are ignored (pure
-#: rounding near zero).
+#: rounding near zero).  Not applied at ``rtol=0``, which is exact.
 DEFAULT_ATOL = 1e-9
 
 
@@ -307,15 +308,20 @@ def check(
     ids: Optional[Sequence[str]] = None,
     directory: Optional[Path] = None,
     rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
+    atol: Optional[float] = None,
 ) -> GoldenReport:
     """Re-run experiments and diff against their recorded goldens.
 
-    ``ids`` defaults to every golden present in ``directory``.  Each
+    ``atol`` defaults to :data:`DEFAULT_ATOL`, or to 0 when ``rtol`` is 0
+    so that an ``rtol=0`` check passes only bit-equal floats (NaN still
+    equals NaN).  ``ids`` defaults to every golden present in
+    ``directory``.  Each
     golden's recorded seed/fast flags drive its re-run, so a check always
     regenerates exactly what was snapshotted.
     """
     directory = Path(directory) if directory is not None else default_goldens_dir()
+    if atol is None:
+        atol = 0.0 if rtol == 0 else DEFAULT_ATOL
     if ids is None:
         ids = sorted(p.stem for p in directory.glob("*.json")
                      if p.name != "MANIFEST.json")

@@ -22,7 +22,7 @@ from typing import List, Tuple
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.runner import DistributedOptions, FaultPlan, SweepRunner
 from repro.runner.faults import _scenario_grid
@@ -48,6 +48,9 @@ class TestDistributedChaosBitIdentity:
         drop=st.sampled_from([0.0, 0.5]),
         kill=st.sampled_from([0.0, 0.4]),
     )
+    # Three agent respawns under fresh worker ids: the fault budget must
+    # hold per task, or one task loses all six attempts to chaos.
+    @example(seed=874, duplicate=0.0, drop=0.5, kill=0.4)
     def test_chaos_interleavings_converge_to_serial(
             self, seed, duplicate, drop, kill):
         grid, ref = _grid(), _reference()

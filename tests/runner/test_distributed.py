@@ -231,7 +231,7 @@ class TestInterruptStatusResume:
             finally:
                 runner.close()
         capsys.readouterr()  # swallow the runner's resume hint
-        journals = list(ckpt.glob("*.jsonl"))
+        journals = list(ckpt.glob("*.log"))
         assert len(journals) == 1
         # The BaseException path force-writes the lease state file so
         # `repro sweep status` can show what was in flight.
@@ -257,7 +257,7 @@ class TestInterruptStatusResume:
         assert resumed.stats.resumed + resumed.stats.executed \
             == len(configs)
         # Clean completion deletes the journal — nothing left to resume.
-        assert not list(ckpt.glob("*.jsonl"))
+        assert not list(ckpt.glob("*.log"))
 
     def test_status_empty_dir_and_unknown_prefix(self, tmp_path, capsys):
         empty = tmp_path / "nothing"

@@ -161,7 +161,7 @@ class TestInterruptCheckpoint:
                              fault_plan=plan)
         with pytest.raises(KeyboardInterrupt):
             runner.run_many(configs)
-        journal = CheckpointJournal(tmp_path / f"{sweep_id(keys)}.jsonl",
+        journal = CheckpointJournal(tmp_path / f"{sweep_id(keys)}.log",
                                     sweep=sweep_id(keys))
         assert journal.exists()
         entries = journal.load()

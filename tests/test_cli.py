@@ -195,15 +195,30 @@ class TestCacheCommand:
 
     def test_reports_quarantined_entries(self, tmp_path, capsys):
         from repro.runner import ResultCache
+        from repro.runner.cache import frame
 
         cache = ResultCache(tmp_path)
-        path = cache.path_for("ab" + "0" * 62)
-        path.parent.mkdir(parents=True)
-        path.write_text("{torn")
+        damaged = bytearray(frame("ab" + "0" * 62, b'{"torn":1}'))
+        damaged[-2] ^= 1  # the payload no longer matches its CRC
+        cache.log.append(bytes(damaged))
         assert cache.get("ab" + "0" * 62) is None  # quarantines it
         assert main(["cache", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "quarantined: 1" in out
+
+    def test_old_layout_noticed_and_cleared(self, tmp_path, capsys):
+        shard = tmp_path / "ab"
+        shard.mkdir()
+        (shard / ("ab" + "0" * 62 + ".json")).write_text("{}")
+        assert main(["cache", "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "entries:   0" in out
+        assert "ignored:   1 entries in the old one-file-per-key layout" in out
+        assert main(["cache", "--cache-dir", str(tmp_path), "--clear"]) == 0
+        assert "cleared 1" in capsys.readouterr().out
+        assert not shard.exists()
+        assert main(["cache", "--cache-dir", str(tmp_path)]) == 0
+        assert "ignored" not in capsys.readouterr().out
 
 
 class TestVerifyCommand:

@@ -192,3 +192,36 @@ def test_every_registered_policy_appears_in_a_golden():
         and not any(name in label for label in covered)
     }
     assert not missing, f"policies with no golden coverage: {sorted(missing)}"
+
+
+def test_rtol_zero_check_is_bit_exact(recorded, tmp_path):
+    """``rtol=0`` drops the atol floor: a sub-1e-9 float change fails,
+    while NaN still equals NaN."""
+    directory, _ = recorded
+    entry = json.loads(golden.golden_path(directory, "e01").read_text())
+
+    def nudge(node):
+        if isinstance(node, dict):
+            for k, v in node.items():
+                if isinstance(v, float) and v > 0:
+                    node[k] = v + v * 2.0 ** -40  # far below atol=1e-9
+                    return True
+                if nudge(v):
+                    return True
+        if isinstance(node, list):
+            return any(nudge(v) for v in node)
+        return False
+
+    assert nudge(entry["rows"])
+    payload = {k: entry[k] for k in
+               ("experiment_id", "seed", "fast", "rows", "meta", "meta_skipped")}
+    entry["sha256"] = golden._payload_digest(payload)
+    (tmp_path / "e01.json").write_text(json.dumps(entry))
+    assert golden.check(ids=["e01"], directory=tmp_path, rtol=1e-3).ok
+    assert not golden.check(ids=["e01"], directory=tmp_path, rtol=0.0).ok
+    assert golden.check(ids=["e01"], directory=directory, rtol=0.0).ok
+
+    out = []
+    golden._compare("x", [float("nan"), 1.0], [float("nan"), 1.0],
+                    rtol=0.0, atol=0.0, out=out)
+    assert out == []
