@@ -11,6 +11,7 @@ Standard discrete-event output-analysis techniques of the paper's era:
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -46,6 +47,14 @@ def batch_means(observations: np.ndarray, n_batches: int = 20) -> np.ndarray:
     batch_size = len(obs) // n_batches
     usable = batch_size * n_batches
     return obs[:usable].reshape(n_batches, batch_size).mean(axis=1)
+
+
+@lru_cache(maxsize=1024)
+def _t_critical(q: float, df: int) -> float:
+    """Student-t quantile ``q`` at ``df`` degrees of freedom.  Memoized:
+    ``scipy``'s ``ppf`` costs tens of microseconds, and every summary of
+    a sweep asks for the same few values."""
+    return float(sps.t.ppf(q, df=df))
 
 
 def batch_means_ci(
@@ -84,7 +93,7 @@ def batch_means_ci(
     sem = float(sample.std(ddof=1) / math.sqrt(len(sample)))
     if sem == 0.0:
         return (mean, mean)
-    t = float(sps.t.ppf(0.5 + confidence / 2.0, df=len(sample) - 1))
+    t = _t_critical(0.5 + confidence / 2.0, len(sample) - 1)
     return (mean - t * sem, mean + t * sem)
 
 

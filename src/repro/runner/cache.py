@@ -32,7 +32,7 @@ import shutil
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Any, Dict, Iterator, List, Optional, Tuple
+from typing import IO, Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..sim.metrics import SimulationSummary
 from .faults import FaultPlan
@@ -68,15 +68,34 @@ def summary_to_dict(summary: SimulationSummary) -> Dict[str, object]:
     return out
 
 
-def summary_from_dict(data: dict) -> SimulationSummary:
-    """Inverse of :func:`summary_to_dict` (restores tuples and int keys)."""
-    kwargs = dict(data)
-    kwargs["delay_ci_us"] = tuple(kwargs["delay_ci_us"])
-    kwargs["utilization_per_proc"] = tuple(kwargs["utilization_per_proc"])
-    for field in ("per_stream_mean_delay_us", "ooo_depth_counts",
-                  "per_stream_out_of_order", "per_stream_migrations"):
-        kwargs[field] = {int(k): v for k, v in kwargs[field].items()}
-    return SimulationSummary(**kwargs)
+def _int_keys(data: Dict[Any, Any]) -> Dict[Any, Any]:
+    """A JSON object's keys back to ints (an empty one is kept as is)."""
+    return {int(k): v for k, v in data.items()} if data else data
+
+
+#: How a summary field comes back from JSON: tuples and int dict keys.
+_RESTORE: Dict[str, Callable[[Any], Any]] = {
+    "delay_ci_us": tuple, "utilization_per_proc": tuple,
+    "per_stream_mean_delay_us": _int_keys, "ooo_depth_counts": _int_keys,
+    "per_stream_out_of_order": _int_keys, "per_stream_migrations": _int_keys,
+}
+#: ``(name, restore)`` per :class:`SimulationSummary` field, in order:
+#: the decoder's positional arguments.
+_SUMMARY_FIELDS = tuple((f.name, _RESTORE.get(f.name))
+                        for f in dataclasses.fields(SimulationSummary))
+
+
+def summary_from_dict(data: Dict[str, Any]) -> SimulationSummary:
+    """Inverse of :func:`summary_to_dict` (restores tuples and int keys).
+
+    Raises ``KeyError`` or ``TypeError`` unless ``data`` holds exactly the
+    summary's fields."""
+    if len(data) != len(_SUMMARY_FIELDS):
+        raise TypeError(f"summary fields {sorted(data)} do not match")
+    return SimulationSummary(*[
+        data[name] if restore is None else restore(data[name])
+        for name, restore in _SUMMARY_FIELDS
+    ])
 
 
 def frame(key: str, body: bytes) -> bytes:

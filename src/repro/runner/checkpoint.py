@@ -1,6 +1,7 @@
 """Sweep checkpointing: a completed-task journal enabling resume.
 
-A *sweep* is one ``SweepRunner.run_many`` batch.  While it runs, every
+A *sweep* is one ``SweepRunner.run_many`` batch.  While it runs work
+(a batch served entirely from cache or journal opens no journal), every
 completed (cacheable) task is appended to ``<sweep id>.log``, named by a
 digest of the sweep's ordered content keys, so an interrupted run leaves
 a record of exactly what finished; ``resume=True`` serves those entries

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from repro.analysis.stats import (
+    _t_critical,
     batch_means,
     batch_means_ci,
     relative_half_width,
@@ -90,6 +92,22 @@ class TestBatchMeansCI:
         assert lo <= 2.0 <= hi  # estimated from the finite subset {1,2,3}
         # all-non-finite input degrades to the zero interval, not NaN
         assert batch_means_ci(np.array([math.nan, math.inf])) == (0.0, 0.0)
+
+    def test_memoized_t_quantile_is_bit_identical(self):
+        for confidence in (0.90, 0.95, 0.99):
+            q = 0.5 + confidence / 2.0
+            for df in range(1, 201):
+                expected = float(sps.t.ppf(q, df=df))
+                assert _t_critical(q, df) == expected
+                assert _t_critical(q, df) == expected  # the memoized value
+
+    def test_ci_uses_the_direct_t_quantile(self):
+        obs = np.random.default_rng(3).normal(5.0, 2.0, size=400)
+        means = batch_means(obs, 20)
+        sem = float(means.std(ddof=1) / math.sqrt(20))
+        t = float(sps.t.ppf(0.975, df=19))
+        mean = float(means.mean())
+        assert batch_means_ci(obs, 20) == (mean - t * sem, mean + t * sem)
 
 
 class TestRelativeHalfWidth:

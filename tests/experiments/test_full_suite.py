@@ -1,7 +1,8 @@
 """End-to-end regeneration of every paper artifact (the `repro all` path).
 
-One integration test runs the full E01-E14 suite in fast mode and asserts
-the paper's headline findings on the actual artifact outputs.  This is
+One integration test runs the full E01-E15 suite in fast mode and asserts
+the paper's headline findings on the actual artifact outputs, and that
+every config it submits gets the content key of the key's definition.  This is
 the slowest test in the suite (~40 s) but guards exactly what the
 repository is for.
 """
@@ -11,13 +12,43 @@ import math
 import pytest
 
 from repro.experiments.base import EXPERIMENT_IDS, all_experiments
+from repro.runner import SweepRunner, config_key
+
+from ..runner.test_keys import definition_key, outcome
+
+
+class RecordingRunner(SweepRunner):
+    """The default runner (serial, uncached) that keeps every config the
+    experiments submit."""
+
+    def __init__(self):
+        super().__init__(jobs=0, cache=None)
+        self.configs = []
+
+    def run_many(self, configs, label=""):
+        self.configs.extend(configs)
+        return super().run_many(configs, label)
 
 
 @pytest.fixture(scope="module")
-def results():
-    out = {r.experiment_id: r for r in all_experiments(fast=True)}
+def suite():
+    runner = RecordingRunner()
+    out = {r.experiment_id: r
+           for r in all_experiments(fast=True, runner=runner)}
     assert set(out) == set(EXPERIMENT_IDS)
-    return out
+    return out, runner.configs
+
+
+@pytest.fixture(scope="module")
+def results(suite):
+    return suite[0]
+
+
+def test_every_submitted_config_keys_like_the_definition(suite):
+    configs = suite[1]
+    assert len(configs) > 400
+    for config in configs:
+        assert outcome(config_key, config) == outcome(definition_key, config)
 
 
 class TestSuiteRuns:

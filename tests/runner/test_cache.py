@@ -11,6 +11,7 @@ from repro.runner import FaultPlan, SweepRunner
 from repro.runner.cache import (
     MAGIC,
     ResultCache,
+    decode_summary,
     default_cache_dir,
     frame,
     summary_from_dict,
@@ -49,6 +50,18 @@ class TestSummaryRoundTrip:
         assert isinstance(restored.delay_ci_us, tuple)
         assert isinstance(restored.utilization_per_proc, tuple)
         assert all(isinstance(k, int) for k in restored.per_stream_mean_delay_us)
+
+    def test_decoder_accepts_exactly_the_summary_fields(self):
+        """A body missing a field or carrying an unknown one does not
+        decode (the entry reads as a miss and is recomputed)."""
+        data = summary_to_dict(_tiny_summary())
+        for drifted in ({**data, "extra": 1},
+                        {k: v for k, v in data.items() if k != "delay_ci_us"},
+                        {k: v for k, v in data.items()
+                         if k != "migrations_total"},
+                        {**{k: v for k, v in data.items()
+                            if k != "ooo_depth_counts"}, "extra": {}}):
+            assert decode_summary(json.dumps(drifted).encode()) is None
 
 
 class TestResultCache:
