@@ -28,8 +28,8 @@ Runnable three ways::
     pytest benchmarks/bench_hotpath.py -s --benchmark-only       # pytest-benchmark
 
 ``--check`` is the CI perf-smoke gate: it loads the recorded numbers from
-``BENCH_hotpath.json`` at the repo root (written by ``record_bench.py``)
-and fails when the measured events/s drop below a conservative absolute
+``BENCH_hotpath.json`` at the repo root (frozen history, no longer
+re-recorded) and fails when the measured events/s drop below a conservative absolute
 floor or regress more than :data:`MAX_REGRESSION` against the recorded
 run.  When the recording is missing (a branch stacked before the file
 lands) the check auto-skips, mirroring the runner benchmark's
@@ -79,8 +79,8 @@ WORKLOADS = {
 
 #: Benchmarked cases: (case key, paradigm, policy, workload name).  The
 #: two Poisson keys predate the workload suffix and stay bare so the
-#: recorded trajectory (and the frozen baselines in record_bench.py)
-#: remain directly comparable.
+#: recorded trajectory in ``BENCH_hotpath.json`` remains directly
+#: comparable.
 CASES = (
     ("locking/mru", "locking", "mru", "poisson-20k"),
     ("ips/ips-mru", "ips", "ips-mru", "poisson-20k"),
@@ -187,8 +187,8 @@ def report(repeats: int = 5) -> Dict[str, Dict[str, float]]:
 def check(repeats: int = 5) -> int:
     """CI perf-smoke gate; returns a process exit code."""
     if not BENCH_JSON.exists():
-        print(f"[bench_hotpath] SKIP: {BENCH_JSON.name} not recorded yet "
-              "(run benchmarks/record_bench.py)")
+        print(f"[bench_hotpath] SKIP: {BENCH_JSON.name} missing "
+              "(frozen history: restore it from git)")
         return 0
     recorded = json.loads(BENCH_JSON.read_text())["current"]
     strict = os.environ.get("REPRO_BENCH_STRICT") == "1"

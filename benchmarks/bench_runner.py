@@ -18,10 +18,11 @@ pickling) dominates and the warm backend's persistent workers and chunked
 dispatch pay off.  The distributed backend rides
 the same comparison so its happy-path tax over the warm fleet (framing,
 leases, heartbeats, the commit gate; docs/DISTRIBUTED.md) is recorded,
-not guessed.  ``record_bench.py`` records the result as
-``BENCH_sweep.json``; ``--check`` is the CI perf-smoke gate for it
-(per-backend conservative throughput floors, auto-skipping when the
-recording is absent).
+not guessed.  ``BENCH_sweep.json`` holds the frozen recording of this
+comparison (the trajectory now lives in ``BENCH_perfbench.json``);
+``--check`` is the CI perf-smoke gate against it (per-backend
+conservative throughput floors, auto-skipping when the recording is
+absent).
 
 Runnable three ways::
 
@@ -273,8 +274,6 @@ def compare_backends(repeats: int = 5,
                 "best_s": round(best[backend], 4),
                 "configs_per_sec": round(points / best[backend], 2),
                 "chunks": stats.chunks,
-                "affinity_hits": stats.affinity_hits,
-                "steals": stats.steals,
             }
             if backend == "distributed":
                 rows[backend]["leases"] = stats.leases
@@ -287,8 +286,7 @@ def compare_backends(repeats: int = 5,
         row = rows[backend]
         extra = ""
         if backend == "warm":
-            extra = (f"  ({row['chunks']} chunks, {row['affinity_hits']} "
-                     f"affine, {row['steals']} stolen)")
+            extra = f"  ({row['chunks']} chunks)"
         elif backend == "distributed":
             extra = (f"  ({row['leases']} leases, "
                      f"{row['lease_expiries']} expired, "
@@ -326,8 +324,8 @@ def compare_backends(repeats: int = 5,
 def check(repeats: int = 3) -> int:
     """CI perf-smoke gate for the backend sweep; returns an exit code."""
     if not SWEEP_JSON.exists():
-        print(f"[bench_runner] SKIP: {SWEEP_JSON.name} not recorded yet "
-              "(run benchmarks/record_bench.py)")
+        print(f"[bench_runner] SKIP: {SWEEP_JSON.name} missing "
+              "(frozen history: restore it from git)")
         return 0
     report = compare_backends(repeats=repeats)
     failures = []

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -378,137 +378,6 @@ class ExecutionTimeModel:
             + comp.stream_state * pen_stream
             + comp.thread_stack * pen_thread
         )
-
-    # ------------------------------------------------------------------
-    # Batched (array) form used by the batched engine
-    # ------------------------------------------------------------------
-    def _pen_many(self, refs: np.ndarray) -> np.ndarray:
-        """Per-element reload penalties for an array of reference counts.
-
-        Deduplicates through ``np.unique`` and resolves each *unique*
-        count exactly once — through the same scalar :meth:`_pen1` (same
-        analytic branches, same bounded cache, same libm calls, so the
-        same bits as the scalar engine).  Counter accounting matches the
-        scalar path's identities: ``_pen1`` bumps its own counters per
-        unique count, and the caller bumps ``_n_fast_calls`` per state, so
-        ``stats()``'s derived ``dedup_hits`` absorbs the array-level reuse
-        exactly like the intra-state reuse it already absorbs.
-        """
-        uniq, inverse = np.unique(refs, return_inverse=True)
-        values = np.empty(uniq.shape[0], dtype=np.float64)
-        pen1 = self._pen1
-        for i, count in enumerate(uniq.tolist()):
-            values[i] = pen1(count)
-        return values[inverse]
-
-    def component_penalties_array(
-        self,
-        code_refs: np.ndarray,
-        stream_refs: np.ndarray,
-        thread_refs: np.ndarray,
-        shared_invalidated: np.ndarray,
-    ) -> np.ndarray:
-        """Vectorized :meth:`component_penalty_us` over parallel arrays.
-
-        All four inputs are equal-length 1-D arrays (``float64`` counts,
-        ``bool`` invalidation flags).  Each unique reference count is
-        computed once (see :meth:`_pen_many`); the weighted combination
-        runs elementwise in the same operation order as the scalar
-        expression, so every output element is bit-identical to the
-        corresponding :meth:`component_penalty_us` call.
-        """
-        if self._penalty_cache is None:
-            # Non-memoizing models take the generic per-state path (same
-            # fallback rule as component_penalty_us).
-            n = code_refs.shape[0]
-            self._n_slow_calls += n
-            out = np.empty(n, dtype=np.float64)
-            code_l = code_refs.tolist()
-            stream_l = stream_refs.tolist()
-            thread_l = thread_refs.tolist()
-            shared_l = shared_invalidated.tolist()
-            for i in range(n):
-                out[i] = self._component_penalty_uncached(ComponentState(
-                    code_refs=code_l[i],
-                    stream_refs=stream_l[i],
-                    thread_refs=thread_l[i],
-                    shared_invalidated=shared_l[i],
-                ))
-            return out
-        n = code_refs.shape[0]
-        self._n_fast_calls += n
-        stacked = np.concatenate((code_refs, stream_refs, thread_refs))
-        pens = self._pen_many(stacked)
-        pen_code_resident = pens[:n]
-        pen_stream = pens[n:2 * n]
-        pen_thread = pens[2 * n:]
-        if shared_invalidated.any():
-            # Same two multiplies and one add, elementwise, as the scalar
-            # branch; np.where keeps untouched elements' bits unchanged.
-            w_shared = self._w_shared
-            adjusted = (
-                w_shared * self._pen_cold
-                + (1.0 - w_shared) * pen_code_resident
-            )
-            pen_code = np.where(shared_invalidated, adjusted,
-                                pen_code_resident)
-        else:
-            pen_code = pen_code_resident
-        return (
-            self._w_code * pen_code
-            + self._w_stream * pen_stream
-            + self._w_thread * pen_thread
-        )
-
-    def component_penalty_us_batch(
-        self, states: Sequence[ComponentState],
-    ) -> np.ndarray:
-        """Batch :meth:`component_penalty_us`: one penalty per state.
-
-        Bit-identical to calling :meth:`component_penalty_us` per state
-        (the property tests in ``tests/core`` assert exact equality,
-        including the mixed warm/COLD/invalidated corners).
-        """
-        code = np.array([s.code_refs for s in states], dtype=np.float64)
-        stream = np.array([s.stream_refs for s in states], dtype=np.float64)
-        thread = np.array([s.thread_refs for s in states], dtype=np.float64)
-        shared = np.array([s.shared_invalidated for s in states], dtype=bool)
-        return self.component_penalties_array(code, stream, thread, shared)
-
-    def exec_times_batch(
-        self,
-        code_refs: np.ndarray,
-        stream_refs: np.ndarray,
-        thread_refs: np.ndarray,
-        shared_invalidated: np.ndarray,
-        *,
-        payload_bytes: Optional[np.ndarray] = None,
-        data_touching: bool = False,
-        locking: bool = False,
-        extra_us: float = 0.0,
-    ) -> np.ndarray:
-        """Vectorized :meth:`execution_time_scalar` over parallel arrays.
-
-        Each unique component state is computed once; the additive terms
-        apply elementwise in the scalar path's operation order, so every
-        element is bit-identical to the per-packet call.
-        """
-        if extra_us < 0:
-            raise ValueError("extra_us must be non-negative")
-        penalty = self.component_penalties_array(
-            code_refs, stream_refs, thread_refs, shared_invalidated,
-        )
-        t = self._t_warm + penalty + self._dispatch_us + extra_us
-        if locking:
-            t = t + self._lock_oh
-        if data_touching:
-            if payload_bytes is None:
-                raise ValueError(
-                    "data_touching=True requires a payload_bytes array"
-                )
-            # Elementwise form of ProtocolCosts.data_touching_us.
-            t = t + payload_bytes / self.costs.checksum_bytes_per_us
-        return t
 
     def execution_time_us(
         self,

@@ -73,9 +73,9 @@ RNG_EXEMPT_RELPATHS: Tuple[str, ...] = ("sim/rng.py",)
 HOT_PATH_BATCH_RELPATHS: Tuple[str, ...] = ("sim/batch.py",)
 
 #: Method/function names that mark per-event scalar dispatch when called
-#: inside a hot-path batch module.  The fused core must use the batch
-#: APIs (``component_penalty_us_batch``, ``exec_times_batch``,
-#: ``extend_columns``/``fold_batch_counts``) or operate on the calendar
+#: inside a hot-path batch module.  The fused core reads penalties
+#: through the model's memoized ``_pen1``, folds metrics with
+#: ``extend_columns``/``fold_batch_counts``, and operates on the calendar
 #: wholesale at fold-back; per-packet scheduling and per-packet model or
 #: metrics calls are banned.
 HOT_PATH_SCALAR_CALLS: Tuple[str, ...] = (

@@ -541,9 +541,10 @@ class HotPathBatchRule(_BaseRule):
         if name in self._BANNED:
             self.emit(node, "RPR007",
                       f"per-event scalar call {name}() in a batched hot-path "
-                      "module; use the batch APIs (component_penalty_us_batch, "
-                      "exec_times_batch, extend_columns) or fold wholesale at "
-                      "the end of the run")
+                      "module; read penalties through the model's memoized "
+                      "_pen1, fold metrics with extend_columns/"
+                      "fold_batch_counts, or fold wholesale at the end of "
+                      "the run")
         self.generic_visit(node)
 
 

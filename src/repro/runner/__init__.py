@@ -29,7 +29,6 @@ See ``docs/RUNNER.md`` for the cache key scheme and invalidation rules,
 and ``docs/ROBUSTNESS.md`` for the failure taxonomy and resume workflow.
 """
 
-from .affinity import AffinityScheduler, affinity_key, workload_family
 from .backends import (
     BACKEND_NAMES,
     DistributedOptions,
@@ -62,7 +61,6 @@ from .runner import (
 )
 
 __all__ = [
-    "AffinityScheduler",
     "BACKEND_NAMES",
     "CacheStats",
     "CheckpointJournal",
@@ -81,7 +79,6 @@ __all__ = [
     "TaskTimeout",
     "UncacheableConfig",
     "WarmOptions",
-    "affinity_key",
     "canonicalize",
     "code_version",
     "config_key",
@@ -95,5 +92,4 @@ __all__ = [
     "set_runner",
     "sweep_id",
     "use_runner",
-    "workload_family",
 ]

@@ -1,9 +1,9 @@
 """Pluggable sweep-execution backends.
 
 ``serial`` runs in-process (the bit-identity reference), ``warm`` keeps
-persistent affinity-routed workers alive across batches (the local
-parallel path), and ``distributed`` puts the same affinity-routed
-dispatch behind a network transport — a coordinator leasing task chunks
+persistent workers alive across batches, fed from one shared task queue
+(the local parallel path), and ``distributed`` puts the same
+shared-queue dispatch behind a network transport — a coordinator leasing task chunks
 to stateless worker agents with heartbeat expiry and idempotent commit
 (``docs/DISTRIBUTED.md``).  All three fold results through the same
 :class:`~repro.runner.runner.SweepRunner` machinery (cache, checkpoint

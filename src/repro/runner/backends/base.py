@@ -7,8 +7,8 @@ the actual running of a batch to an :class:`ExecutionBackend`:
 ``serial``
     In-process, one task at a time (the deterministic reference path).
 ``warm``
-    Long-lived worker processes with affinity-aware routing and chunked
-    dispatch (``docs/PERFORMANCE.md``).
+    Long-lived worker processes pulling chunks from one shared task
+    queue (``docs/PERFORMANCE.md``).
 ``distributed``
     A coordinator leasing chunks to worker agents over a network
     transport (``docs/DISTRIBUTED.md``).
@@ -36,10 +36,12 @@ from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     ClassVar,
+    Deque,
     Iterator,
     List,
     Optional,
     Sequence,
+    Tuple,
 )
 
 from ...core.exec_model import ExecutionTimeModel
@@ -136,8 +138,8 @@ def _execute_task(task: _WorkerTask,
     the task deadline.  Must stay a module-level function (RPR006).
 
     ``model`` is an optional pre-built :class:`ExecutionTimeModel` for
-    the task's exec-model parameters — the warm backend's affinity
-    payoff.  Injection is validated against the config and is purely a
+    the task's exec-model parameters (a warm worker's memoized model).
+    Injection is validated against the config and is purely a
     memoization transplant, so it can never change results (the penalty
     cache memoizes a pure function; see ``docs/PERFORMANCE.md``).
     """
@@ -203,10 +205,32 @@ class BatchState:
     failures: "List[FailureReport]"
 
 
+#: One queued task attempt: ``(index in the batch, 1-based attempt)``.
+#: The warm and distributed backends keep a batch's pending attempts in
+#: one FIFO of these, shared by every worker.
+Task = Tuple[int, int]
+
+
+def chunk_cap(n_tasks: int, jobs: int, slots: int) -> int:
+    """Most tasks one chunk or lease of a batch may carry:
+    ``ceil(n_tasks / (2 * jobs * slots))``, computed once per batch.
+
+    With ``jobs`` workers each holding ``slots`` chunks in flight, the
+    first fill takes at most half of the batch; the rest waits at the
+    head of the shared queue for whichever worker frees up first, which
+    balances load without routing or stealing."""
+    return max(1, -(-n_tasks // (2 * jobs * slots)))
+
+
+def take(queue: Deque[Task], n: int) -> List[Task]:
+    """Pop up to ``n`` tasks from the head of the shared queue."""
+    return [queue.popleft() for _ in range(min(n, len(queue)))]
+
+
 class ExecutionBackend(ABC):
     """Strategy interface for executing one batch of independent tasks.
 
-    Backends may keep expensive state (worker processes, schedulers)
+    Backends may keep expensive state (worker processes, transports)
     alive *across* batches — the runner calls :meth:`close` when it is
     retired.  The hard contract: for a given batch, the set of completed
     results and their values must be independent of scheduling; only

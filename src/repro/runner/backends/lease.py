@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..affinity import QueuedTask
+from .base import Task
 
 __all__ = ["Clock", "Lease", "LeaseTable"]
 
@@ -39,7 +39,7 @@ class Lease:
 
     lease_id: int
     worker_id: str
-    tasks: Tuple[QueuedTask, ...]
+    tasks: Tuple[Task, ...]
     granted_at_s: float
     last_beat_s: float
 
@@ -64,7 +64,7 @@ class LeaseTable:
 
     # -- granting / liveness -----------------------------------------
     def grant(self, lease_id: int, worker_id: str,
-              tasks: Sequence[QueuedTask]) -> Lease:
+              tasks: Sequence[Task]) -> Lease:
         if lease_id in self._active or lease_id in self._retired:
             raise ValueError(f"lease id {lease_id} already used")
         now = self._clock()
@@ -138,7 +138,7 @@ class LeaseTable:
             {
                 "lease": lease.lease_id,
                 "worker": lease.worker_id,
-                "tasks": [t.index for t in lease.tasks],
+                "tasks": [index for index, _ in lease.tasks],
                 "age_s": round(now - lease.granted_at_s, 3),
                 "beat_age_s": round(now - lease.last_beat_s, 3),
             }

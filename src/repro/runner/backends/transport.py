@@ -66,7 +66,7 @@ Message = Tuple[Any, ...]
 _MAGIC = b"RPRD"
 #: Bumped whenever a message shape changes, so a peer from an older
 #: build is refused on its first frame instead of failing mid-lease.
-_VERSION = 2
+_VERSION = 3
 #: Frame header: magic, protocol version, payload length (big-endian).
 _HEADER = struct.Struct(">4sBI")
 #: Refuse absurd frames before allocating for them.
@@ -477,7 +477,7 @@ class ChaosCoordinatorTransport(CoordinatorTransport):
         """The task attempt a lease, beat or result belongs to (1 for
         fleet traffic such as hellos)."""
         if message[0] == "lease":
-            self._lease_attempt[message[1]] = min(t.attempt for t in message[3])
+            self._lease_attempt[message[1]] = min(t.attempt for t in message[2])
             return self._lease_attempt[message[1]]
         if message[0] in ("beat", "result"):
             return self._lease_attempt.get(message[2], 1)

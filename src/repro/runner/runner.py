@@ -13,7 +13,7 @@ guaranteeing the output is **bit-identical** to serial execution:
 ``jobs=0`` (or 1) is a strict serial fallback executing in-process;
 ``jobs=None`` uses one worker per CPU.  With ``jobs>1`` the ``backend``
 parameter picks the execution engine: ``"warm"`` (default) keeps
-persistent affinity-routed workers alive across batches,
+persistent workers alive across batches, fed from one shared queue,
 ``"distributed"`` leases chunks to worker agents over a network
 transport, and ``"serial"`` forces in-process execution regardless of
 ``jobs`` (see :mod:`repro.runner.backends`).
@@ -121,8 +121,6 @@ class RunnerStats:
     pool_respawns: int = 0   # worker processes replaced after breaking
     batches: int = 0
     chunks: int = 0          # warm/distributed chunk dispatches
-    affinity_hits: int = 0   # tasks routed to an already-warm worker
-    steals: int = 0          # tasks stolen by idle warm workers
     leases: int = 0          # distributed lease grants
     lease_expiries: int = 0  # leases forfeited to missed heartbeats
     dup_results: int = 0     # duplicate identical results discarded
@@ -154,8 +152,7 @@ class RunnerStats:
         if self.pool_respawns:
             parts.append(f"({self.pool_respawns} worker respawns)")
         if self.chunks:
-            parts.append(f"({self.chunks} chunks, {self.affinity_hits} affine,"
-                         f" {self.steals} stolen)")
+            parts.append(f"({self.chunks} chunks)")
         if self.leases:
             parts.append(f"({self.leases} leases, {self.lease_expiries} "
                          f"expired, {self.dup_results} dup, "
@@ -256,14 +253,14 @@ class SweepRunner:
         the cache disabled.
     backend:
         Execution engine for ``jobs>1``: ``"warm"`` (default; persistent
-        affinity-routed workers), ``"distributed"`` (lease-based
+        workers fed from one shared task queue), ``"distributed"`` (lease-based
         coordinator + worker-agent fleet over tcp or a file spool), or
         ``"serial"`` (force in-process).
         Backend choice can never change results — only wall-clock
         (``docs/RUNNER.md``, ``docs/DISTRIBUTED.md``).
     warm_options:
         Optional :class:`~repro.runner.backends.WarmOptions` tuning the
-        warm backend (chunk size, routing mode).  Ignored by the others.
+        warm backend (chunk size).  Ignored by the others.
     distributed_options:
         Optional :class:`~repro.runner.backends.DistributedOptions`
         tuning the distributed backend (transport, lease timeout, fleet

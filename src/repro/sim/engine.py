@@ -282,57 +282,6 @@ class Simulator:
             self._events_processed += fired
         self._now = max(self._now, end_time_us)
 
-    def run_until_batched(self, end_time_us: float) -> None:
-        """Batch-draining variant of :meth:`run_until` (same contract).
-
-        Events are fired in exactly the same ``(time, seq)`` order as
-        :meth:`run_until`; the difference is purely mechanical: all events
-        sharing one timestamp are drained as a single *run* — the clock
-        store and the horizon comparison happen once per distinct
-        timestamp rather than once per event, and successors at the same
-        time are claimed with a heap *peek* instead of a pop/push-back
-        pair.  Callbacks that schedule new work at the current timestamp
-        are picked up within the same run (the peek rereads the heap), so
-        behaviour is indistinguishable from the scalar loop.
-        """
-        if end_time_us < self._now:
-            raise SimulationError(
-                f"end time {end_time_us!r} is before now ({self._now!r})"
-            )
-        self._stopped = False
-        heap = self._heap
-        heappop = heapq.heappop
-        on_event = self._on_event
-        fired = 0
-        try:
-            while heap:
-                entry = heappop(heap)
-                time_us = entry[0]
-                if time_us > end_time_us:
-                    heapq.heappush(heap, entry)
-                    break
-                self._now = time_us
-                # Same-timestamp run: seq uniqueness means heap order within
-                # the run is exactly scheduling order.
-                while True:
-                    fired += 1
-                    if on_event is not None:
-                        on_event(time_us)
-                    record = entry[2]
-                    arg = record.arg
-                    if arg is None:
-                        record.fn()
-                    else:
-                        record.fn(arg)
-                    if self._stopped:
-                        return
-                    if not heap or heap[0][0] != time_us:
-                        break
-                    entry = heappop(heap)
-        finally:
-            self._events_processed += fired
-        self._now = max(self._now, end_time_us)
-
     def run_to_completion(self, max_events: int = 50_000_000) -> None:
         """Drain the calendar entirely (bounded by ``max_events``)."""
         self._stopped = False

@@ -1,10 +1,7 @@
 """Property tests: the batched execution paths equal the scalar ones.
 
-Three layers, matching the batching architecture (``docs/PERFORMANCE.md``):
+Two layers (``docs/PERFORMANCE.md``):
 
-- model: ``component_penalty_us_batch`` vs per-state scalar calls,
-- engine: ``run_until_batched`` vs ``run_until`` (including
-  same-timestamp runs and callbacks that schedule at the current time),
 - system: full runs under ``REPRO_ENGINE=batched`` vs ``scalar``,
   compared on summaries, metrics columns, queue/backlog state and model
   counters — over randomized workloads, over batch-Poisson and
@@ -20,135 +17,17 @@ contract is bit-identity, not approximation.
 
 from __future__ import annotations
 
-import math
-
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.cache.hierarchy import sgi_challenge_hierarchy
-from repro.core.exec_model import COLD, ComponentState, ExecutionTimeModel
-from repro.core.params import PAPER_COMPOSITION, PAPER_COSTS
 from repro.core.policies import IPS_POLICIES, LOCKING_POLICIES
 from repro.sim import batch
-from repro.sim.engine import Simulator
 from repro.sim.system import NetworkProcessingSystem, SystemConfig
 from repro.workloads.arrivals import BatchPoissonSpec, DeterministicSpec, PoissonSpec
 from repro.workloads.packet_train import PacketTrainSpec
 from repro.workloads.traffic import FixedSize, TrafficSpec
-
-# ----------------------------------------------------------------------
-# Model layer
-# ----------------------------------------------------------------------
-
-#: Module-level model (function-scoped fixtures are not reset between
-#: hypothesis examples; the model's caches are part of the contract).
-_MODEL = ExecutionTimeModel(
-    PAPER_COSTS, PAPER_COMPOSITION, sgi_challenge_hierarchy()
-)
-
-_refs = st.one_of(
-    st.just(0.0),
-    st.just(COLD),
-    st.floats(min_value=0.0, max_value=1e8, allow_nan=False),
-)
-
-_states = st.builds(
-    ComponentState,
-    code_refs=_refs,
-    stream_refs=_refs,
-    thread_refs=_refs,
-    shared_invalidated=st.booleans(),
-)
-
-
-class TestPenaltyBatchEqualsScalar:
-    @given(states=st.lists(_states, min_size=1, max_size=64))
-    @settings(max_examples=150, deadline=None)
-    def test_batch_matches_scalar_bitwise(self, states):
-        scalar = [_MODEL.component_penalty_us(s) for s in states]
-        batched = _MODEL.component_penalty_us_batch(states)
-        assert batched.shape == (len(states),)
-        for got, want in zip(batched.tolist(), scalar):
-            assert got == want  # exact: no tolerance
-
-    @given(states=st.lists(_states, min_size=1, max_size=32))
-    @settings(max_examples=50, deadline=None)
-    def test_exec_times_batch_matches_scalar(self, states):
-        code = np.array([s.code_refs for s in states])
-        stream = np.array([s.stream_refs for s in states])
-        thread = np.array([s.thread_refs for s in states])
-        shared = np.array([s.shared_invalidated for s in states])
-        batched = _MODEL.exec_times_batch(
-            code, stream, thread, shared, locking=True, extra_us=1.5,
-        )
-        for i, s in enumerate(states):
-            want = _MODEL.execution_time_us(s, locking=True, extra_us=1.5)
-            assert batched[i] == want
-
-
-# ----------------------------------------------------------------------
-# Engine layer
-# ----------------------------------------------------------------------
-
-_times = st.lists(
-    st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
-    min_size=1, max_size=40,
-)
-
-
-def _run_logged(method_name, times, horizon, chain_at_same_time):
-    """Schedule one logging callback per time; run; return observables.
-
-    When ``chain_at_same_time`` is set, every fired event schedules one
-    follow-up at the *current* timestamp (delay 0) the first time it
-    fires, exercising the batched loop's same-timestamp peek pickup.
-    """
-    sim = Simulator()
-    log = []
-
-    def make_cb(tag):
-        fired = [False]
-
-        def cb():
-            log.append((sim.now, tag))
-            if chain_at_same_time and not fired[0]:
-                fired[0] = True
-                sim.schedule(0.0, lambda: log.append((sim.now, tag, "chain")))
-
-        return cb
-
-    for i, t in enumerate(times):
-        sim.at(t, make_cb(i))
-    getattr(sim, method_name)(horizon)
-    return log, sim.now, sim.events_processed, sim.pending
-
-
-class TestRunUntilBatchedEqualsRunUntil:
-    @given(times=_times, chain=st.booleans())
-    @settings(max_examples=100, deadline=None)
-    def test_same_order_clock_and_counts(self, times, chain):
-        horizon = 50.0
-        scalar = _run_logged("run_until", times, horizon, chain)
-        batched = _run_logged("run_until_batched", times, horizon, chain)
-        assert scalar == batched
-
-    @given(
-        base=st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
-        dup=st.integers(min_value=2, max_value=12),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_exact_timestamp_ties_fire_in_schedule_order(self, base, dup):
-        # All events share one exact float timestamp: the batched loop
-        # must drain them as one run, in scheduling (seq) order.
-        times = [base] * dup
-        scalar = _run_logged("run_until", times, base + 1.0, False)
-        batched = _run_logged("run_until_batched", times, base + 1.0, False)
-        assert scalar == batched
-        log = batched[0]
-        assert [tag for (_t, tag) in log] == list(range(dup))
-
 
 # ----------------------------------------------------------------------
 # System layer

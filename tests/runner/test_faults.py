@@ -189,7 +189,7 @@ class TestFaultSuite:
             "interrupt-checkpoint-resume",
             "happy-path-bit-identical",
             "warm-crash-cold-respawn-bit-identical",
-            "warm-hung-worker-queue-stolen",
+            "warm-hung-worker-does-not-block",
         ]
         assert [r.name for r in results] == expected
         failed = [r for r in results if not r.ok]

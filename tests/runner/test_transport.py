@@ -27,7 +27,7 @@ from repro.runner.backends.transport import (
 
 class TestFrameCodec:
     def test_round_trip(self):
-        msgs = [("hello", "w0"), ("lease", 1, "akey", [1, 2]),
+        msgs = [("hello", "w0"), ("lease", 1, [1, 2]),
                 ("result", "w0", 1, [(True, "", "", 0.5)], ("s",), False)]
         buffer = bytearray()
         for m in msgs:
@@ -48,7 +48,7 @@ class TestFrameCodec:
         with pytest.raises(TransportError, match="magic"):
             decode_frames(buffer)
 
-    @pytest.mark.parametrize("version", [1, 99])
+    @pytest.mark.parametrize("version", [1, 2, 99])
     def test_wrong_version_is_loud(self, version):
         frame = bytearray(encode_frame(("hello", "w0")))
         frame[4] = version  # version byte
@@ -79,13 +79,13 @@ class TestTcpPair:
                     if messages:
                         break
                 assert messages == [("hello", "w9")]
-                assert coord.send("w9", ("lease", 1, "akey", [], []))
+                assert coord.send("w9", ("lease", 1, []))
                 got = None
                 for _ in range(50):
                     got = worker.recv(0.1)
                     if got is not None:
                         break
-                assert got == ("lease", 1, "akey", [], [])
+                assert got == ("lease", 1, [])
             finally:
                 worker.close()
         finally:
