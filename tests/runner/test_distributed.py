@@ -119,6 +119,19 @@ class TestHappyPath:
         # One task per lease: at least one lease per task executed.
         assert runner.stats.leases >= runner.stats.executed
 
+    def test_fixed_leases_are_not_capped(self):
+        # 8 tasks on 2 agents: an auto-sized lease would be capped at
+        # ceil(8 / 4) = 2 tasks, but a fixed lease_tasks is used as given.
+        configs = _scenario_grid(8, seed=14)
+        runner = SweepRunner(jobs=2, backend="distributed",
+                             distributed_options=_opts(lease_tasks=4))
+        try:
+            results = runner.run_many(configs)
+        finally:
+            runner.close()
+        assert results == _serial(configs)
+        assert runner.stats.leases == 2
+
 
 # ----------------------------------------------------------------------
 # The idempotent commit gate (pure units, no worker processes)
