@@ -275,23 +275,40 @@ class _PerProcessorQueuePolicy(LockingPolicy):
     fused engine (:mod:`repro.sim.batch`), which runs ``wired``, ``last``,
     ``steer`` and ``group`` in one loop.  The default serve rule is "own
     queue": an idle processor serves the queue it owns, scanned in idle
-    order.
+    order.  :attr:`steal` adds a second serve rule for when no idle
+    processor has work of its own: the MRU idle processor (the thief)
+    takes a packet from the longest queue holding more than
+    :attr:`steal_threshold` packets —
+
+    - ``"newest"``: the newest packet (LIFO end) of a longest queue,
+      victim ties broken by the scheduling RNG;
+    - ``"head"``: the head packet of the first longest queue, no draw.
+
+    The victim draw always precedes the thief's :meth:`~SchedulerView.mru_idle`
+    draw (the :meth:`SchedulerView.random_choice` contract).  ``steals``
+    counts the stolen dispatches.
     """
 
     per_processor_threads = True
-    #: Routing rule replicated by the fused engine ("" = not fused).
+    #: Routing rule replicated by the fused engine.
     routing: str = ""
     #: Imbalance beyond which the ``last``/``steer`` rules spill to the
-    #: shortest queue.
-    spill_threshold: int = 0
+    #: shortest queue (``None``: never spill).
+    spill_threshold: Optional[int] = 0
+    #: Steal rule (``""``: none, ``"newest"`` or ``"head"``).
+    steal: str = ""
+    #: Queue length a steal victim must exceed.
+    steal_threshold: int = 0
 
     def __init__(self) -> None:
         super().__init__()
         self._queues: List[Deque] = []
+        self.steals = 0
 
     def attach(self, view: SchedulerView) -> None:
         super().attach(view)
         self._queues = [deque() for _ in range(self._n_queues(view))]
+        self.steals = 0
 
     def _n_queues(self, view: SchedulerView) -> int:
         return view.n_processors
@@ -303,9 +320,12 @@ class _PerProcessorQueuePolicy(LockingPolicy):
     def _spill(self, preferred: int) -> int:
         """``preferred``, or the first shortest queue when ``preferred``
         exceeds it by more than :attr:`spill_threshold` packets."""
+        threshold = self.spill_threshold
+        if threshold is None:
+            return preferred
         queues = self._queues
         shortest = min(range(len(queues)), key=lambda p: (len(queues[p]), p))
-        if len(queues[preferred]) > len(queues[shortest]) + self.spill_threshold:
+        if len(queues[preferred]) > len(queues[shortest]) + threshold:
             return shortest
         return preferred
 
@@ -314,10 +334,25 @@ class _PerProcessorQueuePolicy(LockingPolicy):
 
     def next_dispatch(self) -> Optional[Tuple[int, object]]:
         queues = self._queues
-        for proc in self.view.idle_processors():
+        idle = self.view.idle_processors()
+        for proc in idle:
             if queues[proc]:
                 return proc, queues[proc].popleft()
-        return None
+        if not (self.steal and idle):
+            return None
+        longest = max(map(len, queues))
+        if longest <= self.steal_threshold:
+            return None
+        victims = [p for p, q in enumerate(queues) if len(q) == longest]
+        newest = self.steal == "newest"
+        if newest and len(victims) > 1:
+            victim = self.view.random_choice(victims)
+        else:
+            victim = victims[0]
+        thief = self.view.mru_idle()
+        self.steals += 1
+        queue = queues[victim]
+        return thief, queue.pop() if newest else queue.popleft()
 
     def queued(self) -> int:
         return sum(len(q) for q in self._queues)
@@ -393,37 +428,19 @@ class HybridPolicy(WiredStreamsPolicy):
     throughput, high intra-stream scalability, and robustness in the
     presence of bursty arrivals".
 
-    Not fused (:attr:`routing` is empty): a steal serves a queue whose
-    owner is busy, so a completion may refill another processor.
+    Described to the fused engine as ``wired`` routing with the ``head``
+    steal rule: the first longest queue over the threshold loses its head
+    packet to the MRU idle processor.
     """
 
     name = "hybrid"
-    routing = ""
+    steal = "head"
 
     def __init__(self, overflow_threshold: int = 2) -> None:
         super().__init__()
         if overflow_threshold < 1:
             raise ValueError("overflow_threshold must be >= 1")
-        self.overflow_threshold = overflow_threshold
-
-    def next_dispatch(self) -> Optional[Tuple[int, object]]:
-        own = super().next_dispatch()
-        if own is not None:
-            return own
-        idle = self.view.idle_processors()
-        if not idle:
-            return None
-        # Steal from the most backed-up wired queue, if any exceeds the
-        # threshold; the thief is the MRU idle processor.
-        queues = self._queues
-        overloaded = [
-            p for p, q in enumerate(queues) if len(q) > self.overflow_threshold
-        ]
-        if not overloaded:
-            return None
-        victim = max(overloaded, key=lambda p: (len(queues[p]), -p))
-        thief = self.view.mru_idle()
-        return thief, queues[victim].popleft()
+        self.overflow_threshold = self.steal_threshold = overflow_threshold
 
 
 # ----------------------------------------------------------------------
@@ -492,21 +509,20 @@ class WorkStealingPolicy(_PerProcessorQueuePolicy):
     the victim draw always precedes the thief's :meth:`~SchedulerView.mru_idle`
     draw.  ``steals`` counts the stolen dispatches.
 
-    Not fused: falls back to the scalar engine deterministically.
+    Described to the fused engine as ``last`` routing that never spills,
+    with the ``newest`` steal rule.
     """
 
     name = "work-steal"
+    routing = "last"
+    spill_threshold = None
+    steal = "newest"
 
     def __init__(self, steal_threshold: int = 1) -> None:
         super().__init__()
         if steal_threshold < 1:
             raise ValueError("steal_threshold must be >= 1")
         self.steal_threshold = steal_threshold
-        self.steals = 0
-
-    def attach(self, view: SchedulerView) -> None:
-        super().attach(view)
-        self.steals = 0
 
     def home_processor(self, stream_id: int) -> int:
         last = self.view.stream_last_processor(stream_id)
@@ -515,33 +531,6 @@ class WorkStealingPolicy(_PerProcessorQueuePolicy):
         return stream_id % self.view.n_processors
 
     route = home_processor
-
-    def next_dispatch(self) -> Optional[Tuple[int, object]]:
-        own = super().next_dispatch()
-        if own is not None:
-            return own
-        if not self.view.idle_processors():
-            return None
-        # Every idle processor's own queue is empty: steal.  Victims are
-        # the longest queues strictly above the threshold; the victim
-        # tie-break draw precedes the thief tie-break draw (see
-        # SchedulerView.random_choice).
-        queues = self._queues
-        best_len = self.steal_threshold
-        victims: List[int] = []
-        for p, q in enumerate(queues):
-            n = len(q)
-            if n > best_len:
-                best_len = n
-                victims = [p]
-            elif victims and n == best_len:
-                victims.append(p)
-        if not victims:
-            return None
-        victim = victims[0] if len(victims) == 1 else self.view.random_choice(victims)
-        thief = self.view.mru_idle()
-        self.steals += 1
-        return thief, queues[victim].pop()
 
 
 class GroupedAffinityPolicy(_PerProcessorQueuePolicy):

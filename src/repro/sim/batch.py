@@ -65,16 +65,17 @@ trace, no invariant checking, one coarse lock, and the policies
 
 - ``mru``/``fcfs``/``stream-mru`` (Locking, shared queue and thread
   pool; ``_run_locking``),
-- ``wired-streams``/``pools``/``flow-steer``/``grouped`` (Locking,
-  per-processor threads and queues; ``_run_locking_pools`` runs their
-  routing rules ``wired``/``last``/``steer``/``group``),
-- ``ips-mru``/``ips-wired`` (IPS; ``_run_ips``).
+- ``wired-streams``/``pools``/``flow-steer``/``grouped``/``hybrid``/
+  ``work-steal`` (Locking, per-processor threads and queues;
+  ``_run_locking_pools`` runs their routing rules
+  ``wired``/``last``/``steer``/``group`` and their steal rules
+  ``head``/``newest``),
+- ``ips-mru``/``ips-wired``/``ips-random`` (IPS; ``_run_ips``).
 
-Anything else falls back to the scalar engine — silently under
-``REPRO_ENGINE=auto`` (the default), loudly under
-``REPRO_ENGINE=batched``.  The registered policies left on the scalar
-engine are ``hybrid``, ``work-steal`` and ``ips-random``
-(``_SCALAR_FALLBACK_POLICIES`` says why).
+That is every registered policy (``_SCALAR_FALLBACK_POLICIES`` is
+empty).  Anything outside the matrix falls back to the scalar engine —
+silently under ``REPRO_ENGINE=auto`` (the default), loudly under
+``REPRO_ENGINE=batched``.
 """
 
 from __future__ import annotations
@@ -94,12 +95,15 @@ from ..core.policies import (
     FCFSPolicy,
     FlowSteerPolicy,
     GroupedAffinityPolicy,
+    HybridPolicy,
     IPSMRUPolicy,
+    IPSRandomPolicy,
     IPSWiredPolicy,
     MRUPolicy,
     PerProcessorPoolsPolicy,
     StreamMRUPolicy,
     WiredStreamsPolicy,
+    WorkStealingPolicy,
 )
 from ..workloads.arrivals import BatchPoissonSpec, DeterministicSpec, PoissonSpec
 from ..workloads.packet_train import PacketTrainSpec
@@ -145,10 +149,11 @@ def engine_mode() -> str:
 _LOCKING_POLICIES = (MRUPolicy, FCFSPolicy, StreamMRUPolicy)
 #: Locking policies with per-processor threads and per-processor (or
 #: per-group) queues, fused by ``_run_locking_pools`` from their
-#: ``routing`` description.
+#: ``routing``/``steal`` description.
 _LOCKING_POOL_POLICIES = (WiredStreamsPolicy, PerProcessorPoolsPolicy,
-                          FlowSteerPolicy, GroupedAffinityPolicy)
-_IPS_POLICIES = (IPSMRUPolicy, IPSWiredPolicy)
+                          FlowSteerPolicy, GroupedAffinityPolicy,
+                          HybridPolicy, WorkStealingPolicy)
+_IPS_POLICIES = (IPSMRUPolicy, IPSWiredPolicy, IPSRandomPolicy)
 _ARRIVAL_SPECS = (PoissonSpec, DeterministicSpec, BatchPoissonSpec,
                   PacketTrainSpec)
 
@@ -163,26 +168,11 @@ _BATCH_IRRELEVANT_FIELDS: Dict[str, str] = {}
 
 #: RPR009 fallback ledger: registered RNG-consuming policies that have no
 #: fused loop here and instead run on the scalar engine (via
-#: :func:`unsupported_reason` returning "... is not fused").  The linter
-#: requires every RNG-consuming registry policy to appear either in the
-#: fused tuples above or in this dict with a reason.
-_SCALAR_FALLBACK_POLICIES: Dict[str, str] = {
-    "HybridPolicy": (
-        "hybrid lets an idle thief (an MRU draw) steal from a busy "
-        "processor's queue, so a completion may refill another processor "
-        "and the per-processor-queue loop's invariant does not hold"
-    ),
-    "WorkStealingPolicy": (
-        "stealing inspects victim queues at completion time; the "
-        "documented random_choice draw-order contract pins it to the "
-        "scalar engine"
-    ),
-    "IPSRandomPolicy": (
-        "E11's unaffinitized reference draws a random idle processor per "
-        "dispatch; the fused IPS loop has no random_choice draw point, so "
-        "it stays on the scalar engine"
-    ),
-}
+#: :func:`unsupported_reason` returning "... is not fused"), mapped to the
+#: reason.  Kept empty on purpose — every registered policy is fused.  The
+#: linter requires every RNG-consuming registry policy to appear either in
+#: the fused tuples above or in this dict with a reason.
+_SCALAR_FALLBACK_POLICIES: Dict[str, str] = {}
 
 
 def unsupported_reason(system: "NetworkProcessingSystem") -> Optional[str]:
@@ -978,37 +968,42 @@ def _run_locking_pools(
     queue (``spill_threshold`` and the queue count complete the
     description):
 
-    - ``wired`` (``wired-streams``): ``s % N``, never spills;
-    - ``last`` (``pools``): the stream's last processor (``s % N`` before
-      its first completion), spilling to the first shortest queue when
-      the preferred one is longer by more than the threshold;
+    - ``wired`` (``wired-streams``, ``hybrid``): ``s % N``, never spills;
+    - ``last`` (``pools``, ``work-steal``): the stream's last processor
+      (``s % N`` before its first completion), spilling to the first
+      shortest queue when the preferred one is longer by more than the
+      threshold (``None``: never);
     - ``steer`` (``flow-steer``): a persistent steer table with the same
       spill, which re-steers the stream and counts a ``resteer``;
     - ``group`` (``grouped``): ``s % G``, dispatched MRU among the
       group's idle members with the scheduling-RNG tie-break.
 
-    All four run with processor-bound threads (``tid == proc``, so the
+    Its ``steal`` attribute adds the second serve rule, for an idle
+    processor with an empty own queue (``steal_threshold`` completes it):
+    the MRU idle processor takes the head packet of the first longest
+    queue over the threshold (``head``, ``hybrid``) or the newest packet
+    of a longest one, victim ties by the scheduling RNG (``newest``,
+    ``work-steal``).
+
+    All run with processor-bound threads (``tid == proc``, so the
     shared-pool preference scan of ``_run_locking`` collapses to
-    ``free.remove(p)``/``free.append(p)`` — exactly the scalar
-    per-processor :class:`~repro.sim.entities.ThreadPool` history), and
-    all four serve the "own queue".  The structural invariant making that
-    exact: **a nonempty queue implies its owning processor (or every
-    processor of its group) is busy.**  An arrival whose final target is
-    idle dispatches immediately (the target's queue is empty, so the new
-    packet is the head), and a completion can only refill its own
-    processor, because every other idle processor's queue is empty.  So
-    at every dispatch point at most one idle processor has work: the
-    completing one or the arrival's target.  That is why ``pools``' scalar
-    serve rule, "longest eligible pool among the idle processors", always
-    picks the same processor as "own queue", and why the completion path
-    consults no RNG.  The only RNG use in the loop is the ``group`` rule's
-    MRU tie-break at arrival, replicated draw for draw from ``_mru_idle``.
-    The spill test runs on every ``last``/``steer`` arrival, also while
-    every processor is busy; a spill to an idle processor's (empty) queue
-    dispatches at once, like any arrival with an idle target.  A re-steer
-    leaves the stream's queued packets behind — the Flow Director
-    reordering pathology.  (``hybrid`` breaks the invariant: its steal
-    serves a busy processor's queue from an idle thief.)
+    ``free.remove(p)``/``free.append(p)``; a stolen packet runs on the
+    thief's thread).  The scalar dispatcher repeats the serve rules — own
+    queue in ascending idle order, then steal — until they yield nothing,
+    so between events **(I1) a nonempty queue implies its owning
+    processor (or every processor of its group) is busy, and (I2) while
+    any processor is idle no queue is longer than the steal threshold.**
+    They make one serve step per event exact (docs/PERFORMANCE.md): an
+    arrival dispatches on its idle target, or queues and lets the MRU
+    idle thief take one packet from its (unique) over-threshold queue; a
+    completion refills its own processor, or — only while no other
+    processor is idle — steals as the thief itself.  The draws — the
+    ``group`` and thief MRU tie-breaks at arrival, the ``newest`` victim
+    tie at completion — are replicated draw for draw from ``_mru_idle``
+    and ``random_choice``.  The spill test runs on every ``last``/``steer``
+    arrival, also while every processor is busy.  A re-steer leaves the
+    stream's queued packets behind — the Flow Director reordering
+    pathology.
     """
     cfg = system.config
     dispatcher = system.dispatcher
@@ -1030,6 +1025,10 @@ def _run_locking_pools(
     r_steer = routing == "steer"
     steer = [-1] * n_streams
     resteers = 0
+    steal = policy.steal
+    steal_thr = policy.steal_threshold
+    s_newest = steal == "newest"
+    steals = 0
 
     COLD_ = COLD
     flush = _flush_fn(system)
@@ -1093,6 +1092,8 @@ def _run_locking_pools(
             tgt = stream_lp[s]
             if tgt < 0:
                 tgt = s % n_procs
+        if threshold is None:
+            return tgt
         short_len = min(map(len, queues))
         if len(queues[tgt]) > short_len + threshold:
             for q in range(n_procs):
@@ -1103,6 +1104,37 @@ def _run_locking_pools(
                 steer[s] = tgt
                 resteers += 1
         return tgt
+
+    def mru_idle(mask: int, first: int, step: int) -> int:
+        """``_mru_idle`` over the idle processors among ``first``,
+        ``first + step``, ... (-1: none idle): tie candidates accumulate
+        in ascending order, and only a genuine tie draws — creating the
+        scheduling substream then, as in the scalar engine."""
+        best_t = _NEVER
+        best: List[int] = []
+        for q in range(first, n_procs, step):
+            if mask >> q & 1:
+                tq = last_end[q]
+                if tq > best_t:
+                    best_t = tq
+                    best = [q]
+                elif tq == best_t:
+                    best.append(q)
+        if len(best) > 1:
+            return best[int(system.rngs.scheduling.integers(0, len(best)))]
+        return best[0] if best else -1
+
+    def pick_victim() -> int:
+        """The steal victim among all queues (-1: none over the
+        threshold): the first longest queue, or for ``newest`` the
+        scheduling RNG's pick among tied longest queues."""
+        longest = max(map(len, queues))
+        if longest <= steal_thr:
+            return -1
+        victims = [q for q in range(n_procs) if len(queues[q]) == longest]
+        if s_newest and len(victims) > 1:
+            return victims[int(system.rngs.scheduling.integers(0, len(victims)))]
+        return victims[0]
 
     comp_heap: List[tuple] = []
     heappush = heapq.heappush
@@ -1179,44 +1211,28 @@ def _run_locking_pools(
             if backlog > max_backlog:
                 max_backlog = backlog
             # --- routing + dispatch decision
-            p = -1
+            victim = -1
             if r_group:
                 g = s % n_queues
                 qg = queues[g]
-                if qg:
-                    # Nonempty group queue ⇒ no idle group member.
+                # Nonempty group queue ⇒ no idle group member (I1).
+                p = -1 if qg else mru_idle(idle_mask, g, n_queues)
+                if p < 0:
                     qg.append((at, s, pid))
-                else:
-                    # MRU among the group's idle members, draw for draw
-                    # as _mru_idle: tie candidates accumulate in
-                    # ascending order, RNG only for genuine ties.
-                    best_t = _NEVER
-                    best: List[int] = []
-                    for q in range(g, n_procs, n_queues):
-                        if idle_mask >> q & 1:
-                            tq = last_end[q]
-                            if tq > best_t:
-                                best_t = tq
-                                best = [q]
-                            elif tq == best_t:
-                                best.append(q)
-                    if not best:
-                        qg.append((at, s, pid))
-                    elif len(best) == 1:
-                        p = best[0]
-                    else:
-                        # A genuine tie (rare): only now is the scheduling
-                        # substream created, as in the scalar engine.
-                        p = best[int(system.rngs.scheduling.integers(
-                            0, len(best)))]
             else:
                 tgt = s % n_procs if r_wired else spill_route(s)
                 if idle_mask >> tgt & 1:
-                    # Idle target ⇒ its queue is empty (invariant): the
-                    # new packet dispatches without touching the deque.
+                    # Idle target ⇒ its queue is empty (I1): the new
+                    # packet dispatches without touching the deque.
                     p = tgt
                 else:
-                    queues[tgt].append((at, s, pid))
+                    p = -1
+                    qt = queues[tgt]
+                    qt.append((at, s, pid))
+                    if steal and len(qt) > steal_thr:
+                        # Only the target can be over the threshold (I2).
+                        victim = tgt
+                        p = mru_idle(idle_mask, 0, 1)
             if p >= 0:
                 cstamp = seq
                 seq += 1
@@ -1228,6 +1244,10 @@ def _run_locking_pools(
                     seq += 1
             if p < 0:
                 continue
+            if victim >= 0:
+                qt = queues[victim]
+                a, s, pid = qt.pop() if s_newest else qt.popleft()
+                steals += 1
             free.remove(p)  # per-processor thread acquire
         else:
             # ---------------- completion event ----------------
@@ -1252,16 +1272,23 @@ def _run_locking_pools(
             if stream_lp[s] < 0:
                 first_completion_order.append(s)
             stream_lp[s] = p
+            # Only p can refill: every other idle processor's queue is
+            # empty (I1), and with another processor idle no queue is
+            # over the steal threshold (I2), so p is the only possible
+            # thief.  The scalar release-append + acquire-remove cancel
+            # out, so the free list is untouched.
             qp = queues[p % n_queues]
-            if not qp:
-                idle_mask |= 1 << p
-                free.append(p)
-                continue
-            # Only p can refill (every other idle processor's queue is
-            # empty by the invariant), so no RNG is consulted; the scalar
-            # release-append + acquire-remove cancel out, so the free
-            # list is untouched.
-            a, s, pid = qp.popleft()
+            if qp:
+                a, s, pid = qp.popleft()
+            else:
+                victim = pick_victim() if steal and not idle_mask else -1
+                if victim < 0:
+                    idle_mask |= 1 << p
+                    free.append(p)
+                    continue
+                qt = queues[victim]
+                a, s, pid = qt.pop() if s_newest else qt.popleft()
+                steals += 1
             cstamp = seq
             seq += 1
 
@@ -1388,6 +1415,7 @@ def _run_locking_pools(
             if steer[s] >= 0:
                 policy._steer[s] = steer[s]
         policy.resteers = resteers
+    policy.steals = steals
 
 
 # ----------------------------------------------------------------------
@@ -1410,6 +1438,7 @@ def _run_ips(
     duration_us = cfg.duration_us
 
     pk_wired = type(policy) is IPSWiredPolicy
+    pk_random = type(policy) is IPSRandomPolicy
 
     COLD_ = COLD
     flush = _flush_fn(system)
@@ -1553,6 +1582,9 @@ def _run_ips(
                         p = wp
                 elif not (idle_mask & (idle_mask - 1)):
                     p = idle_mask.bit_length() - 1
+                elif pk_random:
+                    idle = [q for q in range(n_procs) if idle_mask >> q & 1]
+                    p = idle[int(system.rngs.scheduling.integers(0, len(idle)))]
                 else:
                     lastp = stack_lp[k]
                     if lastp >= 0 and idle_mask >> lastp & 1:
@@ -1617,10 +1649,14 @@ def _run_ips(
             rh = runnable_by_proc[p] if pk_wired else runnable
             if qk:
                 heappush(rh, (qk[0][0], k))
-            # Any runnable stack the freed processor may serve dispatches
-            # now; under both fused IPS policies the chosen processor can
-            # only be p (every other idle processor was already refused),
-            # so no RNG is consulted.
+            # The earliest runnable stack the freed processor may serve
+            # dispatches now.  Any other stack in rh was refused every
+            # idle processor it may use (ips-wired: its wired processor
+            # is p; ips-mru and ips-random refuse only when no processor
+            # is idle), so it gets p without a draw.  This stack's own
+            # backlog can meet other idle processors: ips-mru and
+            # ips-wired pick p (its last or wired processor); ips-random
+            # draws over every idle processor, p included.
             k = -1
             while rh:
                 t2, kk = heappop(rh)
@@ -1631,6 +1667,10 @@ def _run_ips(
             if k < 0:
                 idle_mask |= 1 << p
                 continue
+            if pk_random and idle_mask:
+                idle_mask |= 1 << p
+                idle = [q for q in range(n_procs) if idle_mask >> q & 1]
+                p = idle[int(system.rngs.scheduling.integers(0, len(idle)))]
             a, s, pid = queues[k].popleft()
             cstamp = seq
             seq += 1

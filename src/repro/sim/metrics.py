@@ -349,13 +349,19 @@ class MetricsCollector:
                 utilization_per_proc=utilization_per_proc,
                 max_backlog=self.max_backlog, final_backlog=self._backlog,
             )
-        # Elementwise float64 subtraction equals the historical per-record
-        # Python-float subtraction bit for bit (both are IEEE doubles).
-        arrivals_us = np.array(self._col_arrival)
-        delays_us = np.array(self._col_completion) - arrivals_us
-        queueing_us = np.array(self._col_start) - arrivals_us
-        execs = np.array(self._col_exec)
-        lock_waits_us = np.array(self._col_lock_wait)
+        # Each column becomes an array once (``fromiter`` with a known
+        # count skips ``np.array``'s type discovery; the values are the
+        # same doubles and ints).  Elementwise float64 subtraction equals
+        # the historical per-record Python-float subtraction bit for bit.
+        n = len(self._col_stream)
+        stream_ids = np.fromiter(self._col_stream, np.int64, n)
+        arrivals_us = np.fromiter(self._col_arrival, np.float64, n)
+        starts_us = np.fromiter(self._col_start, np.float64, n)
+        delays_us = np.fromiter(self._col_completion, np.float64, n) - arrivals_us
+        queueing_us = starts_us - arrivals_us
+        execs = np.fromiter(self._col_exec, np.float64, n)
+        lock_waits_us = np.fromiter(self._col_lock_wait, np.float64, n)
+        proc_ids = np.fromiter(self._col_proc, np.int64, n)
         mean_delay_us = float(delays_us.mean())
         # One shared sort/partition for all three quantiles; each result
         # equals the corresponding single-quantile call bit for bit.
@@ -363,14 +369,25 @@ class MetricsCollector:
         ci = batch_means_ci(delays_us, n_batches=n_batches)
         measured_span = duration_us - self.warmup_us
         throughput_pps = len(delays_us) / measured_span * 1e6 if measured_span > 0 else 0.0
-        per_stream: Dict[int, float] = {}
-        stream_ids = np.array(self._col_stream)
-        for sid in np.unique(stream_ids):
-            per_stream[int(sid)] = float(delays_us[stream_ids == sid].mean())
+        # Stable group-by-stream of the completion-ordered rows: each
+        # stream's rows are one contiguous slice in their original order,
+        # so its mean sums the same values in the same order as a boolean
+        # mask would.
+        by_stream = np.argsort(stream_ids, kind="stable")
+        streams_c = stream_ids[by_stream]
+        new_group = np.empty(n, dtype=bool)
+        new_group[0] = True
+        np.not_equal(streams_c[1:], streams_c[:-1], out=new_group[1:])
+        bounds = np.flatnonzero(new_group).tolist()
+        delays_by_stream_us = delays_us[by_stream]
+        per_stream = {
+            int(streams_c[lo]): float(delays_by_stream_us[lo:hi].mean())
+            for lo, hi in zip(bounds, bounds[1:] + [n])
+        }
         (ooo_total, depth_counts, per_stream_ooo,
          row_migrations, per_stream_mig) = self._reordering(
-            stream_ids, arrivals_us,
-            np.array(self._col_start), np.array(self._col_proc),
+            stream_ids, arrivals_us, starts_us, proc_ids,
+            by_stream, new_group,
         )
         return SimulationSummary(
             n_packets=len(delays_us),
@@ -402,6 +419,8 @@ class MetricsCollector:
         arrivals_us: np.ndarray,
         starts_us: np.ndarray,
         proc_ids: np.ndarray,
+        by_stream: np.ndarray,
+        new_group: np.ndarray,
     ) -> Tuple[int, Dict[int, int], Dict[int, int], int, Dict[int, int]]:
         """Vectorized reordering/migration metrics over the recorded rows.
 
@@ -409,6 +428,8 @@ class MetricsCollector:
         completion-event firing order), so "already completed" is simply
         "earlier row".  Fully NumPy — no per-row Python loop — to keep
         :meth:`summarize` out of the hot-path benchmark's way.
+        ``by_stream`` is the stable group-by-stream order of the rows and
+        ``new_group`` marks each group's first row in it.
 
         Returns ``(out_of_order_total, depth_counts, per_stream_ooo,
         migrations_total, per_stream_migrations)``; the per-stream dicts
@@ -433,17 +454,14 @@ class MetricsCollector:
         seq = np.empty(n, dtype=np.int64)
         seq[ga] = np.arange(n) - group_start
         # --- out-of-order depth in completion order -------------------
-        # Stable group-by-stream of the original (completion-ordered)
-        # rows, then a segmented running max of seq: offsetting each
-        # group by group_index * n makes one global maximum.accumulate
-        # respect the group boundaries (n > every seq value).
-        gc = np.argsort(stream_ids, kind="stable")
-        streams_c = stream_ids[gc]
-        seq_c = seq[gc]
-        new_group_c = np.empty(n, dtype=bool)
-        new_group_c[0] = True
-        np.not_equal(streams_c[1:], streams_c[:-1], out=new_group_c[1:])
-        group_idx = np.cumsum(new_group_c) - 1
+        # Over the stable group-by-stream of the original
+        # (completion-ordered) rows, a segmented running max of seq:
+        # offsetting each group by group_index * n makes one global
+        # maximum.accumulate respect the group boundaries (n > every seq
+        # value).
+        streams_c = stream_ids[by_stream]
+        seq_c = seq[by_stream]
+        group_idx = np.cumsum(new_group) - 1
         run_max = (
             np.maximum.accumulate(seq_c + group_idx * n) - group_idx * n
         )
@@ -451,7 +469,7 @@ class MetricsCollector:
         # first packet can never be late.
         prev_max = np.empty(n, dtype=np.int64)
         prev_max[1:] = run_max[:-1]
-        prev_max[new_group_c] = seq_c[new_group_c]
+        prev_max[new_group] = seq_c[new_group]
         depth_c = prev_max - seq_c  # > 0 iff out of order
         late = depth_c > 0
         ooo_total = int(np.count_nonzero(late))

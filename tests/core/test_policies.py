@@ -205,6 +205,17 @@ class TestHybrid:
         proc, _ = pol.next_dispatch()
         assert proc == 1  # MRU idle thief
 
+    def test_steals_head_and_counts(self):
+        pol, view = attach(HybridPolicy(overflow_threshold=2))
+        view.idle = []
+        for i in range(4):
+            pol.on_arrival(FakePacket(6, packet_id=i))
+        view.idle = [0]
+        proc, pkt = pol.next_dispatch()
+        # The head (oldest) packet, unlike work-steal's newest.
+        assert (proc, pkt.packet_id, pol.steals) == (0, 0, 1)
+        assert view.choices == []  # the first longest victim: no draw
+
     def test_own_queue_served_first(self):
         pol, view = attach(HybridPolicy(overflow_threshold=1))
         view.idle = []

@@ -117,24 +117,44 @@ class TestRngProvenance:
              "    def random_choice", count=1)
         assert [f for f in run_lint(pkg) if f.code == "RPR009"] == []
 
+    @staticmethod
+    def add_rng_policy(pkg):
+        """Register a synthetic RNG-consuming policy that no fused loop
+        runs (every real registered policy is fused)."""
+        edit(pkg / "core" / "policies.py",
+             "# Registries\n",
+             "# Registries\n"
+             "class CoinPolicy(_GlobalQueuePolicy):\n"
+             "    name = \"coin\"\n"
+             "\n"
+             "    def _select_processor(self, packet, idle):\n"
+             "        return self.view.random_choice(idle)\n"
+             "\n"
+             "\n", count=1)
+        edit(pkg / "core" / "policies.py",
+             '    "grouped": GroupedAffinityPolicy,\n',
+             '    "grouped": GroupedAffinityPolicy,\n    "coin": CoinPolicy,\n',
+             count=1)
+
     def test_undeclared_fallback_policy_fires(self, pkg):
-        # Drop HybridPolicy from the fallback ledger: an RNG-consuming
-        # registered policy with neither a fused path nor a declaration.
-        batch = pkg / "sim" / "batch.py"
-        source = batch.read_text()
-        start = source.index('    "HybridPolicy"')
-        end = source.index("),", start) + 3
-        batch.write_text(source[:start] + source[end:])
+        # An RNG-consuming registered policy with neither a fused path
+        # nor a fallback declaration.
+        self.add_rng_policy(pkg)
         rpr009 = [f for f in run_lint(pkg) if f.code == "RPR009"]
         assert len(rpr009) == 1
-        assert "HybridPolicy" in rpr009[0].message
+        assert "CoinPolicy" in rpr009[0].message
         assert "policies.py" in rpr009[0].path
 
     def test_contradictory_fallback_declaration_fires(self, pkg):
-        # Declaring a policy that IS fused is a stale ledger entry.
+        # Declaring a policy that IS fused is a stale ledger entry; the
+        # genuine fallback declared beside it stays clean.
+        self.add_rng_policy(pkg)
         edit(pkg / "sim" / "batch.py",
-             '    "HybridPolicy": (',
-             '    "MRUPolicy": "pretend",\n    "HybridPolicy": (', count=1)
+             "_SCALAR_FALLBACK_POLICIES: Dict[str, str] = {}",
+             "_SCALAR_FALLBACK_POLICIES: Dict[str, str] = {\n"
+             '    "CoinPolicy": "test fixture",\n'
+             '    "MRUPolicy": "pretend",\n'
+             "}", count=1)
         rpr009 = [f for f in run_lint(pkg) if f.code == "RPR009"]
         assert len(rpr009) == 1
         assert "contradictory" in rpr009[0].message

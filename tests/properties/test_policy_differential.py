@@ -1,14 +1,18 @@
 """Differential and metamorphic properties of the scheduling-policy zoo.
 
 Three layers of evidence that the zoo policies (``flow-steer``,
-``work-steal``, ``grouped``) are implemented correctly in *both* engines:
+``work-steal``, ``grouped``), the paper's ``hybrid`` and the
+unaffinitized ``ips-random`` reference are implemented correctly in
+*both* engines:
 
 - **differential**: Hypothesis-driven deep-state equality of the fused
   batched engine against the scalar reference, across workload shapes
   (Poisson, deterministic, all-streams-tied), processor counts and policy
   parameters — the same bit-identity contract as
   ``test_batch_equivalence``, pointed at the policies whose fused loops
-  carry per-processor queues;
+  carry per-processor queues, steal rules or random idle draws (the tied
+  and staggered shapes make victim ties, MRU thief ties and random idle
+  draws occur);
 - **metamorphic**: parameter limits where a zoo policy must degenerate
   into a paper policy decision for decision (``grouped`` with one group
   per processor == ``wired-streams``; ``flow-steer`` that never
@@ -48,7 +52,20 @@ _zoo_policy = st.one_of(
         lambda g: ("grouped", {"n_groups": g}),
         st.integers(min_value=1, max_value=8),
     ),
+    st.builds(
+        lambda t: ("work-steal", {"steal_threshold": t}),
+        st.integers(min_value=1, max_value=4),
+    ),
+    st.builds(
+        lambda t: ("hybrid", {"overflow_threshold": t}),
+        st.integers(min_value=1, max_value=4),
+    ),
+    st.just(("ips-random", {})),
 )
+
+
+def _paradigm(policy: str) -> str:
+    return "ips" if policy.startswith("ips-") else "locking"
 
 
 def _traffic(shape: str, n_streams: int, per_stream_pps: float) -> TrafficSpec:
@@ -75,14 +92,14 @@ def _traffic(shape: str, n_streams: int, per_stream_pps: float) -> TrafficSpec:
     rate=st.floats(min_value=500.0, max_value=14_000.0),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=30, deadline=None)
 def test_zoo_batched_equals_scalar_deep_state(
     policy_kwargs, shape, n_procs, n_streams, rate, seed,
 ):
     policy, kwargs = policy_kwargs
     config = dict(
         platform=PlatformConfig(n_processors=n_procs),
-        paradigm="locking", policy=policy, policy_kwargs=kwargs,
+        paradigm=_paradigm(policy), policy=policy, policy_kwargs=kwargs,
         traffic=_traffic(shape, n_streams, rate / n_streams),
         duration_us=50_000.0, warmup_us=5_000.0, seed=seed,
     )
@@ -105,17 +122,45 @@ def test_zoo_batched_equals_scalar_deep_state(
 @pytest.mark.parametrize("policy,kwargs", [
     ("flow-steer", {"rebalance_threshold": 0}),
     ("grouped", {"n_groups": 3}),
+    ("work-steal", {"steal_threshold": 2}),
+    ("hybrid", {"overflow_threshold": 3}),
+    ("ips-random", {}),
 ])
 def test_zoo_saturated_batched_equals_scalar(policy, kwargs, monkeypatch):
-    """Deep overload: exercises the fused loops' bulk-arrival sweep and
-    the end-of-run per-processor queue fold."""
+    """Deep overload: exercises the fused loops' bulk-arrival sweep, the
+    steal at a completion after it, and the end-of-run per-processor
+    queue fold."""
     states = _run_both(
-        dict(paradigm="locking", policy=policy, policy_kwargs=kwargs,
+        dict(paradigm=_paradigm(policy), policy=policy, policy_kwargs=kwargs,
              traffic=_traffic("staggered", 8, 11_000.0),
              duration_us=80_000.0, warmup_us=20_000.0, seed=5),
         monkeypatch,
     )
     assert states["scalar"] == states["batched"]
+
+
+@pytest.mark.parametrize("shape", ["tied", "staggered"])
+@pytest.mark.parametrize("policy,kwargs", [
+    ("work-steal", {"steal_threshold": 1}),
+    ("hybrid", {"overflow_threshold": 1}),
+    ("ips-random", {}),
+])
+def test_draw_points_batched_equals_scalar(policy, kwargs, shape, monkeypatch):
+    """Six streams on four processors, in lockstep: two processors home
+    two streams each, so their queues overflow while others idle — MRU
+    thief ties draw at arrivals, ``work-steal``'s tied victims draw at
+    completions, and ``ips-random`` moves a backlogged stack to a random
+    idle processor at a completion.  A fused loop that skips any one of
+    these draws fails here."""
+    states = _run_both(
+        dict(platform=PlatformConfig(n_processors=4),
+             paradigm=_paradigm(policy), policy=policy, policy_kwargs=kwargs,
+             traffic=_traffic(shape, 6, 20_000.0 / 6),
+             duration_us=50_000.0, warmup_us=5_000.0, seed=3),
+        monkeypatch,
+    )
+    assert states["scalar"] == states["batched"]
+    assert states["batched"].get("steals", 1) > 0
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.sim.entities import Packet
@@ -73,6 +74,28 @@ class TestSummary:
         s = self.make_summary([10.0, 20.0, 10.0, 20.0])
         assert s.per_stream_mean_delay_us[0] == pytest.approx(10.0)
         assert s.per_stream_mean_delay_us[1] == pytest.approx(20.0)
+
+    def test_per_stream_means_equal_masked_means_bitwise(self):
+        # Reference: one boolean mask per stream over the completion-
+        # ordered rows.  The group-by slices sum the same values in the
+        # same order, so the means must agree exactly.
+        rng = np.random.default_rng(7)
+        m = MetricsCollector()
+        streams = rng.integers(0, 9, 5_000)
+        delays = rng.exponential(300.0, 5_000) * rng.random(5_000) ** 3
+        for i, (sid, d) in enumerate(zip(streams.tolist(), delays.tolist())):
+            p = completed_packet(arrival=0.5 * i, start=0.5 * i,
+                                 completion=0.5 * i + d, stream=sid)
+            m.on_arrival(p)
+            m.on_completion(p)
+        s = m.summarize(5_000.0, (0.5,), offered_rate_pps=1000.0)
+        col_delays = np.array(m._col_completion) - np.array(m._col_arrival)
+        col_streams = np.array(m._col_stream)
+        expected = {
+            int(sid): float(col_delays[col_streams == sid].mean())
+            for sid in np.unique(col_streams)
+        }
+        assert s.per_stream_mean_delay_us == expected
 
     def test_utilization_mean(self):
         s = self.make_summary([10.0])
