@@ -20,7 +20,7 @@ Commands
 ``repro sweep status [SWEEP_ID] [--checkpoint-dir P]``
     Inspect checkpointed sweeps: done/pending/failed per journal, plus
     live worker/lease state when a distributed coordinator is running.
-``repro sweep worker --address HOST:PORT [--transport tcp|file] [--id W]``
+``repro sweep worker --address HOST:PORT [--id W]``
     Join a distributed sweep as an external worker agent
     (``docs/DISTRIBUTED.md``); exits when the coordinator says stop.
 ``repro verify record [--ids e01 e02] [--seed N] [--goldens DIR] [...]``
@@ -30,9 +30,10 @@ Commands
     exits non-zero with a per-experiment report on any drift.
 ``repro lint [--select CODES] [--ignore CODES] [paths]``
     Run the domain-specific static-analysis pass (determinism, ordering,
-    units, cache-key, registry and pickle-safety conformance; rules
-    RPR001..RPR006, see ``docs/LINTING.md``); exits non-zero on findings.
-``repro faults [--seed N] [--jobs N] [--backend B] [--transport T] [...]``
+    units, cache keys, registry, pickle safety, engine parity, warm state
+    and the clock seam; rules RPR001..RPR013, see ``docs/LINTING.md``);
+    exits non-zero on findings.
+``repro faults [--seed N] [--jobs N] [--backend B] [--workdir P]``
     Run the deterministic fault-injection suite (worker crashes, hangs,
     cache corruption, interrupts — plus network chaos when
     ``--backend distributed``: dropped/delayed/duplicated frames,
@@ -111,17 +112,6 @@ def _add_runner_flags(parser: argparse.ArgumentParser) -> None:
              "'distributed' leases task chunks to "
              "worker agents over a network transport (docs/DISTRIBUTED.md); "
              "results are bit-identical across backends (see docs/RUNNER.md)")
-    parser.add_argument(
-        "--transport", choices=("tcp", "file"), default="tcp",
-        help="distributed-backend wire: 'tcp' (loopback sockets, default) "
-             "or 'file' (shared-filesystem spool); ignored by other "
-             "backends")
-    parser.add_argument(
-        "--spool-dir", default=None, metavar="PATH",
-        help="spool root for --transport file (default: a private temp "
-             "dir); the coordinator's own agents hold every slot, so "
-             "external `repro sweep worker` processes do not join a CLI "
-             "sweep (docs/DISTRIBUTED.md)")
     parser.add_argument(
         "--no-cache", action="store_true",
         help="bypass the persistent result cache")
@@ -209,10 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
         "worker", help="run one external worker agent for a distributed "
                        "sweep coordinator")
     p_worker.add_argument("--address", required=True, metavar="ADDR",
-                          help="coordinator address: host:port for tcp, "
-                               "spool directory for file")
-    p_worker.add_argument("--transport", choices=("tcp", "file"),
-                          default="tcp")
+                          help="coordinator tcp address, host:port")
     p_worker.add_argument("--id", default="ext0", metavar="WORKER_ID",
                           dest="worker_id",
                           help="worker identity reported to the coordinator "
@@ -257,10 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "'distributed' the network-chaos scenarios "
                                "(drops, delays, duplicates, partitions, "
                                "fleet loss)")
-    p_faults.add_argument("--transport", choices=("tcp", "file"),
-                          default="tcp",
-                          help="wire for the distributed scenarios "
-                               "(default: tcp)")
     p_faults.add_argument("--workdir", default=None, metavar="PATH",
                           help="scratch directory for the scenarios' "
                                "caches/journals (default: a temp dir)")
@@ -311,19 +294,10 @@ def _make_runner(args: argparse.Namespace) -> SweepRunner:
     """Build the sweep runner requested by --jobs/--no-cache/--cache-dir."""
     jobs = None if args.jobs is not None and args.jobs < 0 else args.jobs
     cache = None if args.no_cache else ResultCache(args.cache_dir)
-    backend = getattr(args, "backend", "warm")
-    distributed_options = None
-    if backend == "distributed":
-        from .runner import DistributedOptions
-
-        distributed_options = DistributedOptions(
-            transport=getattr(args, "transport", "tcp"),
-            spool_dir=getattr(args, "spool_dir", None))
     return SweepRunner(
         jobs=jobs, cache=cache,
         check_invariants=getattr(args, "check_invariants", False),
-        backend=backend,
-        distributed_options=distributed_options,
+        backend=getattr(args, "backend", "warm"),
         timeout_s=getattr(args, "timeout", None),
         retries=getattr(args, "retries", 0),
         resume=getattr(args, "resume", False),
@@ -422,23 +396,18 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 
     if args.workdir is not None:
         results = run_fault_suite(Path(args.workdir), jobs=args.jobs,
-                                  seed=args.seed, backend=args.backend,
-                                  transport=args.transport)
+                                  seed=args.seed, backend=args.backend)
     else:
         with tempfile.TemporaryDirectory(prefix="repro-faults-") as tmp:
             results = run_fault_suite(Path(tmp), jobs=args.jobs,
-                                      seed=args.seed, backend=args.backend,
-                                      transport=args.transport)
+                                      seed=args.seed, backend=args.backend)
     width = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.ok else "FAIL"
         print(f"{status}  {r.name:<{width}}  {r.detail}")
     failed = sum(1 for r in results if not r.ok)
-    wire = (f", transport={args.transport}"
-            if args.backend == "distributed" else "")
     print(f"[faults] {len(results) - failed}/{len(results)} scenarios passed "
-          f"(seed={args.seed}, jobs={args.jobs}, backend={args.backend}"
-          f"{wire})")
+          f"(seed={args.seed}, jobs={args.jobs}, backend={args.backend})")
     return 1 if failed else 0
 
 
@@ -493,9 +462,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.sweep_command == "worker":
         from .runner import run_worker_agent
 
-        print(f"[worker {args.worker_id}] joining {args.transport} "
-              f"coordinator at {args.address}", file=sys.stderr)
-        run_worker_agent(args.transport, args.address, args.worker_id)
+        print(f"[worker {args.worker_id}] joining coordinator at "
+              f"{args.address}", file=sys.stderr)
+        run_worker_agent(args.address, args.worker_id)
         return 0
     directory = _sweep_status_dir(args)
     journals = sorted(directory.glob("*.log")) if directory.is_dir() else []

@@ -14,8 +14,8 @@ RPR004  cache-key hygiene — every SystemConfig field acknowledged in
         runner/keys.py (content key or observability exclusion)
 RPR005  registry/golden conformance — every experiment registered and
         golden-covered
-RPR006  pickle safety — pool submission targets are module-level
-        functions
+RPR006  pickle safety — ``Process(target=...)`` entrypoints are
+        module-level functions
 RPR007  hot-path batching — no per-event scalar dispatch inside the
         batched-engine modules
 RPR008  config-read parity — every config field the scalar path reads
@@ -28,11 +28,17 @@ RPR010  metrics schema parity — scalar fold and batched fold-back agree
         declared uncovered
 RPR011  suppression hygiene — no ignore comment outlives the finding it
         silenced
+RPR012  warm-state ledger — every module-level mutable cache in
+        runner/backends/ is registered and cleared by reset_warm_state()
+RPR013  clock seam — coordinator/lease code reads time only through
+        ``DistributedOptions.clock``
 ======  ==============================================================
 
-RPR001–007 are per-file rules; RPR008–010 run on the interprocedural
-substrate in :mod:`repro.lint.flow` (symbol tables, instance-binding
-provenance, call graph) whenever the whole package is linted.
+RPR001–003, RPR006, RPR007 and RPR013 are per-file rules; RPR004–005
+and RPR012 are project-level cross-checks; RPR008–010 run on the
+interprocedural substrate in :mod:`repro.lint.flow` (symbol tables,
+instance-binding provenance, call graph) whenever the whole package is
+linted.
 
 Run via ``repro lint [--select CODES] [--ignore CODES] [--format
 text|github] [paths]``; suppress individual findings with

@@ -25,9 +25,9 @@ RULES: Dict[str, str] = {
               "on the observability exclusion list",
     "RPR005": "registry: experiment module not registered or missing its "
               "golden snapshot",
-    "RPR006": "pickle: a process-pool submission target must be a "
-              "module-level function (lambdas and nested defs break worker "
-              "dispatch or silently run serially)",
+    "RPR006": "pickle: a Process(target=...) entrypoint must be a "
+              "module-level function (lambdas and nested defs cannot be "
+              "unpickled by a spawned worker)",
     "RPR007": "hot-path: per-event scalar dispatch (per-packet model call, "
               "metrics hook or calendar insertion) inside a batched hot-path "
               "module; use the batch APIs",

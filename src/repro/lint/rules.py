@@ -1,5 +1,5 @@
 """Per-file AST rules: RPR001 (determinism), RPR002 (ordering),
-RPR003 (units), RPR006 (pickle-safe pool submissions), RPR007
+RPR003 (units), RPR006 (pickle-safe process targets), RPR007
 (no per-event scalar dispatch in batched hot-path modules).
 
 Each rule is an :class:`ast.NodeVisitor` producing :class:`Finding`
@@ -44,14 +44,14 @@ flagged — lease-expiry arithmetic must flow through the clock passed via
 chaos runs replay without sleeping.  Referencing ``time.monotonic``
 without calling it (the seam's default value) is deliberately allowed.
 
-RPR006 keeps worker entrypoints pickle-safe: anything handed to a
-process pool's ``submit``/``map`` must be a module-level function.  A
-lambda or a function nested inside another function cannot be pickled to
-a worker — with the fork start method it may appear to work locally and
-then break under spawn, and a "helpful" fallback would silently run
-serially.  The receiver is matched by name (contains ``pool`` or
-``executor``), which covers the idiomatic spellings without needing type
-inference.
+RPR006 keeps worker entrypoints pickle-safe: the ``target=`` of a
+``Process(...)`` or ``<ctx>.Process(...)`` call must be a module-level
+function.  A lambda or a function nested inside another function cannot
+be pickled to a worker — with the fork start method it may appear to
+work locally and then break under spawn.  The callee is matched by name
+(``Process``, bare or as an attribute), which covers
+``multiprocessing.Process`` and every start-method context's
+``ctx.Process`` without needing type inference.
 """
 
 from __future__ import annotations
@@ -456,14 +456,11 @@ class UnitsRule(_BaseRule):
 
 
 # ----------------------------------------------------------------------
-# RPR006 — pickle-safe pool submissions
+# RPR006 — pickle-safe process targets
 # ----------------------------------------------------------------------
 class PickleSafetyRule(_BaseRule):
-    """Process-pool ``submit``/``map`` targets must be module-level
-    functions (lambdas and nested defs cannot be pickled to a worker)."""
-
-    _POOL_METHODS = frozenset({"submit", "map"})
-    _POOL_WORDS = ("pool", "executor")
+    """``Process(target=...)`` targets must be module-level functions
+    (lambdas and nested defs cannot be pickled to a worker)."""
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         super().__init__(*args, **kwargs)  # type: ignore[arg-type]
@@ -483,35 +480,25 @@ class PickleSafetyRule(_BaseRule):
             else:
                 self._collect_nested(child, inside_function)
 
-    def _pool_receiver(self, node: ast.expr) -> Optional[str]:
-        name: Optional[str] = None
-        if isinstance(node, ast.Name):
-            name = node.id
-        elif isinstance(node, ast.Attribute):
-            name = node.attr
-        if name is not None and any(w in name.lower()
-                                    for w in self._POOL_WORDS):
-            return name
-        return None
-
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
-        if isinstance(func, ast.Attribute) and \
-                func.attr in self._POOL_METHODS and node.args:
-            receiver = self._pool_receiver(func.value)
-            if receiver is not None:
-                target = node.args[0]
-                if isinstance(target, ast.Lambda):
+        callee = (func.id if isinstance(func, ast.Name)
+                  else func.attr if isinstance(func, ast.Attribute) else None)
+        if callee == "Process":
+            for kw in node.keywords:
+                if kw.arg != "target":
+                    continue
+                if isinstance(kw.value, ast.Lambda):
                     self.emit(node, "RPR006",
-                              f"lambda passed to {receiver}.{func.attr}(); "
-                              "pool workers can only unpickle module-level "
+                              "lambda passed as Process(target=...); worker "
+                              "processes can only unpickle module-level "
                               "functions")
-                elif isinstance(target, ast.Name) and \
-                        target.id in self._nested_defs:
+                elif isinstance(kw.value, ast.Name) and \
+                        kw.value.id in self._nested_defs:
                     self.emit(node, "RPR006",
-                              f"nested function {target.id!r} passed to "
-                              f"{receiver}.{func.attr}(); move it to module "
-                              "level so pool workers can unpickle it")
+                              f"nested function {kw.value.id!r} passed as "
+                              "Process(target=...); move it to module level "
+                              "so worker processes can unpickle it")
         self.generic_visit(node)
 
 

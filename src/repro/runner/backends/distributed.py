@@ -5,7 +5,7 @@ backend puts the same shared-queue dispatch behind a *network* seam
 (:mod:`.transport`) so the fleet can be separate processes on this host
 (the default: the coordinator spawns its own agents), or externally
 launched ``repro sweep worker`` processes on any host that can reach the
-coordinator's ``tcp`` address or ``file`` spool.
+coordinator's tcp address.
 
 Once work leaves the process tree, every comfortable assumption breaks:
 messages drop, arrive twice, arrive late, workers die silently or hang
@@ -55,9 +55,7 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
 import signal
-import tempfile
 import time
 import weakref
 from collections import deque
@@ -91,12 +89,9 @@ from .lease import Clock, Lease, LeaseTable
 from .transport import (
     ChaosCoordinatorTransport,
     CoordinatorTransport,
-    FileCoordinator,
-    FileWorker,
     TcpCoordinator,
     TcpWorker,
     TransportError,
-    WorkerTransport,
 )
 from .warm import (
     _ChunkSizer,
@@ -115,10 +110,6 @@ __all__ = [
     "run_worker_agent",
 ]
 
-#: Valid ``--transport`` choices.
-TRANSPORT_NAMES = ("tcp", "file")
-
-
 @dataclass(frozen=True)
 class DistributedOptions:
     """Tuning and test levers for the distributed backend.
@@ -127,12 +118,8 @@ class DistributedOptions:
     affect results — only wall-clock and recovery counters.
     """
 
-    #: Message transport: "tcp" (sockets) or "file" (shared-fs spool).
-    transport: str = "tcp"
     #: TCP listen address, ``host:port`` (port 0 = ephemeral).
     bind: str = "127.0.0.1:0"
-    #: File-transport spool root (None = private temp dir, local only).
-    spool_dir: Optional[str] = None
     #: Spawn local agent processes (False = wait for external
     #: ``repro sweep worker`` processes to join).
     spawn_agents: bool = True
@@ -158,9 +145,6 @@ class DistributedOptions:
     clock: Optional[Clock] = None
 
     def __post_init__(self) -> None:
-        if self.transport not in TRANSPORT_NAMES:
-            raise ValueError(f"transport must be one of {TRANSPORT_NAMES}, "
-                             f"got {self.transport!r}")
         if self.lease_timeout_s <= 0:
             raise ValueError("lease_timeout_s must be positive")
         if self.lease_tasks is not None and self.lease_tasks < 1:
@@ -178,17 +162,7 @@ class DistributedOptions:
 # ----------------------------------------------------------------------
 # Agent side (worker process / `repro sweep worker`)
 # ----------------------------------------------------------------------
-def _make_worker_transport(transport: str, address: str,
-                           worker_id: str) -> WorkerTransport:
-    if transport == "tcp":
-        return TcpWorker(address)
-    if transport == "file":
-        return FileWorker(Path(address), worker_id)
-    raise ValueError(f"unknown transport {transport!r}")
-
-
-def _agent_loop(link: WorkerTransport, worker_id: str,
-                idle_poll_s: float) -> None:
+def _agent_loop(link: TcpWorker, worker_id: str, idle_poll_s: float) -> None:
     """Serve leases until told to stop.
 
     The agent is *stateless by design*: everything a lease needs (tasks
@@ -230,8 +204,7 @@ def _agent_loop(link: WorkerTransport, worker_id: str,
                    interrupted))
 
 
-def _agent_main(transport: str, address: str, worker_id: str,
-                idle_poll_s: float) -> None:
+def _agent_main(address: str, worker_id: str, idle_poll_s: float) -> None:
     """Local agent process entrypoint (module-level: RPR006).
 
     SIGINT is ignored so a Ctrl-C in the coordinator's terminal takes
@@ -244,7 +217,7 @@ def _agent_main(transport: str, address: str, worker_id: str,
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     reset_warm_state()
     try:
-        link = _make_worker_transport(transport, address, worker_id)
+        link = TcpWorker(address)
     except TransportError:
         return
     try:
@@ -255,13 +228,14 @@ def _agent_main(transport: str, address: str, worker_id: str,
         link.close()
 
 
-def run_worker_agent(transport: str, address: str, worker_id: str,
+def run_worker_agent(address: str, worker_id: str,
                      idle_poll_s: float = 0.5) -> None:
     """Run one worker agent in this process until the coordinator says
     stop (the ``repro sweep worker`` entrypoint for joining a sweep from
-    another shell or host)."""
+    another shell or host).  ``address`` is the coordinator's tcp
+    ``host:port``; :class:`TransportError` if nothing listens there."""
     reset_warm_state()
-    link = _make_worker_transport(transport, address, worker_id)
+    link = TcpWorker(address)
     try:
         _agent_loop(link, worker_id, idle_poll_s)
     except (KeyboardInterrupt, TransportError):
@@ -279,8 +253,7 @@ class _AgentSlot:
 
     Worker ids are ``w<slot>.<generation>``: a respawn bumps the
     generation, so a late message from a dead agent can never be
-    mistaken for its replacement (and, on the file transport, the
-    replacement gets a fresh inbox).
+    mistaken for its replacement.
     """
 
     idx: int
@@ -305,8 +278,6 @@ class DistributedBackend(ExecutionBackend):
         self._ctx = _mp_context()
         self._transport: Optional[CoordinatorTransport] = None
         self._chaos: Optional[ChaosCoordinatorTransport] = None
-        self._spec: Tuple[str, str] = ("", "")
-        self._spool_tmp: Optional[Path] = None
         self._slots: List[_AgentSlot] = []
         self._procs: List[BaseProcess] = []      # shared with the finalizer
         self._sizer = _ChunkSizer(self.options.target_lease_s,
@@ -323,19 +294,7 @@ class DistributedBackend(ExecutionBackend):
     def _ensure_transport(self, runner: "SweepRunner") -> CoordinatorTransport:
         if self._transport is not None:
             return self._transport
-        opts = self.options
-        inner: CoordinatorTransport
-        if opts.transport == "tcp":
-            inner = TcpCoordinator(opts.bind)
-            self._spec = ("tcp", inner.address())
-        else:
-            if opts.spool_dir is not None:
-                root = Path(opts.spool_dir)
-            else:
-                root = Path(tempfile.mkdtemp(prefix="repro-spool-"))
-                self._spool_tmp = root
-            inner = FileCoordinator(root)
-            self._spec = ("file", str(root))
+        inner = TcpCoordinator(self.options.bind)
         plan = runner.fault_plan
         if plan is not None and any(plan.rate(kind) > 0.0
                                     for kind in NETWORK_FAULT_KINDS):
@@ -354,10 +313,10 @@ class DistributedBackend(ExecutionBackend):
         slot.worker_id = f"w{slot.idx}.{slot.generation}"
         slot.registered = False
         slot.lease_id = None
-        transport, address = self._spec
+        assert self._transport is not None  # run_batch opens it first
         process = self._ctx.Process(
             target=_agent_main,
-            args=(transport, address, slot.worker_id,
+            args=(self._transport.address(), slot.worker_id,
                   self.options.idle_poll_s),
             daemon=True, name=f"repro-dist-{slot.worker_id}")
         process.start()
@@ -404,9 +363,6 @@ class DistributedBackend(ExecutionBackend):
             transport.close()
         self._transport = None
         self._chaos = None
-        if self._spool_tmp is not None:
-            shutil.rmtree(self._spool_tmp, ignore_errors=True)
-            self._spool_tmp = None
 
     def close(self) -> None:
         self._shutdown()

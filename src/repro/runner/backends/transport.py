@@ -1,46 +1,33 @@
-"""Message transports for the distributed backend, plus the chaos wrapper.
+"""The message transport for the distributed backend, plus the chaos wrapper.
 
-One small message-passing interface, two implementations:
-
-``tcp``
-    The coordinator binds a localhost (or ``--bind`` address) socket and
-    workers connect out — the multi-host path.  Messages travel as
-    length-prefixed, versioned frames (:data:`_HEADER`), so a torn read
-    or a protocol-drifted peer fails loudly as a
-    :class:`TransportError`, never as silent corruption.
-``file``
-    A shared-filesystem spool: each peer has an inbox directory, a send
-    is a write to a staging file followed by an atomic ``os.replace``
-    into the inbox, a receive is a sorted directory listing.  No server,
-    no ports — any filesystem both sides can see (NFS, a shared volume)
-    is a transport.
+The coordinator binds a localhost (or ``DistributedOptions.bind``)
+socket and workers connect out — the multi-host path.  Messages travel
+as length-prefixed, versioned frames (:data:`_HEADER`), so a torn read
+or a protocol-drifted peer fails loudly as a :class:`TransportError`,
+never as silent corruption.
 
 Both sides are deliberately dumb pipes: delivery order is per-sender
 FIFO, delivery itself is at-least-once *at best* — the lease/commit
 machinery in :mod:`.distributed` owns correctness, the transport owns
 only bytes.  That split is what makes the chaos wrapper honest:
 :class:`ChaosCoordinatorTransport` sits where every message already
-passes (the coordinator's edge) and drops, delays, duplicates, or
-partitions traffic under the same sha256-pure
-:class:`~repro.runner.faults.FaultPlan` that drives task faults, so a
-chaos run replays bit-identically from its seed.
+passes (the coordinator's edge, behind :class:`CoordinatorTransport`)
+and drops, delays, duplicates, or partitions traffic under the same
+sha256-pure :class:`~repro.runner.faults.FaultPlan` that drives task
+faults, so a chaos run replays bit-identically from its seed.
 
 RPR013 applies here: transport code never reads the wall clock.  The
-file spool waits by counted ``time.sleep`` slices and the chaos wrapper
-holds delayed messages for a counted number of polls — both pure
-functions of call counts, not of time.
+chaos wrapper holds delayed messages for a counted number of polls — a
+pure function of call counts, not of time.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
 import selectors
 import socket
 import struct
-import time
 from abc import ABC, abstractmethod
-from pathlib import Path
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from collections import deque
@@ -50,8 +37,6 @@ from ..faults import FaultPlan
 __all__ = [
     "ChaosCoordinatorTransport",
     "CoordinatorTransport",
-    "FileCoordinator",
-    "FileWorker",
     "TcpCoordinator",
     "TcpWorker",
     "TransportError",
@@ -72,16 +57,13 @@ _HEADER = struct.Struct(">4sBI")
 #: Refuse absurd frames before allocating for them.
 _MAX_FRAME = 64 * 1024 * 1024
 
-#: One slice of a file-spool wait (counted, never clock-measured).
-_SPOOL_POLL_S = 0.02
-
 
 class TransportError(RuntimeError):
     """The peer is gone or speaking a different protocol."""
 
 
 # ----------------------------------------------------------------------
-# Frame codec (shared by both transports)
+# Frame codec
 # ----------------------------------------------------------------------
 def encode_frame(message: Message) -> bytes:
     payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
@@ -143,7 +125,7 @@ class CoordinatorTransport(ABC):
 
     @abstractmethod
     def address(self) -> str:
-        """The address workers connect/spool to."""
+        """The address workers connect to."""
 
     def pending(self) -> int:
         """Messages held inside the transport (chaos delays); the
@@ -152,23 +134,7 @@ class CoordinatorTransport(ABC):
 
     @abstractmethod
     def close(self) -> None:
-        """Release sockets/spool state (idempotent)."""
-
-
-class WorkerTransport(ABC):
-    """Worker side: one coordinator peer."""
-
-    @abstractmethod
-    def send(self, message: Message) -> None:
-        """Send to the coordinator; :class:`TransportError` if it is gone."""
-
-    @abstractmethod
-    def recv(self, timeout_s: float) -> Optional[Message]:
-        """Next message, or None after ``timeout_s`` of quiet."""
-
-    @abstractmethod
-    def close(self) -> None:
-        """Release resources (idempotent)."""
+        """Release sockets (idempotent)."""
 
 
 # ----------------------------------------------------------------------
@@ -262,7 +228,7 @@ class TcpCoordinator(CoordinatorTransport):
             pass
 
 
-class TcpWorker(WorkerTransport):
+class TcpWorker:
     """Worker side of :class:`TcpCoordinator`: one blocking connection."""
 
     def __init__(self, address: str) -> None:
@@ -277,6 +243,7 @@ class TcpWorker(WorkerTransport):
         self._queue: Deque[Message] = deque()
 
     def send(self, message: Message) -> None:
+        """Send to the coordinator; :class:`TransportError` if it is gone."""
         if self._sock is None:
             raise TransportError("transport closed")
         try:
@@ -285,6 +252,7 @@ class TcpWorker(WorkerTransport):
             raise TransportError(f"coordinator unreachable: {exc}") from exc
 
     def recv(self, timeout_s: float) -> Optional[Message]:
+        """Next message, or None after ``timeout_s`` of quiet."""
         if self._queue:
             return self._queue.popleft()
         if self._sock is None:
@@ -309,119 +277,6 @@ class TcpWorker(WorkerTransport):
             except OSError:
                 pass
             self._sock = None
-
-
-# ----------------------------------------------------------------------
-# Shared-filesystem spool
-# ----------------------------------------------------------------------
-def _spool_send(root: Path, inbox: str, sender: str, seq: int,
-                message: Message) -> None:
-    """Write one frame into ``inbox`` atomically (stage + rename).
-
-    The staged file lives on the same filesystem, so ``os.replace`` is
-    atomic: a reader can never observe a torn message, only its absence.
-    Names sort by sender-local sequence, preserving per-sender FIFO.
-    """
-    inbox_dir = root / inbox
-    stage_dir = root / "stage"
-    inbox_dir.mkdir(parents=True, exist_ok=True)
-    stage_dir.mkdir(parents=True, exist_ok=True)
-    name = f"{seq:010d}.{sender}.msg"
-    staged = stage_dir / f"{os.getpid()}.{sender}.{seq}.tmp"
-    staged.write_bytes(encode_frame(message))
-    os.replace(staged, inbox_dir / name)
-
-
-def _spool_read(inbox_dir: Path) -> List[Message]:
-    """Drain every message file from ``inbox_dir`` in name order."""
-    out: List[Message] = []
-    try:
-        names = sorted(p for p in inbox_dir.iterdir()
-                       if p.name.endswith(".msg"))
-    except OSError:
-        return out
-    for path in names:
-        try:
-            buffer = bytearray(path.read_bytes())
-        except OSError:
-            continue  # a concurrent reader won the race; not ours anymore
-        try:
-            path.unlink()
-        except OSError:
-            pass
-        out.extend(decode_frames(buffer))
-    return out
-
-
-class FileCoordinator(CoordinatorTransport):
-    """Coordinator side of the spool: inbox ``to-coord/``, outboxes
-    ``to-<worker>/``."""
-
-    def __init__(self, root: Path) -> None:
-        self._root = Path(root)
-        (self._root / "to-coord").mkdir(parents=True, exist_ok=True)
-        self._seq = 0
-
-    def address(self) -> str:
-        return str(self._root)
-
-    def poll(self, timeout_s: float) -> List[Message]:
-        # Counted wait: check, sleep a fixed slice, repeat — bounded by
-        # slice count rather than a clock read (RPR013).
-        slices = max(1, int(timeout_s / _SPOOL_POLL_S))
-        for i in range(slices):
-            messages = _spool_read(self._root / "to-coord")
-            if messages:
-                return messages
-            if i + 1 < slices or slices == 1:
-                time.sleep(_SPOOL_POLL_S)
-        return _spool_read(self._root / "to-coord")
-
-    def send(self, worker_id: str, message: Message) -> bool:
-        self._seq += 1
-        try:
-            _spool_send(self._root, f"to-{worker_id}", "coord", self._seq,
-                        message)
-            return True
-        except OSError:
-            return False
-
-    def close(self) -> None:
-        pass  # the spool directory belongs to the backend, not the transport
-
-
-class FileWorker(WorkerTransport):
-    """Worker side of the spool: inbox ``to-<worker_id>/``."""
-
-    def __init__(self, root: Path, worker_id: str) -> None:
-        self._root = Path(root)
-        self._worker_id = worker_id
-        self._inbox = self._root / f"to-{worker_id}"
-        self._inbox.mkdir(parents=True, exist_ok=True)
-        self._queue: Deque[Message] = deque()
-        self._seq = 0
-
-    def send(self, message: Message) -> None:
-        self._seq += 1
-        try:
-            _spool_send(self._root, "to-coord", self._worker_id, self._seq,
-                        message)
-        except OSError as exc:
-            raise TransportError(f"spool unwritable: {exc}") from exc
-
-    def recv(self, timeout_s: float) -> Optional[Message]:
-        if self._queue:
-            return self._queue.popleft()
-        slices = max(1, int(timeout_s / _SPOOL_POLL_S))
-        for _ in range(slices):
-            self._queue.extend(_spool_read(self._inbox))
-            if self._queue:
-                return self._queue.popleft()
-            time.sleep(_SPOOL_POLL_S)
-        return None
-
-    def close(self) -> None:
-        pass
 
 
 # ----------------------------------------------------------------------

@@ -216,28 +216,25 @@ def _grid_keys(configs: "List[SystemConfig]") -> List[str]:
     return [config_key(cfg) for cfg in configs]
 
 
-def _dist_opts(backend: str, transport: str, *,
+def _dist_opts(backend: str, *,
                lease_timeout_s: float = 60.0,
                idle_poll_s: float = 0.5,
                max_fleet_failures: int = 3,
-               spool_dir: Optional[str] = None,
                ) -> "Optional[DistributedOptions]":
-    """Transport/tuning selection for scenarios parameterized over
-    backends (None for every backend that takes no transport).  Keyword
-    defaults mirror :class:`DistributedOptions`."""
+    """Tuning for scenarios parameterized over backends (None for every
+    backend but distributed).  Keyword defaults mirror
+    :class:`DistributedOptions`."""
     if backend != "distributed":
         return None
     from .backends.distributed import DistributedOptions
 
-    return DistributedOptions(transport=transport,
-                              lease_timeout_s=lease_timeout_s,
+    return DistributedOptions(lease_timeout_s=lease_timeout_s,
                               idle_poll_s=idle_poll_s,
-                              max_fleet_failures=max_fleet_failures,
-                              spool_dir=spool_dir)
+                              max_fleet_failures=max_fleet_failures)
 
 
 def _scenario_crash_retry(workdir: Path, jobs: int, seed: int,
-                          backend: str, transport: str) -> ScenarioResult:
+                          backend: str) -> ScenarioResult:
     """A worker crashes mid-task; the runner respawns it, requeues
     the lost tasks, retries the crasher, and the sweep completes with
     results identical to a fault-free serial run."""
@@ -253,7 +250,7 @@ def _scenario_crash_retry(workdir: Path, jobs: int, seed: int,
                      only_keys=(keys[1], keys[4]))
     runner = SweepRunner(jobs=max(2, jobs), backend=backend, retries=2,
                          backoff_base_s=0.0, timeout_s=60.0, fault_plan=plan,
-                         distributed_options=_dist_opts(backend, transport))
+                         distributed_options=_dist_opts(backend))
     results = runner.run_many(configs)
     runner.close()
     crashed = len(plan.affected("crash", keys))
@@ -268,7 +265,7 @@ def _scenario_crash_retry(workdir: Path, jobs: int, seed: int,
 
 
 def _scenario_hang_timeout(workdir: Path, jobs: int, seed: int,
-                           backend: str, transport: str) -> ScenarioResult:
+                           backend: str) -> ScenarioResult:
     """A permanently hung task times out on every attempt and is reported
     in a FailureReport; the rest of the sweep still completes — no
     deadlock."""
@@ -282,7 +279,7 @@ def _scenario_hang_timeout(workdir: Path, jobs: int, seed: int,
                      hang_s=30.0, only_keys=(keys[2],))
     runner = SweepRunner(jobs=jobs, backend=backend, retries=1,
                          backoff_base_s=0.0, timeout_s=0.5, fault_plan=plan,
-                         distributed_options=_dist_opts(backend, transport))
+                         distributed_options=_dist_opts(backend))
     t0 = time.perf_counter()
     try:
         runner.run_many(configs)
@@ -305,7 +302,7 @@ def _scenario_hang_timeout(workdir: Path, jobs: int, seed: int,
 
 
 def _scenario_corrupt_quarantine(workdir: Path, jobs: int, seed: int,
-                                 backend: str, transport: str) -> ScenarioResult:
+                                 backend: str) -> ScenarioResult:
     """Corrupted cache frames are quarantined (copied aside, never served
     or deleted) and transparently recomputed; results stay identical."""
     from .cache import ResultCache
@@ -335,7 +332,7 @@ def _scenario_corrupt_quarantine(workdir: Path, jobs: int, seed: int,
 
 
 def _scenario_interrupt_resume(workdir: Path, jobs: int, seed: int,
-                               backend: str, transport: str) -> ScenarioResult:
+                               backend: str) -> ScenarioResult:
     """An interrupted sweep leaves a checkpoint journal; ``resume=True``
     replays completed tasks from it and recomputes nothing already done."""
     from .runner import SweepRunner
@@ -369,7 +366,7 @@ def _scenario_interrupt_resume(workdir: Path, jobs: int, seed: int,
 
 
 def _scenario_happy_path_identity(workdir: Path, jobs: int, seed: int,
-                                  backend: str, transport: str) -> ScenarioResult:
+                                  backend: str) -> ScenarioResult:
     """With injection disabled, the fully hardened runner (timeouts,
     retries, checkpointing, parallel workers) is bit-identical to the plain
     serial reference."""
@@ -382,7 +379,7 @@ def _scenario_happy_path_identity(workdir: Path, jobs: int, seed: int,
                            cache=ResultCache(workdir / "happy-cache"),
                            timeout_s=120.0, retries=2,
                            checkpoint_dir=workdir / "happy-checkpoints",
-                           distributed_options=_dist_opts(backend, transport))
+                           distributed_options=_dist_opts(backend))
     results = hardened.run_many(configs)
     hardened.close()
     ok = (results == reference and hardened.stats.failures == 0
@@ -396,7 +393,7 @@ def _scenario_happy_path_identity(workdir: Path, jobs: int, seed: int,
 
 
 def _scenario_warm_crash_cache_loss(workdir: Path, jobs: int, seed: int,
-                                    backend: str, transport: str) -> ScenarioResult:
+                                    backend: str) -> ScenarioResult:
     """A crashed warm worker loses its warm caches; the requeued tasks
     re-run on a cold respawned worker and stay bit-identical — warm
     state is a pure accelerator, never load-bearing."""
@@ -427,8 +424,7 @@ def _scenario_warm_crash_cache_loss(workdir: Path, jobs: int, seed: int,
 
 
 def _scenario_warm_hung_does_not_block(workdir: Path, jobs: int, seed: int,
-                                       backend: str, transport: str,
-                                       ) -> ScenarioResult:
+                                       backend: str) -> ScenarioResult:
     """A hung warm worker does not block the batch: its peer takes every
     other task from the shared queue while it hangs, and the slow task
     still completes in place, last."""
@@ -467,8 +463,7 @@ def _scenario_warm_hung_does_not_block(workdir: Path, jobs: int, seed: int,
 
 
 def _scenario_dist_duplicate_delivery(workdir: Path, jobs: int, seed: int,
-                                      backend: str, transport: str,
-                                      ) -> ScenarioResult:
+                                      backend: str) -> ScenarioResult:
     """Every message on the wire is delivered twice; the idempotent
     commit gate absorbs every duplicate (byte-compared, discarded) and
     results stay bit-identical — at-least-once delivery, exactly-once
@@ -480,7 +475,7 @@ def _scenario_dist_duplicate_delivery(workdir: Path, jobs: int, seed: int,
     plan = FaultPlan(seed=seed, duplicate=1.0, max_faulty_attempts=None)
     runner = SweepRunner(jobs=max(2, jobs), backend="distributed", retries=2,
                          backoff_base_s=0.0, fault_plan=plan,
-                         distributed_options=_dist_opts("distributed", transport))
+                         distributed_options=_dist_opts("distributed"))
     results = runner.run_many(configs)
     runner.close()
     n = len(configs)
@@ -496,8 +491,7 @@ def _scenario_dist_duplicate_delivery(workdir: Path, jobs: int, seed: int,
 
 
 def _scenario_dist_drop_lease_recovery(workdir: Path, jobs: int, seed: int,
-                                       backend: str, transport: str,
-                                       ) -> ScenarioResult:
+                                       backend: str) -> ScenarioResult:
     """The first frame of every (worker, message-type) stream silently
     vanishes — first leases and first results included.  Lease expiry
     detects the loss, requeues the work (charging an attempt), and the
@@ -510,7 +504,7 @@ def _scenario_dist_drop_lease_recovery(workdir: Path, jobs: int, seed: int,
     runner = SweepRunner(jobs=max(2, jobs), backend="distributed", retries=4,
                          backoff_base_s=0.0, fault_plan=plan,
                          distributed_options=_dist_opts(
-                             "distributed", transport, lease_timeout_s=0.5))
+                             "distributed", lease_timeout_s=0.5))
     results = runner.run_many(configs)
     runner.close()
     ok = (results == reference and runner.stats.failures == 0
@@ -525,8 +519,7 @@ def _scenario_dist_drop_lease_recovery(workdir: Path, jobs: int, seed: int,
 
 
 def _scenario_dist_lease_expiry_no_timeout(workdir: Path, jobs: int, seed: int,
-                                           backend: str, transport: str,
-                                           ) -> ScenarioResult:
+                                           backend: str) -> ScenarioResult:
     """A worker hangs mid-task with *no* task timeout configured: missed
     heartbeats alone expire the lease, the task is requeued (consuming an
     attempt) and re-executed elsewhere, and the late completion from the
@@ -541,7 +534,7 @@ def _scenario_dist_lease_expiry_no_timeout(workdir: Path, jobs: int, seed: int,
     runner = SweepRunner(jobs=max(2, jobs), backend="distributed", retries=3,
                          backoff_base_s=0.0, fault_plan=plan,
                          distributed_options=_dist_opts(
-                             "distributed", transport, lease_timeout_s=0.6))
+                             "distributed", lease_timeout_s=0.6))
     results = runner.run_many(configs)
     runner.close()
     ok = (results == reference and runner.stats.failures == 0
@@ -558,8 +551,7 @@ def _scenario_dist_lease_expiry_no_timeout(workdir: Path, jobs: int, seed: int,
 
 
 def _scenario_dist_partition_heal(workdir: Path, jobs: int, seed: int,
-                                  backend: str, transport: str,
-                                  ) -> ScenarioResult:
+                                  backend: str) -> ScenarioResult:
     """One worker is fully partitioned (both directions) for its first
     traffic window, then the partition heals; the worker's idle re-hello
     re-registers it and the sweep completes bit-identically with no
@@ -573,7 +565,7 @@ def _scenario_dist_partition_heal(workdir: Path, jobs: int, seed: int,
     runner = SweepRunner(jobs=max(2, jobs), backend="distributed", retries=2,
                          backoff_base_s=0.0, fault_plan=plan,
                          distributed_options=_dist_opts(
-                             "distributed", transport, lease_timeout_s=1.0,
+                             "distributed", lease_timeout_s=1.0,
                              idle_poll_s=0.1))
     results = runner.run_many(configs)
     runner.close()
@@ -589,8 +581,7 @@ def _scenario_dist_partition_heal(workdir: Path, jobs: int, seed: int,
 
 
 def _scenario_dist_stale_result_discarded(workdir: Path, jobs: int, seed: int,
-                                          backend: str, transport: str,
-                                          ) -> ScenarioResult:
+                                          backend: str) -> ScenarioResult:
     """The regression scenario from the issue: a worker's result is
     delayed past its lease expiry (a partition that heals after the
     coordinator gave up), the task is re-executed and committed, and the
@@ -605,7 +596,7 @@ def _scenario_dist_stale_result_discarded(workdir: Path, jobs: int, seed: int,
     runner = SweepRunner(jobs=max(2, jobs), backend="distributed", retries=2,
                          backoff_base_s=0.0, fault_plan=plan,
                          distributed_options=_dist_opts(
-                             "distributed", transport, lease_timeout_s=0.5))
+                             "distributed", lease_timeout_s=0.5))
     results = runner.run_many(configs)
     runner.close()
     n = len(configs)
@@ -623,8 +614,7 @@ def _scenario_dist_stale_result_discarded(workdir: Path, jobs: int, seed: int,
 
 
 def _scenario_dist_fleet_loss_fallback(workdir: Path, jobs: int, seed: int,
-                                       backend: str, transport: str,
-                                       ) -> ScenarioResult:
+                                       backend: str) -> ScenarioResult:
     """Every worker agent dies on receipt of every lease: after
     ``max_fleet_failures`` the coordinator stops burning respawns and
     degrades gracefully to the local warm backend, completing the sweep
@@ -637,7 +627,7 @@ def _scenario_dist_fleet_loss_fallback(workdir: Path, jobs: int, seed: int,
     runner = SweepRunner(jobs=max(2, jobs), backend="distributed", retries=4,
                          backoff_base_s=0.0, fault_plan=plan,
                          distributed_options=_dist_opts(
-                             "distributed", transport, max_fleet_failures=2))
+                             "distributed", max_fleet_failures=2))
     results = runner.run_many(configs)
     runner.close()
     ok = (results == reference and runner.stats.failures == 0
@@ -649,33 +639,6 @@ def _scenario_dist_fleet_loss_fallback(workdir: Path, jobs: int, seed: int,
         f"respawn(s) before giving up, {runner.stats.fleet_fallbacks} "
         f"fallback to the local warm backend, {runner.stats.failures} "
         f"failed tasks; results "
-        f"{'bit-identical to' if results == reference else 'DIVERGED from'} "
-        f"serial reference")
-
-
-def _scenario_dist_file_transport(workdir: Path, jobs: int, seed: int,
-                                  backend: str, transport: str,
-                                  ) -> ScenarioResult:
-    """The shared-filesystem spool transport (atomic-rename message
-    files) completes a sweep bit-identically — the transport matrix's
-    second column, exercised regardless of the suite's ``--transport``."""
-    from .runner import SweepRunner
-
-    configs = _scenario_grid(5, seed)
-    reference = SweepRunner(jobs=0).run_many(configs)
-    runner = SweepRunner(jobs=max(2, jobs), backend="distributed",
-                         backoff_base_s=0.0,
-                         distributed_options=_dist_opts(
-                             "distributed", "file",
-                             spool_dir=str(workdir / "spool")))
-    results = runner.run_many(configs)
-    runner.close()
-    ok = (results == reference and runner.stats.failures == 0
-          and runner.stats.leases >= 1)
-    return ScenarioResult(
-        "dist-file-spool-transport-bit-identical", ok,
-        f"file-spool transport granted {runner.stats.leases} lease(s), "
-        f"{runner.stats.failures} failures; results "
         f"{'bit-identical to' if results == reference else 'DIVERGED from'} "
         f"serial reference")
 
@@ -706,25 +669,21 @@ _DISTRIBUTED_SCENARIOS = (
     _scenario_dist_partition_heal,
     _scenario_dist_stale_result_discarded,
     _scenario_dist_fleet_loss_fallback,
-    _scenario_dist_file_transport,
 )
 
 
 def run_fault_suite(workdir: Path, jobs: int = 2, seed: int = 1,
-                    backend: str = "warm",
-                    transport: str = "tcp") -> List[ScenarioResult]:
+                    backend: str = "warm") -> List[ScenarioResult]:
     """Run every fault-injection scenario against the real runner.
 
     ``workdir`` holds the scratch caches/journals the scenarios create;
-    the suite is deterministic in ``(jobs, seed, backend, transport)``
+    the suite is deterministic in ``(jobs, seed, backend)``
     and is the CI ``faults`` gate (CLI: ``repro faults``).  ``backend``
     selects the execution engine for the parallel scenarios; ``"warm"``
     additionally runs the warm-specific scenarios (worker-cache loss, a
-    hung worker that must not block), and ``"distributed"`` the network-chaos scenarios
-    (duplicate delivery, dropped frames, lease expiry, partitions, stale
-    results, fleet loss, file spool).  ``transport`` selects the wire
-    (``tcp`` or ``file``) for every distributed scenario except the
-    file-spool one, which always runs on ``file``.
+    hung worker that must not block), and ``"distributed"`` the
+    network-chaos scenarios (duplicate delivery, dropped frames, lease
+    expiry, partitions, stale results, fleet loss).
     """
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
@@ -733,7 +692,7 @@ def run_fault_suite(workdir: Path, jobs: int = 2, seed: int = 1,
         scenarios = scenarios + _WARM_SCENARIOS
     if backend == "distributed":
         scenarios = scenarios + _DISTRIBUTED_SCENARIOS
-    return [scenario(workdir, jobs, seed, backend, transport)
+    return [scenario(workdir, jobs, seed, backend)
             for scenario in scenarios]
 
 

@@ -254,7 +254,7 @@ class SweepRunner:
     backend:
         Execution engine for ``jobs>1``: ``"warm"`` (default; persistent
         workers fed from one shared task queue), ``"distributed"`` (lease-based
-        coordinator + worker-agent fleet over tcp or a file spool), or
+        coordinator + worker-agent fleet over tcp), or
         ``"serial"`` (force in-process).
         Backend choice can never change results — only wall-clock
         (``docs/RUNNER.md``, ``docs/DISTRIBUTED.md``).
@@ -263,8 +263,8 @@ class SweepRunner:
         warm backend (chunk size).  Ignored by the others.
     distributed_options:
         Optional :class:`~repro.runner.backends.DistributedOptions`
-        tuning the distributed backend (transport, lease timeout, fleet
-        policy — ``docs/DISTRIBUTED.md``).  Ignored by the others.
+        tuning the distributed backend (bind address, lease timeout,
+        fleet policy — ``docs/DISTRIBUTED.md``).  Ignored by the others.
     timeout_s:
         Per-task wall-clock budget; ``None`` (default) = unbounded.  A
         task over budget is reported as a ``timeout`` failure and retried.

@@ -60,8 +60,8 @@ metrics).
 
 **Support matrix.**  The fused loops replicate exact semantics only for
 configurations they were proven against: Poisson, deterministic,
-batch-Poisson and packet-train arrivals, fixed packet sizes, no churn, no
-trace, no invariant checking, one coarse lock, and the policies
+batch-Poisson and packet-train arrivals, no churn, no trace, no
+invariant checking, one coarse lock, and the policies
 
 - ``mru``/``fcfs``/``stream-mru`` (Locking, shared queue and thread
   pool; ``_run_locking``),
@@ -107,7 +107,6 @@ from ..core.policies import (
 )
 from ..workloads.arrivals import BatchPoissonSpec, DeterministicSpec, PoissonSpec
 from ..workloads.packet_train import PacketTrainSpec
-from ..workloads.traffic import FixedSize
 from .entities import Packet
 
 if TYPE_CHECKING:
@@ -190,8 +189,6 @@ def unsupported_reason(system: "NetworkProcessingSystem") -> Optional[str]:
         return "runtime invariant checking is enabled"
     if cfg.churn is not None:
         return "session churn requires event-by-event stream management"
-    if type(cfg.traffic.size_model) is not FixedSize:
-        return "non-fixed packet sizes draw the size RNG per packet"
     for spec in cfg.traffic.stream_specs:
         if type(spec) not in _ARRIVAL_SPECS:
             return (

@@ -1,7 +1,7 @@
 """Reproducible random-number stream management.
 
 Each stochastic element of the simulation (every stream's arrival process,
-the scheduler's tie-breaking, packet sizes, ...) draws from its own
+the scheduler's tie-breaking) draws from its own
 independent NumPy ``Generator``, derived from a single master seed via
 ``SeedSequence.spawn``-style keying.  This gives
 
@@ -60,8 +60,3 @@ class RandomStreams:
     def scheduling(self) -> np.random.Generator:
         """Substream for scheduler tie-breaking."""
         return self.get("scheduling")
-
-    @property
-    def sizes(self) -> np.random.Generator:
-        """Substream for packet-size sampling."""
-        return self.get("sizes")

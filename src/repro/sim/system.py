@@ -43,7 +43,7 @@ from ..core.policies import (
 from ..verify.invariants import InvariantChecker
 from ..workloads.arrivals import ArrivalProcess, PoissonArrivals
 from ..workloads.sessions import SessionChurnSpec
-from ..workloads.traffic import FixedSize, TrafficSpec
+from ..workloads.traffic import TrafficSpec
 from . import batch
 from .dispatch import IPSDispatcher, LockingDispatcher
 from .engine import EVENT_ARRIVAL, EVENT_SESSION, Event, Simulator
@@ -217,18 +217,7 @@ class NetworkProcessingSystem:
         ]
         self.tracer = ExecutionTracer(self.model) if config.trace else None
         self.dispatcher = self._build_dispatcher()
-        self._size_model = config.traffic.size_model
-        # FixedSize.sample never touches its RNG, so the constant can be
-        # hoisted out of the injection path without perturbing any
-        # substream (None = sample the model per packet).  Substreams are
-        # keyed independently of request order, so a FixedSize run does
-        # not create the sizes substream it would never draw from.
-        self._fixed_size: Optional[int] = (
-            self._size_model.size_bytes
-            if type(self._size_model) is FixedSize else None
-        )
-        self._sizes_rng = (None if self._fixed_size is not None
-                           else self.rngs.sizes)
+        self._fixed_size = config.traffic.size_model.size_bytes
         # Hot-path aliases for the per-packet injection sequence.
         self._dispatcher_on_arrival = self.dispatcher.on_arrival
         self._metrics_on_arrival = self.metrics.on_arrival
@@ -357,12 +346,9 @@ class NetworkProcessingSystem:
         self._add_source(stream_id, process, now_us + lifetime_us, hint)
 
     def _inject_packet(self, stream_id: int, now: float) -> None:
-        size = self._fixed_size
-        if size is None:
-            size = self._size_model.sample(self._sizes_rng)
         pid = self._packet_counter
         self._packet_counter = pid + 1
-        packet = Packet(pid, stream_id, now, size)
+        packet = Packet(pid, stream_id, now, self._fixed_size)
         self._metrics_on_arrival(packet)
         if self.invariants is not None:
             self.invariants.on_arrival(packet, now)

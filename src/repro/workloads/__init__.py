@@ -16,13 +16,7 @@ from .arrivals import (
 from .packet_train import PacketTrainArrivals, PacketTrainSpec
 from .replay import ReplayArrivals, ReplaySpec
 from .sessions import SessionChurnSpec
-from .traffic import (
-    GUSELLA_LAN_MIX,
-    EmpiricalMix,
-    FixedSize,
-    PacketSizeModel,
-    TrafficSpec,
-)
+from .traffic import FixedSize, TrafficSpec
 
 __all__ = [
     "ArrivalBatch",
@@ -32,12 +26,9 @@ __all__ = [
     "BatchPoissonSpec",
     "DeterministicArrivals",
     "DeterministicSpec",
-    "EmpiricalMix",
     "FixedSize",
-    "GUSELLA_LAN_MIX",
     "OnOffArrivals",
     "OnOffSpec",
-    "PacketSizeModel",
     "PacketTrainArrivals",
     "PacketTrainSpec",
     "PoissonArrivals",

@@ -1,15 +1,17 @@
 """Multi-stream traffic descriptions.
 
-A :class:`TrafficSpec` bundles the per-stream arrival specs and packet-size
-model for a whole simulation run, with convenience constructors for the
-paper's scenarios (homogeneous Poisson streams; one bursty stream among
-smooth ones; a single hot stream for scalability probing).
+A :class:`TrafficSpec` bundles the per-stream arrival specs and the
+packet payload size for a whole simulation run, with convenience
+constructors for the paper's scenarios (homogeneous Poisson streams; one
+bursty stream among smooth ones; a single hot stream for scalability
+probing).
 
 Packet sizes matter only when data-touching operations are enabled (E14);
 the paper's default results are size-independent ("packet processing time
 is dominated by non-data touching operations with generally fixed
 per-packet overheads" [10], because "typically in real environments most
-packets are small" [5, 10]).
+packets are small" [5, 10]), so every packet of a run carries the same
+:class:`FixedSize` payload.
 """
 
 from __future__ import annotations
@@ -17,26 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
-import numpy as np
-
 from .arrivals import ArrivalSpec, BatchPoissonSpec, PoissonSpec
 
-__all__ = ["PacketSizeModel", "FixedSize", "EmpiricalMix", "TrafficSpec"]
-
-
-class PacketSizeModel:
-    """Base: sample payload sizes (bytes) for arriving packets."""
-
-    def sample(self, rng: np.random.Generator) -> int:
-        raise NotImplementedError
-
-    @property
-    def mean_bytes(self) -> float:
-        raise NotImplementedError
+__all__ = ["FixedSize", "TrafficSpec"]
 
 
 @dataclass(frozen=True)
-class FixedSize(PacketSizeModel):
+class FixedSize:
     """Every packet carries the same payload."""
 
     size_bytes: int = 0
@@ -45,56 +34,14 @@ class FixedSize(PacketSizeModel):
         if self.size_bytes < 0:
             raise ValueError("size_bytes must be non-negative")
 
-    def sample(self, rng: np.random.Generator) -> int:
-        return self.size_bytes
-
-    @property
-    def mean_bytes(self) -> float:
-        return float(self.size_bytes)
-
-
-@dataclass(frozen=True)
-class EmpiricalMix(PacketSizeModel):
-    """Discrete size mix (e.g. the small-packet-dominated LAN mixes of
-    Gusella [5]): sizes with probabilities."""
-
-    sizes: Tuple[int, ...]
-    probabilities: Tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.sizes) != len(self.probabilities) or not self.sizes:
-            raise ValueError("sizes and probabilities must align and be non-empty")
-        if any(s < 0 for s in self.sizes):
-            raise ValueError("sizes must be non-negative")
-        if any(p < 0 for p in self.probabilities):
-            raise ValueError("probabilities must be non-negative")
-        total = sum(self.probabilities)
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"probabilities must sum to 1, got {total}")
-
-    def sample(self, rng: np.random.Generator) -> int:
-        idx = rng.choice(len(self.sizes), p=np.asarray(self.probabilities))
-        return int(self.sizes[idx])
-
-    @property
-    def mean_bytes(self) -> float:
-        return float(np.dot(self.sizes, self.probabilities))
-
-
-#: A Gusella-flavoured diskless-workstation Ethernet mix: mostly tiny
-#: packets with a minority of large ones.
-GUSELLA_LAN_MIX = EmpiricalMix(
-    sizes=(64, 128, 512, 1024, 4432),
-    probabilities=(0.55, 0.20, 0.10, 0.08, 0.07),
-)
-
 
 @dataclass(frozen=True)
 class TrafficSpec:
-    """All traffic for one run: one arrival spec per stream + sizes."""
+    """All traffic for one run: one arrival spec per stream + the
+    payload size."""
 
     stream_specs: Tuple[ArrivalSpec, ...]
-    size_model: PacketSizeModel = field(default_factory=FixedSize)
+    size_model: FixedSize = field(default_factory=FixedSize)
 
     def __post_init__(self) -> None:
         if not self.stream_specs:
@@ -115,7 +62,7 @@ class TrafficSpec:
     @classmethod
     def homogeneous_poisson(
         cls, n_streams: int, total_rate_pps: float,
-        size_model: PacketSizeModel = FixedSize(),
+        size_model: FixedSize = FixedSize(),
     ) -> "TrafficSpec":
         """The paper's base scenario: ``n`` identical Poisson streams
         sharing a total offered rate."""
@@ -127,7 +74,7 @@ class TrafficSpec:
     @classmethod
     def one_bursty_among_smooth(
         cls, n_streams: int, total_rate_pps: float, mean_batch: float,
-        size_model: PacketSizeModel = FixedSize(),
+        size_model: FixedSize = FixedSize(),
     ) -> "TrafficSpec":
         """Stream 0 sends bursts of mean size ``mean_batch``; the rest are
         Poisson; all streams carry equal long-run rate (burstiness sweep at
@@ -143,7 +90,7 @@ class TrafficSpec:
     @classmethod
     def heterogeneous(
         cls, rates_pps: Sequence[float],
-        size_model: PacketSizeModel = FixedSize(),
+        size_model: FixedSize = FixedSize(),
     ) -> "TrafficSpec":
         """Poisson streams with individually specified rates (e.g. one hot
         stream among mice)."""
@@ -153,7 +100,7 @@ class TrafficSpec:
 
     @classmethod
     def single_stream(
-        cls, rate_pps: float, size_model: PacketSizeModel = FixedSize(),
+        cls, rate_pps: float, size_model: FixedSize = FixedSize(),
     ) -> "TrafficSpec":
         """One Poisson stream (the intra-stream scalability scenario)."""
         return cls((PoissonSpec(rate_pps),), size_model)

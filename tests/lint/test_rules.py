@@ -261,50 +261,63 @@ class TestSuppressions:
 
 
 # ----------------------------------------------------------------------
-# RPR006 — pickle-safe pool submissions
+# RPR006 — pickle-safe process targets
 # ----------------------------------------------------------------------
 class TestRPR006:
     def test_lambda_submission_fires(self):
         out = lint_source("""
-            def run(pool, xs):
-                return [pool.submit(lambda x: x + 1, x) for x in xs]
+            from multiprocessing import Process
+
+            def start(x):
+                return Process(target=lambda: x + 1)
         """)
-        assert "RPR006" in codes(out)
-        assert "lambda" in [f for f in out if f.code == "RPR006"][0].message
+        assert codes(out) == ["RPR006"]
+        assert "lambda" in out[0].message
 
     def test_nested_def_submission_fires(self):
         out = lint_source("""
-            def run(executor, xs):
-                def work(x):
-                    return x + 1
-                return list(executor.map(work, xs))
+            import multiprocessing
+
+            def start(xs):
+                def work():
+                    return len(xs)
+                ctx = multiprocessing.get_context("spawn")
+                return ctx.Process(target=work, daemon=True)
         """)
         assert codes(out) == ["RPR006"]
         assert "work" in out[0].message
 
     def test_module_level_function_is_clean(self):
         assert lint_source("""
-            def work(x):
-                return x + 1
+            import multiprocessing
 
-            def run(pool, xs):
-                return [pool.submit(work, x) for x in xs]
+            def work():
+                return 1
+
+            def start():
+                return multiprocessing.Process(target=work, args=())
         """) == []
 
     def test_attribute_receiver_matches(self):
         out = lint_source("""
-            class Runner:
-                def go(self, xs):
-                    def work(x):
-                        return x
-                    return list(self.executor.map(work, xs))
+            class Backend:
+                def spawn(self):
+                    def main():
+                        return 0
+                    return self._ctx.Process(target=main, name="w0")
         """)
         assert codes(out) == ["RPR006"]
 
     def test_non_pool_receiver_is_clean(self):
-        # .map on arbitrary objects (e.g. pandas-style) must not fire.
+        # Only Process(target=...) starts a worker: lambdas handed to
+        # other calls (pandas-style .map, threads, pool-named receivers)
+        # never cross a process boundary by pickling here.
         assert lint_source("""
-            def run(series, xs):
+            import threading
+
+            def run(series, pool):
+                pool.submit(lambda: 1)
+                threading.Thread(target=lambda: 1)
                 return series.map(lambda x: x + 1)
         """) == []
 
@@ -312,8 +325,8 @@ class TestRPR006:
         # Pickle safety is a crash bug, not a determinism property: the
         # rule applies to orchestration code too.
         out = lint_source("""
-            def run(pool, xs):
-                return list(pool.map(lambda x: x, xs))
+            def start(ctx):
+                return ctx.Process(target=lambda: None)
         """, result_affecting=False)
         assert codes(out) == ["RPR006"]
 

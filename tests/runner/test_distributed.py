@@ -4,16 +4,18 @@ The lease table and transports have their own unit files
 (``test_lease.py``, ``test_transport.py``); the full chaos matrix runs
 as ``repro faults --backend distributed``.  This file covers the pieces
 in between: options validation and the backend factory, happy-path
-bit-identity over both transports, the idempotent commit gate (duplicate
+bit-identity over tcp, the idempotent commit gate (duplicate
 discard, mismatch quarantine + loud abort), the stale-result regression
 from the issue (a partitioned-then-healed worker's late result for an
 already-committed task is discarded, not double-counted), interrupt →
 ``repro sweep status`` → resume, and an externally launched
-``repro sweep worker`` joining over the file spool.
+``repro sweep worker`` joining over tcp.
 """
 
 import dataclasses
 import json
+import socket
+import time
 
 import pytest
 
@@ -27,10 +29,7 @@ from repro.runner import (
     make_backend,
 )
 from repro.runner.backends.base import BatchState
-from repro.runner.backends.distributed import (
-    TRANSPORT_NAMES,
-    DistributedBackend,
-)
+from repro.runner.backends.distributed import DistributedBackend
 from repro.runner.backends.warm import _mp_context
 from repro.runner.faults import _grid_keys, _scenario_grid
 
@@ -52,11 +51,12 @@ class TestOptions:
     def test_registered_backend(self):
         assert "distributed" in BACKEND_NAMES
         assert isinstance(make_backend("distributed"), DistributedBackend)
-        assert TRANSPORT_NAMES == ("tcp", "file")
 
     def test_unknown_transport_rejected(self):
-        with pytest.raises(ValueError, match="transport"):
-            DistributedOptions(transport="carrier-pigeon")
+        # tcp is the only wire: a transport choice fails loudly instead
+        # of being ignored.
+        with pytest.raises(TypeError, match="transport"):
+            DistributedOptions(transport="tcp")
 
     @pytest.mark.parametrize("field,bad", [
         ("lease_timeout_s", 0.0),
@@ -74,11 +74,11 @@ class TestOptions:
     def test_options_cannot_be_mutated(self):
         opts = DistributedOptions()
         with pytest.raises(dataclasses.FrozenInstanceError):
-            opts.transport = "file"
+            opts.bind = "0.0.0.0:0"
 
 
 # ----------------------------------------------------------------------
-# Happy path: bit-identity over both transports
+# Happy path: bit-identity over tcp
 # ----------------------------------------------------------------------
 class TestHappyPath:
     def test_tcp_matches_serial(self):
@@ -93,19 +93,6 @@ class TestHappyPath:
         assert runner.stats.leases >= 1
         assert runner.stats.failures == 0
         assert runner.stats.lease_expiries == 0
-
-    def test_file_spool_matches_serial(self, tmp_path):
-        configs = _scenario_grid(4, seed=12)
-        runner = SweepRunner(
-            jobs=2, backend="distributed",
-            distributed_options=_opts(transport="file",
-                                      spool_dir=str(tmp_path / "spool")))
-        try:
-            results = runner.run_many(configs)
-        finally:
-            runner.close()
-        assert results == _serial(configs)
-        assert runner.stats.failures == 0
 
     def test_fixed_single_task_leases_match_serial(self):
         configs = _scenario_grid(5, seed=13)
@@ -284,30 +271,43 @@ class TestInterruptStatusResume:
 
 
 # ----------------------------------------------------------------------
-# External worker join (`repro sweep worker` over the file spool)
+# External worker join (`repro sweep worker` over tcp)
 # ----------------------------------------------------------------------
-def _join_spool(spool: str) -> None:
-    """Child-process entrypoint: join the sweep exactly as a user would,
-    through the CLI (module level so every mp start method can spawn it)."""
+def _free_loopback_port() -> int:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+def _join_once_listening(address: str) -> None:
+    """Child-process entrypoint: wait until the coordinator's ``run_many``
+    has bound ``address``, then join the sweep exactly as a user would,
+    through the CLI (module level so every mp start method can spawn it).
+    """
+    host, _, port = address.rpartition(":")
+    for _ in range(600):  # up to ~30 s for the coordinator to bind
+        try:
+            socket.create_connection((host, int(port)), timeout=1.0).close()
+            break
+        except OSError:
+            time.sleep(0.05)
     raise SystemExit(cli.main([
-        "sweep", "worker", "--transport", "file",
-        "--address", spool, "--id", "ext0",
+        "sweep", "worker", "--address", address, "--id", "ext0",
     ]))
 
 
 class TestExternalWorker:
-    def test_external_cli_worker_serves_the_whole_sweep(self, tmp_path):
+    def test_external_cli_worker_serves_the_whole_sweep(self):
         configs = _scenario_grid(4, seed=51)
-        spool = tmp_path / "spool"
-        worker = _mp_context().Process(target=_join_spool,
-                                       args=(str(spool),), daemon=True)
+        address = f"127.0.0.1:{_free_loopback_port()}"
+        worker = _mp_context().Process(target=_join_once_listening,
+                                       args=(address,), daemon=True)
         worker.start()
         try:
             runner = SweepRunner(
                 jobs=2, backend="distributed",
                 distributed_options=_opts(
-                    transport="file", spool_dir=str(spool),
-                    spawn_agents=False, tick_s=0.02))
+                    bind=address, spawn_agents=False, tick_s=0.02))
             try:
                 results = runner.run_many(configs)
             finally:

@@ -28,7 +28,7 @@ from repro.workloads.arrivals import (
     PoissonSpec,
 )
 from repro.workloads.sessions import SessionChurnSpec
-from repro.workloads.traffic import EmpiricalMix, FixedSize, TrafficSpec
+from repro.workloads.traffic import FixedSize, TrafficSpec
 
 from ..conftest import fast_config
 
@@ -169,12 +169,7 @@ _ARRIVALS = st.one_of(
                                       mean_on_us=on, mean_off_us=off),
               _NUMBERS, _NUMBERS, _NUMBERS),
 )
-_SIZES = st.one_of(
-    st.builds(lambda n: _raw(FixedSize, size_bytes=n), _NUMBERS),
-    st.builds(lambda s, p: _raw(EmpiricalMix, sizes=s, probabilities=p),
-              st.lists(_NUMBERS, max_size=3).map(tuple),
-              st.lists(_NUMBERS, max_size=3).map(tuple)),
-)
+_SIZES = st.builds(lambda n: _raw(FixedSize, size_bytes=n), _NUMBERS)
 _TRAFFIC = st.builds(
     lambda specs, size: _raw(TrafficSpec, stream_specs=specs, size_model=size),
     st.one_of(st.lists(_ARRIVALS, max_size=4).map(tuple),

@@ -1,7 +1,7 @@
-"""Unit tests for the distributed transports and the chaos wrapper.
+"""Unit tests for the distributed transport and the chaos wrapper.
 
-The frame codec and spool are tested for exactness and tamper-loudness;
-the TCP pair is exercised over loopback; the chaos wrapper is tested for
+The frame codec is tested for exactness and tamper-loudness; the TCP
+pair is exercised over loopback; the chaos wrapper is tested for
 determinism (same plan, same faults) through a scripted in-memory inner
 transport — no sleeping, no sockets, no timing dependence.
 """
@@ -15,8 +15,6 @@ from repro.runner.backends import transport
 from repro.runner.backends.transport import (
     ChaosCoordinatorTransport,
     CoordinatorTransport,
-    FileCoordinator,
-    FileWorker,
     TcpCoordinator,
     TcpWorker,
     TransportError,
@@ -91,6 +89,46 @@ class TestTcpPair:
         finally:
             coord.close()
 
+    def test_round_trip_preserves_sender_fifo(self):
+        coord = TcpCoordinator()
+        worker = TcpWorker(coord.address())
+        try:
+            sent = [("hello", "w0")] + [("beat", "w0", i) for i in range(20)]
+            for message in sent:
+                worker.send(message)
+            got = []
+            for _ in range(100):
+                got += coord.poll(0.05)
+                if len(got) >= len(sent):
+                    break
+            assert got == sent
+            leases = [("lease", i, []) for i in range(3)]
+            for message in leases:
+                assert coord.send("w0", message)
+            received = []
+            for _ in range(100):
+                message = worker.recv(0.05)
+                if message is not None:
+                    received.append(message)
+                if len(received) == len(leases):
+                    break
+            assert received == leases
+        finally:
+            worker.close()
+            coord.close()
+
+    def test_empty_poll_returns_empty(self):
+        coord = TcpCoordinator()
+        try:
+            assert coord.poll(0.05) == []
+            worker = TcpWorker(coord.address())
+            try:
+                assert worker.recv(0.05) is None
+            finally:
+                worker.close()
+        finally:
+            coord.close()
+
     def test_send_without_route_reports_failure(self):
         coord = TcpCoordinator()
         try:
@@ -135,34 +173,6 @@ class TestTcpPair:
         finally:
             worker.close()
             coord.close()
-
-
-class TestFileSpool:
-    def test_round_trip_preserves_sender_fifo(self, tmp_path):
-        coord = FileCoordinator(tmp_path)
-        worker = FileWorker(tmp_path, "w0")
-        worker.send(("hello", "w0"))
-        worker.send(("beat", "w0", 1))
-        assert coord.poll(0.2) == [("hello", "w0"), ("beat", "w0", 1)]
-        assert coord.send("w0", ("stop",))
-        assert worker.recv(0.2) == ("stop",)
-
-    def test_empty_poll_returns_empty(self, tmp_path):
-        assert FileCoordinator(tmp_path).poll(0.05) == []
-        assert FileWorker(tmp_path, "w0").recv(0.05) is None
-
-    def test_no_torn_messages_in_inbox(self, tmp_path):
-        # Atomicity contract: only complete ``.msg`` files are visible;
-        # staging leftovers are ignored by readers.
-        coord = FileCoordinator(tmp_path)
-        worker = FileWorker(tmp_path, "w0")
-        (tmp_path / "to-coord").mkdir(exist_ok=True)
-        (tmp_path / "to-coord" / "0000000000.w0.tmp").write_bytes(b"torn")
-        worker.send(("hello", "w0"))
-        assert coord.poll(0.2) == [("hello", "w0")]
-
-    def test_address_is_the_spool_root(self, tmp_path):
-        assert FileCoordinator(tmp_path).address() == str(tmp_path)
 
 
 class _ScriptedInner(CoordinatorTransport):

@@ -41,9 +41,6 @@ class TestRandomStreams:
         b = RandomStreams(9).get("custom", "key").random(4)
         assert np.array_equal(a, b)
 
-    def test_sizes_stream_exists(self):
-        assert isinstance(RandomStreams(0).sizes, np.random.Generator)
-
     def test_rejects_bad_seed(self):
         with pytest.raises(ValueError):
             RandomStreams(-1)

@@ -1,47 +1,19 @@
-"""Tests for traffic specs and packet-size models."""
+"""Tests for traffic specs and the fixed packet size."""
 
-import numpy as np
 import pytest
 
 from repro.workloads.arrivals import BatchPoissonSpec, PoissonSpec
-from repro.workloads.traffic import (
-    GUSELLA_LAN_MIX,
-    EmpiricalMix,
-    FixedSize,
-    TrafficSpec,
-)
+from repro.workloads.traffic import FixedSize, TrafficSpec
 
 
 class TestSizeModels:
-    def test_fixed_size(self, rng):
-        m = FixedSize(512)
-        assert m.sample(rng) == 512
-        assert m.mean_bytes == 512.0
+    def test_fixed_size(self):
+        assert FixedSize(512).size_bytes == 512
+        assert FixedSize().size_bytes == 0
 
     def test_fixed_rejects_negative(self):
         with pytest.raises(ValueError):
             FixedSize(-1)
-
-    def test_empirical_mix_mean(self):
-        m = EmpiricalMix(sizes=(64, 1024), probabilities=(0.75, 0.25))
-        assert m.mean_bytes == pytest.approx(304.0)
-
-    def test_empirical_mix_samples_from_support(self, rng):
-        m = EmpiricalMix(sizes=(64, 1024), probabilities=(0.5, 0.5))
-        for _ in range(50):
-            assert m.sample(rng) in (64, 1024)
-
-    def test_empirical_validation(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            EmpiricalMix(sizes=(64,), probabilities=(0.5,))
-        with pytest.raises(ValueError, match="align"):
-            EmpiricalMix(sizes=(64, 128), probabilities=(1.0,))
-        with pytest.raises(ValueError):
-            EmpiricalMix(sizes=(-1,), probabilities=(1.0,))
-
-    def test_gusella_mix_is_small_packet_dominated(self):
-        assert GUSELLA_LAN_MIX.mean_bytes < 1000
-        assert GUSELLA_LAN_MIX.sizes[0] == 64
 
 
 class TestTrafficSpec:
