@@ -116,8 +116,9 @@ def _recurring_states():
     ]
 
 
-def test_component_penalty_memoized(benchmark):
-    """Per-state penalty lookup with the memo table (the default)."""
+def test_component_penalty_fast_path(benchmark):
+    """Per-state penalty lookup on the fast path (analytic states, dedup,
+    the bounded per-count memo)."""
     model = ExecutionTimeModel(PAPER_COSTS, PAPER_COMPOSITION,
                                sgi_challenge_hierarchy())
     states = _recurring_states() * 250
@@ -131,16 +132,17 @@ def test_component_penalty_memoized(benchmark):
     assert benchmark(run) > 0
 
 
-def test_component_penalty_unmemoized(benchmark):
-    """Same lookup with ``memoize=False`` — the before/after comparison."""
+def test_component_penalty_uncached(benchmark):
+    """Same lookup through the reference computation — the before/after
+    comparison."""
     model = ExecutionTimeModel(PAPER_COSTS, PAPER_COMPOSITION,
-                               sgi_challenge_hierarchy(), memoize=False)
+                               sgi_challenge_hierarchy())
     states = _recurring_states() * 250
 
     def run():
         total = 0.0
         for s in states:
-            total += model.component_penalty_us(s)
+            total += model._component_penalty_uncached(s)
         return total
 
     assert benchmark(run) > 0

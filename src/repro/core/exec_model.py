@@ -29,17 +29,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from ..cache.hierarchy import CacheHierarchy
+from ..cache.footprint import FootprintFunction
+from ..cache.hierarchy import CacheHierarchy, CacheLevelConfig
 from .params import FootprintComposition, ProtocolCosts
 
 __all__ = ["ComponentState", "ExecutionTimeModel", "COLD"]
 
 #: Sentinel intervening-reference count meaning "never resident here".
 COLD: float = math.inf
+
+#: Hoisted constants of one direct-mapped level for the scalar flush:
+#: ``(split, c0, slope, u1, log1m_p)`` — ``log10 u(R)`` is
+#: ``c0 + slope*log10 R`` for ``R >= 1`` and ``u(R) = R*u1`` below, and
+#: ``log1m_p = log(1 - 1/n_sets)``.
+_LevelConstants = Tuple[float, float, float, float, float]
 
 
 @dataclass(frozen=True)
@@ -67,6 +74,47 @@ class ComponentState:
                 raise ValueError(f"{name} must be >= 0 or COLD, got {v!r}")
 
 
+def _level_constants(level: CacheLevelConfig,
+                     fp: FootprintFunction) -> Optional[_LevelConstants]:
+    """Hoisted scalar constants of one direct-mapped level (``None`` for a
+    set-associative level, which :func:`_flush_scalar` hands to the
+    binomial model)."""
+    if level.associativity != 1:
+        return None
+    log_L = math.log10(level.line_bytes)
+    c0 = math.log10(fp.W) + fp.a * log_L           # log10 u at R=1
+    return (
+        level.split_fraction,
+        c0,
+        fp.b + fp.log10_d * log_L,                 # d log10 u / d log10 R
+        10.0 ** c0,                                # u at R=1
+        math.log1p(-1.0 / level.n_sets),
+    )
+
+
+def _flush_scalar(refs: float, level: int, hierarchy: CacheHierarchy,
+                 consts: Optional[_LevelConstants]) -> float:
+    """Reference scalar ``F_level`` (the same math as the vectorized
+    path): 0 for a warm count and 1 for ``COLD`` on every level, the
+    direct-mapped closed form over ``consts``, else the binomial model."""
+    if refs <= 0.0:
+        return 0.0
+    if refs == COLD:
+        return 1.0
+    if consts is None:
+        return float(hierarchy.flush_fraction_for_references(refs, level))
+    split, c0, slope, u1, log1m_p = consts
+    r = refs * split
+    if r < 1.0:
+        u = r * u1
+    else:
+        u = 10.0 ** (c0 + slope * math.log10(r))
+    if u > r:
+        u = r
+    f = -math.expm1(u * log1m_p)
+    return 1.0 if f > 1.0 else (0.0 if f < 0.0 else f)
+
+
 class ExecutionTimeModel:
     """Maps cache state to packet execution time.
 
@@ -80,25 +128,26 @@ class ExecutionTimeModel:
         Two-level (or deeper) cache hierarchy; only the first two levels
         participate in the interpolation (matching the paper's platform) —
         deeper levels would require additional measured bounds.
-    memoize:
-        Enable the bounded reload-penalty cache behind
-        :meth:`component_penalty_us`.  The simulator's hot path presents
-        a tiny set of recurring *discrete* component states — fully-warm
-        (``refs == 0``), fully-cold (``COLD``), and the shared-writable
-        invalidation flag — mixed with continuously-valued intervening
-        reference counts that essentially never repeat exactly.  The
-        fast path therefore resolves the discrete states analytically
-        (no flush math at all), reuses one component's penalty for any
-        other component with the *same* reference count (back-to-back
-        service makes ``code``/``thread``/``stream`` counts coincide
-        constantly), and caches the remaining per-count penalties in a
-        bounded exact-keyed table (cleared wholesale when full).  Every
-        path reproduces the generic computation's float results bit for
-        bit; :meth:`stats` reports the hit-rate counters.
+
+    The simulator's hot path presents a tiny set of recurring *discrete*
+    component states — fully-warm (``refs == 0``), fully-cold (``COLD``),
+    and the shared-writable invalidation flag — mixed with
+    continuously-valued intervening reference counts that essentially
+    never repeat exactly.  :meth:`component_penalty_us` therefore
+    resolves the discrete states analytically (no flush math at all),
+    reuses one component's penalty for any other component with the
+    *same* reference count (back-to-back service makes
+    ``code``/``thread``/``stream`` counts coincide constantly), and keeps
+    the remaining per-count penalties in a bounded exact-keyed memo
+    (cleared wholesale when full), filled by the one flush kernel of
+    :meth:`penalty_fill`.  Every path reproduces the reference
+    computation (:meth:`_component_penalty_uncached`) bit for bit;
+    :meth:`stats` reports the hit-rate counters.
     """
 
-    #: Bound on the per-reference-count penalty cache (float -> float);
+    #: Bound on the per-reference-count penalty memo (float -> float);
     #: cleared wholesale when full, so even the worst case costs a few MB.
+    #: May be overridden per instance (see :meth:`penalty_fill`).
     _PENALTY_CACHE_MAX = 65_536
 
     def __init__(
@@ -106,8 +155,6 @@ class ExecutionTimeModel:
         costs: ProtocolCosts,
         composition: FootprintComposition,
         hierarchy: CacheHierarchy,
-        *,
-        memoize: bool = True,
     ) -> None:
         if hierarchy.n_levels < 2:
             raise ValueError(
@@ -130,69 +177,30 @@ class ExecutionTimeModel:
         self._t_warm = costs.t_warm_us
         self._dispatch_us = costs.dispatch_us
         self._lock_oh = costs.lock_overhead_us
-        self._penalty_cache: Optional[Dict[float, float]] = (
-            {} if memoize else None
-        )
+        self._penalty_cache: Dict[float, float] = {}
+        #: ``(bound, kernel)``: the memo-miss kernel of :meth:`penalty_fill`
+        #: and the memo bound it was built with.
+        self._fill: Optional[Tuple[int, Callable[[float], float]]] = None
         # Fast-path hit-rate counters — the minimal independent set; the
-        # remaining stats() figures (calls, dedup hits, component evals)
-        # are derived, keeping the per-packet path to one increment plus
-        # one per _pen1 outcome.
+        # remaining stats() figures (dedup hits, component evals) are
+        # derived, keeping the per-packet path to one increment plus one
+        # per _pen1 outcome.
         self._n_fast_calls = 0
-        self._n_slow_calls = 0
         self._n_analytic_hits = 0
         self._n_cache_hits = 0
         self._n_flush_computes = 0
-        # Precomputed per-level constants for the scalar fast path used by
-        # the simulator (millions of per-packet evaluations; the generic
-        # NumPy path costs ~50x more on scalars).  Only direct-mapped
-        # levels qualify; higher associativity falls back to the exact
-        # vectorized path.
+        # Per-level scalar constants (the generic NumPy path costs ~50x
+        # more on scalars than the closed form over these).
         fp = hierarchy.footprint_fn
-        self._scalar_levels = []
-        for lv in hierarchy.levels[:2]:
-            log_L = math.log10(lv.line_bytes)
-            self._scalar_levels.append({
-                "split": lv.split_fraction,
-                "c0": math.log10(fp.W) + fp.a * log_L,       # log10 u at R=1
-                "slope": fp.b + fp.log10_d * log_L,          # d log10 u / d log10 R
-                "u1": 10.0 ** (math.log10(fp.W) + fp.a * log_L),
-                "log1m_p": math.log1p(-1.0 / lv.n_sets),
-                "direct_mapped": lv.associativity == 1,
-                "index": len(self._scalar_levels),
-            })
-        self._all_direct_mapped = all(
-            p["direct_mapped"] for p in self._scalar_levels
-        )
-        # Unpacked level constants for the inlined two-level fast path
-        # (``None`` doubles as the "not all direct-mapped" flag in _pen1).
-        if self._all_direct_mapped:
-            p0, p1 = self._scalar_levels
-            self._fast_l1 = (p0["split"], p0["c0"], p0["slope"],
-                             p0["u1"], p0["log1m_p"])
-            self._fast_l2 = (p1["split"], p1["c0"], p1["slope"],
-                             p1["u1"], p1["log1m_p"])
-        else:
-            self._fast_l1 = None
-            self._fast_l2 = None
+        self._levels = (_level_constants(hierarchy.levels[0], fp),
+                        _level_constants(hierarchy.levels[1], fp))
 
-    def _flush_scalar(self, refs: float, level: int) -> float:
-        """Scalar ``F_level`` (exact same math as the vectorized path)."""
-        p = self._scalar_levels[level]
-        if not p["direct_mapped"]:
-            return float(self.hierarchy.flush_fraction_for_references(refs, level))
-        if refs <= 0.0:
-            return 0.0
-        if math.isinf(refs):
-            return 1.0
-        r = refs * p["split"]
-        if r < 1.0:
-            u = r * p["u1"]
-        else:
-            u = 10.0 ** (p["c0"] + p["slope"] * math.log10(r))
-        if u > r:
-            u = r
-        f = -math.expm1(u * p["log1m_p"])
-        return 1.0 if f > 1.0 else (0.0 if f < 0.0 else f)
+    def __getstate__(self) -> Dict[str, object]:
+        # The kernel is a closure (unpicklable); a copy rebuilds it over
+        # its own memo on first use.
+        state = self.__dict__.copy()
+        state["_fill"] = None
+        return state
 
     # ------------------------------------------------------------------
     # Single-footprint form: the t(x) curve (experiment E05)
@@ -200,10 +208,9 @@ class ExecutionTimeModel:
     def flush_fractions(self, intervening_refs):
         """``(F1, F2)`` for a displacing reference count (scalar or array)."""
         if isinstance(intervening_refs, float):
-            return (
-                self._flush_scalar(intervening_refs, 0),
-                self._flush_scalar(intervening_refs, 1),
-            )
+            h, (l1, l2) = self.hierarchy, self._levels
+            return (_flush_scalar(intervening_refs, 0, h, l1),
+                    _flush_scalar(intervening_refs, 1, h, l2))
         refs = np.asarray(intervening_refs, dtype=np.float64)
         finite = np.isfinite(refs)
         safe = np.where(finite, refs, 0.0)
@@ -237,90 +244,98 @@ class ExecutionTimeModel:
     def component_penalty_us(self, state: ComponentState) -> float:
         """Total reload transient (µs) given per-component cache state.
 
-        When the model was built with ``memoize=True`` (the default) and
-        every reference count is a plain ``float``, the scalar fast path
-        resolves the penalty via analytic discrete states, intra-state
-        deduplication, and the bounded per-count cache; otherwise it falls
-        back to the generic computation.  Both paths return bit-identical
-        floats (see the class docstring).
+        Resolved on the fast path (analytic discrete states, intra-state
+        deduplication, the bounded per-count memo); bit-identical to
+        :meth:`_component_penalty_uncached` (see the class docstring).
         """
-        code = state.code_refs
-        if (
-            self._penalty_cache is not None
-            and type(code) is float
-            and type(state.stream_refs) is float
-            and type(state.thread_refs) is float
-        ):
-            return self._penalty_scalar(
-                code, state.stream_refs, state.thread_refs,
-                state.shared_invalidated,
-            )
-        self._n_slow_calls += 1
-        return self._component_penalty_uncached(state)
+        return self._penalty_scalar(
+            state.code_refs, state.stream_refs, state.thread_refs,
+            state.shared_invalidated,
+        )
+
+    def penalty_fill(self) -> Callable[[float], float]:
+        """The memo-miss kernel, the one fast two-level flush:
+        ``fill(refs)`` stores the reload penalty ``F1*Δ1 + F2*Δ2`` of a
+        finite, positive count in the bounded memo (cleared wholesale at
+        :attr:`_PENALTY_CACHE_MAX` entries) and returns it.
+
+        :meth:`_pen1` and the fused loops (:mod:`repro.sim.batch`) call
+        it on a memo miss, after resolving ``0`` and ``COLD``.  A closure
+        over hoisted locals (no attribute loads, no reference to the
+        model), built on first use and rebuilt if the bound was
+        overridden since.  With both levels direct-mapped it inlines
+        :func:`_flush_scalar`'s closed form (identical operations on
+        identical constants, so identical floats); otherwise it calls
+        :func:`_flush_scalar` per level.
+        """
+        cache_max = self._PENALTY_CACHE_MAX
+        built = self._fill
+        if built is not None and built[0] == cache_max:
+            return built[1]
+        cache = self._penalty_cache
+        delta1 = self._delta1
+        delta2 = self._delta2
+        l1, l2 = self._levels
+        if l1 is None or l2 is None:
+            hierarchy = self.hierarchy
+
+            def fill(refs: float) -> float:
+                value = (_flush_scalar(refs, 0, hierarchy, l1) * delta1
+                         + _flush_scalar(refs, 1, hierarchy, l2) * delta2)
+                if len(cache) >= cache_max:
+                    cache.clear()
+                cache[refs] = value
+                return value
+        else:
+            split1, c01, slope1, u11, lp1 = l1
+            split2, c02, slope2, u12, lp2 = l2
+            log10 = math.log10
+            expm1 = math.expm1
+
+            def fill(refs: float) -> float:
+                r = refs * split1
+                u = r * u11 if r < 1.0 else 10.0 ** (c01 + slope1 * log10(r))
+                if u > r:
+                    u = r
+                f = -expm1(u * lp1)
+                f1 = 1.0 if f > 1.0 else (0.0 if f < 0.0 else f)
+                r = refs * split2
+                u = r * u12 if r < 1.0 else 10.0 ** (c02 + slope2 * log10(r))
+                if u > r:
+                    u = r
+                f = -expm1(u * lp2)
+                f2 = 1.0 if f > 1.0 else (0.0 if f < 0.0 else f)
+                value = f1 * delta1 + f2 * delta2
+                if len(cache) >= cache_max:
+                    cache.clear()
+                cache[refs] = value
+                return value
+        self._fill = (cache_max, fill)
+        return fill
 
     def _pen1(self, refs: float) -> float:
         """Reload penalty of one component (``F1*Δ1 + F2*Δ2``), fast.
 
-        The analytic branches reproduce the generic expression exactly:
-        ``refs == 0`` gives ``0.0*Δ1 + 0.0*Δ2 == 0.0`` and ``COLD`` gives
-        ``1.0*Δ1 + 1.0*Δ2 == Δ1 + Δ2`` bit for bit, so skipping the flush
-        math cannot change a result.  Remaining counts go through a
-        bounded cache keyed on the *exact* float (the exactness guard: a
-        key can only ever map to the value the uncached path computes for
-        it), cleared wholesale at :attr:`_PENALTY_CACHE_MAX` entries.
-
-        Only ever called from :meth:`_penalty_scalar`, which runs only
-        when the model memoizes — so ``self._penalty_cache`` is a dict.
+        The analytic branches reproduce the reference expression exactly
+        on every hierarchy: ``refs == 0`` gives ``0.0*Δ1 + 0.0*Δ2 == 0.0``
+        and ``COLD`` gives ``1.0*Δ1 + 1.0*Δ2 == Δ1 + Δ2`` bit for bit, so
+        skipping the flush math cannot change a result.  Remaining counts
+        go through the memo keyed on the *exact* float (the exactness
+        guard: a key can only ever map to the value the kernel computes
+        for it) and, on a miss, the kernel of :meth:`penalty_fill`.
         """
-        l1 = self._fast_l1  # None unless both levels are direct-mapped
-        if l1 is not None:
-            if refs == 0.0:
-                self._n_analytic_hits += 1
-                return 0.0
-            if refs == COLD:
-                self._n_analytic_hits += 1
-                return self._pen_cold
-        cache = self._penalty_cache
-        hit = cache.get(refs)
+        if refs == 0.0:
+            self._n_analytic_hits += 1
+            return 0.0
+        if refs == COLD:
+            self._n_analytic_hits += 1
+            return self._pen_cold
+        hit = self._penalty_cache.get(refs)
         if hit is not None:
             self._n_cache_hits += 1
             return hit
         self._n_flush_computes += 1
-        if l1 is not None:
-            # Inlined _flush_scalar for both levels (refs is finite and
-            # positive here — the analytic branches caught 0 and COLD):
-            # identical operations on identical constants, so identical
-            # floats, without two calls and a dozen dict lookups.
-            split, c0, slope, u1, log1m_p = l1
-            r = refs * split
-            if r < 1.0:
-                u = r * u1
-            else:
-                u = 10.0 ** (c0 + slope * math.log10(r))
-            if u > r:
-                u = r
-            f = -math.expm1(u * log1m_p)
-            f1 = 1.0 if f > 1.0 else (0.0 if f < 0.0 else f)
-            split, c0, slope, u1, log1m_p = self._fast_l2
-            r = refs * split
-            if r < 1.0:
-                u = r * u1
-            else:
-                u = 10.0 ** (c0 + slope * math.log10(r))
-            if u > r:
-                u = r
-            f = -math.expm1(u * log1m_p)
-            f2 = 1.0 if f > 1.0 else (0.0 if f < 0.0 else f)
-            value = f1 * self._delta1 + f2 * self._delta2
-        else:
-            value = (
-                self._flush_scalar(refs, 0) * self._delta1
-                + self._flush_scalar(refs, 1) * self._delta2
-            )
-        if len(cache) >= self._PENALTY_CACHE_MAX:
-            cache.clear()
-        cache[refs] = value
-        return value
+        return self.penalty_fill()(refs)
 
     def _penalty_scalar(self, code: float, stream: float, thread: float,
                         shared_invalidated: bool) -> float:
@@ -358,6 +373,9 @@ class ExecutionTimeModel:
         )
 
     def _component_penalty_uncached(self, state: ComponentState) -> float:
+        """Reference for :meth:`component_penalty_us`: no memo, no
+        dedup, the flush of :meth:`reload_penalty` per component (the
+        tests compare the fast path against it bit for bit)."""
         comp = self.composition
         pen_stream = self.reload_penalty(state.stream_refs)
         pen_thread = self.reload_penalty(state.thread_refs)
@@ -407,21 +425,10 @@ class ExecutionTimeModel:
         not recomputed here; ``None`` (the default) computes it from
         ``state``.
         """
-        if extra_us < 0:
-            raise ValueError("extra_us must be non-negative")
         if penalty_us is None:
             penalty_us = self.component_penalty_us(state)
-        t = (
-            self.costs.t_warm_us
-            + penalty_us
-            + self.costs.dispatch_us
-            + extra_us
-        )
-        if locking:
-            t += self.costs.lock_overhead_us
-        if data_touching:
-            t += self.costs.data_touching_us(payload_bytes)
-        return t
+        return self._service_us(penalty_us, payload_bytes, data_touching,
+                                locking, extra_us)
 
     def execution_time_scalar(
         self,
@@ -437,53 +444,23 @@ class ExecutionTimeModel:
     ) -> float:
         """Hot-path :meth:`execution_time_us` taking raw reference counts.
 
-        The dispatchers call this once per packet; skipping the
-        :class:`ComponentState` dataclass (validation + hashing) and using
-        the scalar penalty fast path is worth ~2 µs of host time per
-        simulated packet.  The arithmetic replicates
-        :meth:`execution_time_us` term for term, so results are
-        bit-identical.
+        The scalar engine's dispatchers call this once per packet;
+        skipping the :class:`ComponentState` dataclass (validation +
+        hashing) is worth ~2 µs of host time per simulated packet.
         """
+        penalty = self._penalty_scalar(
+            code_refs, stream_refs, thread_refs, shared_invalidated)
+        return self._service_us(penalty, payload_bytes, data_touching,
+                                locking, extra_us)
+
+    def _service_us(self, penalty_us: float, payload_bytes: float,
+                    data_touching: bool, locking: bool,
+                    extra_us: float) -> float:
+        """The service-time sum shared by both entry points (the fused
+        loops inline the same expression tree)."""
         if extra_us < 0:
             raise ValueError("extra_us must be non-negative")
-        if self._penalty_cache is not None:
-            # Inlined _penalty_scalar (this is the once-per-packet call of
-            # the whole simulation; one saved frame is measurable).  Same
-            # statements, same counters, bit-identical result.
-            self._n_fast_calls += 1
-            pen_code_resident = self._pen1(code_refs)
-            if stream_refs == code_refs:
-                pen_stream = pen_code_resident
-            else:
-                pen_stream = self._pen1(stream_refs)
-            if thread_refs == code_refs:
-                pen_thread = pen_code_resident
-            elif thread_refs == stream_refs:
-                pen_thread = pen_stream
-            else:
-                pen_thread = self._pen1(thread_refs)
-            if shared_invalidated:
-                w_shared = self._w_shared
-                pen_code = (
-                    w_shared * self._pen_cold
-                    + (1.0 - w_shared) * pen_code_resident
-                )
-            else:
-                pen_code = pen_code_resident
-            penalty = (
-                self._w_code * pen_code
-                + self._w_stream * pen_stream
-                + self._w_thread * pen_thread
-            )
-        else:
-            self._n_slow_calls += 1
-            penalty = self._component_penalty_uncached(ComponentState(
-                code_refs=code_refs,
-                stream_refs=stream_refs,
-                thread_refs=thread_refs,
-                shared_invalidated=shared_invalidated,
-            ))
-        t = self._t_warm + penalty + self._dispatch_us + extra_us
+        t = self._t_warm + penalty_us + self._dispatch_us + extra_us
         if locking:
             t += self._lock_oh
         if data_touching:
@@ -493,41 +470,36 @@ class ExecutionTimeModel:
     def stats(self) -> Dict[str, float]:
         """Fast-path hit-rate counters.
 
-        ``hit_rate`` is the fraction of penalty evaluations resolved
-        entirely on the scalar fast path (analytic states, intra-state
-        deduplication, or the bounded count cache — never the generic
-        NumPy fallback); the acceptance gate for the hot-path overhaul is
-        ``hit_rate >= 0.90`` on the default workload.
-        ``component_reuse_rate`` is the stricter per-component view: the
-        fraction of the ``3 × calls`` component evaluations that avoided
-        the transcendental flush math outright.
+        Every call resolves on the fast path, so ``fast_calls == calls``
+        and ``hit_rate`` is 1.0 once any call was made (both kept for the
+        readers that report them).  ``component_reuse_rate`` is the
+        per-component view: the fraction of the ``3 × calls`` component
+        evaluations that avoided the transcendental flush math outright.
 
-        Only five counters are maintained on the hot path; the rest are
-        identities: every fast call evaluates exactly three components,
-        each resolved by analytic state, cache hit, or flush compute
-        (once per distinct count — the ``_pen1`` calls) or by intra-state
+        Only four counters are maintained on the hot path; the rest are
+        identities: every call evaluates exactly three components, each
+        resolved by analytic state, memo hit, or flush compute (once per
+        distinct count — the ``_pen1`` calls) or by intra-state
         deduplication (the remainder).
         """
-        fast = self._n_fast_calls
-        calls = fast + self._n_slow_calls
-        evals = 3 * fast
+        calls = self._n_fast_calls
+        evals = 3 * calls
         pen1_calls = (
             self._n_analytic_hits + self._n_cache_hits + self._n_flush_computes
         )
         dedup = evals - pen1_calls
         reused = self._n_analytic_hits + dedup + self._n_cache_hits
-        cache = self._penalty_cache
         return {
             "calls": calls,
-            "fast_calls": fast,
-            "hit_rate": (fast / calls) if calls else 0.0,
+            "fast_calls": calls,
+            "hit_rate": 1.0 if calls else 0.0,
             "component_evals": evals,
             "analytic_hits": self._n_analytic_hits,
             "dedup_hits": dedup,
             "cache_hits": self._n_cache_hits,
             "flush_computes": self._n_flush_computes,
             "component_reuse_rate": (reused / evals) if evals else 0.0,
-            "cache_size": len(cache) if cache is not None else 0,
+            "cache_size": len(self._penalty_cache),
         }
 
     # ------------------------------------------------------------------

@@ -73,13 +73,17 @@ RNG_EXEMPT_RELPATHS: Tuple[str, ...] = ("sim/rng.py",)
 HOT_PATH_BATCH_RELPATHS: Tuple[str, ...] = ("sim/batch.py",)
 
 #: Method/function names that mark per-event scalar dispatch when called
-#: inside a hot-path batch module.  The fused core reads penalties
-#: through the model's memoized ``_pen1``, folds metrics with
-#: ``extend_columns``/``fold_batch_counts``, and operates on the calendar
-#: wholesale at fold-back; per-packet scheduling and per-packet model or
-#: metrics calls are banned.
+#: inside a hot-path batch module.  The fused core resolves penalties
+#: with its own analytic/memo ladder and calls the model's memo-miss
+#: kernel (``ExecutionTimeModel.penalty_fill``, a closure over locals)
+#: only on a miss, folds metrics with ``extend_columns``/
+#: ``fold_batch_counts``, and operates on the calendar wholesale at
+#: fold-back; per-packet scheduling and per-packet model or metrics
+#: calls are banned.
 HOT_PATH_SCALAR_CALLS: Tuple[str, ...] = (
     "component_penalty_us",
+    "_penalty_scalar",
+    "_pen1",
     "execution_time_us",
     "execution_time_scalar",
     "schedule",

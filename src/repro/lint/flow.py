@@ -581,6 +581,12 @@ class _Analyzer:
         if isinstance(node, ast.BoolOp):
             return _merge(*(self.resolve(v, env, module)
                             for v in node.values))
+        if isinstance(node, ast.BinOp):
+            # Arithmetic yields a number, not an instance: keep only the
+            # operands' config reads (``self._pen_cold = self._delta1 +
+            # self._delta2`` reads both reload transients).
+            return (frozenset(), _merge(self.resolve(node.left, env, module),
+                                        self.resolve(node.right, env, module))[1])
         if isinstance(node, (ast.Subscript, ast.Starred)):
             # Conflate container and element: a list of X resolves to X.
             return self.resolve(node.value, env, module)

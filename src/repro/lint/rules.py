@@ -528,8 +528,9 @@ class HotPathBatchRule(_BaseRule):
         if name in self._BANNED:
             self.emit(node, "RPR007",
                       f"per-event scalar call {name}() in a batched hot-path "
-                      "module; read penalties through the model's memoized "
-                      "_pen1, fold metrics with extend_columns/"
+                      "module; resolve penalties with the inline memo ladder "
+                      "and the model's penalty_fill() kernel, fold metrics "
+                      "with extend_columns/"
                       "fold_batch_counts, or fold wholesale at the end of "
                       "the run")
         self.generic_visit(node)

@@ -138,10 +138,10 @@ def _execute_task(task: _WorkerTask,
     the task deadline.  Must stay a module-level function (RPR006).
 
     ``model`` is an optional pre-built :class:`ExecutionTimeModel` for
-    the task's exec-model parameters (a warm worker's memoized model).
+    the task's exec-model parameters (a warm worker's cached model).
     Injection is validated against the config and is purely a
     memoization transplant, so it can never change results (the penalty
-    cache memoizes a pure function; see ``docs/PERFORMANCE.md``).
+    cache holds values of a pure function; see ``docs/PERFORMANCE.md``).
     """
     t0 = time.perf_counter()
     plan = task.plan

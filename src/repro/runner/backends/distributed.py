@@ -39,7 +39,7 @@ tasks per batch, and an idle agent is leased the next chunk from its
 head.  Auto-sized leases are capped once per batch by
 :func:`~.base.chunk_cap`; a fixed :attr:`DistributedOptions.lease_tasks`
 is used as given.  An agent
-memoizes one :class:`~repro.core.exec_model.ExecutionTimeModel` per
+caches one :class:`~repro.core.exec_model.ExecutionTimeModel` per
 exec-model parameter set across leases, like a warm worker.  Scheduling
 cannot affect results: every config carries its own seed, and the chaos
 suite (``repro faults --backend distributed``) proves bit-identity
@@ -110,6 +110,11 @@ __all__ = [
     "run_worker_agent",
 ]
 
+#: Upper bound on auto-sized leases (each aims at ``_TARGET_CHUNK_S`` of
+#: simulation, like a warm chunk).
+_MAX_LEASE_TASKS = 32
+
+
 @dataclass(frozen=True)
 class DistributedOptions:
     """Tuning and test levers for the distributed backend.
@@ -127,12 +132,9 @@ class DistributedOptions:
     #: tasks requeued (consuming an attempt each).
     lease_timeout_s: float = 60.0
     #: Fixed tasks per lease, used as given (None = auto-size from
-    #: measured task cost, capped once per batch by ``chunk_cap``).
+    #: measured task cost, up to :data:`_MAX_LEASE_TASKS`, capped once
+    #: per batch by ``chunk_cap``).
     lease_tasks: Optional[int] = None
-    #: Auto-sizing target: one lease ≈ this much simulation wall-clock.
-    target_lease_s: float = 0.2
-    #: Upper bound on auto-sized leases.
-    max_lease_tasks: int = 32
     #: Agent deaths tolerated per batch before the coordinator retires
     #: the fleet and finishes on the local warm backend.
     max_fleet_failures: int = 3
@@ -149,10 +151,6 @@ class DistributedOptions:
             raise ValueError("lease_timeout_s must be positive")
         if self.lease_tasks is not None and self.lease_tasks < 1:
             raise ValueError("lease_tasks must be >= 1 (or None = auto)")
-        if self.target_lease_s <= 0:
-            raise ValueError("target_lease_s must be positive")
-        if self.max_lease_tasks < 1:
-            raise ValueError("max_lease_tasks must be >= 1")
         if self.max_fleet_failures < 0:
             raise ValueError("max_fleet_failures must be >= 0")
         if self.tick_s <= 0 or self.idle_poll_s <= 0:
@@ -280,8 +278,7 @@ class DistributedBackend(ExecutionBackend):
         self._chaos: Optional[ChaosCoordinatorTransport] = None
         self._slots: List[_AgentSlot] = []
         self._procs: List[BaseProcess] = []      # shared with the finalizer
-        self._sizer = _ChunkSizer(self.options.target_lease_s,
-                                  self.options.max_lease_tasks)
+        self._sizer = _ChunkSizer(_MAX_LEASE_TASKS)
         self._lease_counter = 0
         self._committed: Dict[int, bytes] = {}
         self._status_tick = 0

@@ -12,13 +12,13 @@ backend instead:
 - keeps a batch's pending attempts in one FIFO of ``(index, attempt)``
   tasks; an idle worker takes the next chunk from its head, whatever
   configs the chunk mixes;
-- sizes chunks so one costs roughly :attr:`WarmOptions.target_chunk_s`
-  of simulation (measured, not guessed), capped once per batch by
+- sizes chunks so one costs roughly :data:`_TARGET_CHUNK_S` of
+  simulation (measured, not guessed), capped once per batch by
   :func:`~.base.chunk_cap` so the tail of the batch stays queued for
   whichever worker frees first; dispatch is double-buffered
   (:data:`_PREFETCH`) so the parent's fold-and-refill never idles a
   worker, and each chunk's summaries return as one pickled tuple;
-- on the worker, memoizes one model per exec-model parameter set
+- on the worker, caches one model per exec-model parameter set
   (:data:`_MODEL_CACHE`) — a pure memoization transplant, so results
   are bit-identical to cold execution.
 
@@ -122,7 +122,7 @@ def reset_warm_state() -> None:
 
 
 def _model_for(config: SystemConfig) -> Optional[ExecutionTimeModel]:
-    """The memoized model for ``config``'s exec-model parameters, built
+    """The cached model for ``config``'s exec-model parameters, built
     on first use; None (a cold build in the task) when the parameters
     are unhashable custom objects."""
     key = (config.costs, config.composition, config.platform.hierarchy)
@@ -231,34 +231,33 @@ class WarmOptions:
     suite runs adversarial combinations).
     """
 
-    #: Fixed tasks per chunk (None = auto-size from measured task cost);
-    #: either way a chunk is capped once per batch by ``chunk_cap``.
+    #: Fixed tasks per chunk (None = auto-size from measured task cost,
+    #: up to :data:`_MAX_CHUNK_TASKS`); either way a chunk is capped once
+    #: per batch by ``chunk_cap``.
     chunk_tasks: Optional[int] = None
-    #: Auto-sizing target: one chunk should cost about this much wall-clock.
-    target_chunk_s: float = 0.2
-    #: Upper bound on auto-sized chunks.
-    max_chunk_tasks: int = 64
 
     def __post_init__(self) -> None:
         if self.chunk_tasks is not None and self.chunk_tasks < 1:
             raise ValueError("chunk_tasks must be >= 1 (or None = auto)")
-        if self.target_chunk_s <= 0:
-            raise ValueError("target_chunk_s must be positive")
-        if self.max_chunk_tasks < 1:
-            raise ValueError("max_chunk_tasks must be >= 1")
+
+
+#: Auto-sizing target: one chunk (or distributed lease) should cost about
+#: this much simulation wall-clock.
+_TARGET_CHUNK_S = 0.2
+#: Upper bound on auto-sized warm chunks.
+_MAX_CHUNK_TASKS = 64
 
 
 class _ChunkSizer:
     """Auto-size chunks from an EMA of measured per-task cost.
 
-    Starts at 1 (a probe), then targets ``target_s`` of work per chunk
-    so IPC overhead amortizes without head-of-line blocking.  The EMA
-    survives across batches — a runner's second sweep starts warm here
-    too.
+    Starts at 1 (a probe), then targets :data:`_TARGET_CHUNK_S` of work
+    per chunk, at most ``max_tasks``, so IPC overhead amortizes without
+    head-of-line blocking.  The EMA survives across batches — a runner's
+    second sweep starts warm here too.
     """
 
-    def __init__(self, target_s: float, max_tasks: int) -> None:
-        self._target_s = target_s
+    def __init__(self, max_tasks: int) -> None:
         self._max_tasks = max_tasks
         self._ema_s: Optional[float] = None
 
@@ -273,7 +272,7 @@ class _ChunkSizer:
         if self._ema_s is None:
             return 1
         per_task = max(self._ema_s, 1e-6)
-        return max(1, min(self._max_tasks, int(self._target_s / per_task)))
+        return max(1, min(self._max_tasks, int(_TARGET_CHUNK_S / per_task)))
 
 
 #: Chunks in flight per worker: one running plus one queued behind it in
@@ -314,8 +313,7 @@ class WarmBackend(ExecutionBackend):
         self._ctx = _mp_context()
         self._workers: List[_WarmWorker] = []
         self._procs: List[BaseProcess] = []      # shared with the finalizer
-        self._sizer = _ChunkSizer(self.options.target_chunk_s,
-                                  self.options.max_chunk_tasks)
+        self._sizer = _ChunkSizer(_MAX_CHUNK_TASKS)
         self._chunk_counter = 0
         self._finalizer = weakref.finalize(
             self, _terminate_processes, self._procs)

@@ -111,7 +111,7 @@ _last: List[Any] = [None, None, b""]
 
 
 def encode_frame(key: str, summary: SimulationSummary) -> bytes:
-    """The frame of one result (memoized on the last key and summary)."""
+    """The frame of one result (cached on the last key and summary)."""
     if _last[1] is not summary or _last[0] != key:
         body = json.dumps(summary_to_dict(summary), separators=(",", ":"))
         _last[:] = [key, summary, frame(key, body.encode())]

@@ -28,8 +28,9 @@ tower with **one flat loop** over two pre-merged event feeds:
 Each loop body has one arrival path, one completion path and one shared
 service-start block (the dispatcher's ``_start_service``: idle-clock
 accrual, touch-table reads, thread acquire, lock reservation and the
-penalty analytic/cache/flush ladder) that both an arrival dispatch and a
-completion refill fall into.  Every float expression tree is preserved
+penalty analytic/cache ladder, whose misses call the model's flush
+kernel) that both an arrival dispatch and a completion refill fall
+into.  Every float expression tree is preserved
 operation for operation: moving work is allowed, changing arithmetic is
 not.  Representation tricks that keep the loop allocation- and
 attribute-access-free without changing results:
@@ -61,7 +62,9 @@ metrics).
 **Support matrix.**  The fused loops replicate exact semantics only for
 configurations they were proven against: Poisson, deterministic,
 batch-Poisson and packet-train arrivals, no churn, no trace, no
-invariant checking, one coarse lock, and the policies
+invariant checking, one coarse lock, any cache geometry (a memo miss
+calls the model's one penalty kernel, ``ExecutionTimeModel.penalty_fill``,
+whatever the levels' associativity), and the policies
 
 - ``mru``/``fcfs``/``stream-mru`` (Locking, shared queue and thread
   pool; ``_run_locking``),
@@ -195,8 +198,6 @@ def unsupported_reason(system: "NetworkProcessingSystem") -> Optional[str]:
                 f"arrival spec {type(spec).__name__} has no "
                 "order-preserving block pregeneration"
             )
-    if system.model._penalty_cache is None:
-        return "execution-time model built without memoization"
     expected = cfg.traffic.total_rate_pps * cfg.duration_us * 1e-6
     if not (expected < _MAX_EXPECTED_ARRIVALS):
         return "expected arrival count too large to pregenerate"
@@ -379,48 +380,6 @@ def run_fused(system: "NetworkProcessingSystem") -> None:
             gc.enable()
 
 
-def _flush_fn(
-    system: "NetworkProcessingSystem",
-) -> Optional[Callable[[float], float]]:
-    """The two-level flush math of ``ExecutionTimeModel._pen1``, verbatim,
-    over hoisted constants (cache maintenance included; the caller counts
-    the compute).  ``None`` unless both cache levels are direct-mapped —
-    the loops then call ``model._pen1`` itself, which probes the cache and
-    counts on the model."""
-    model = system.model
-    if model._fast_l1 is None:
-        return None
-    split1, c01, slope1, u11, lp1 = model._fast_l1
-    split2, c02, slope2, u12, lp2 = model._fast_l2
-    delta1 = model._delta1
-    delta2 = model._delta2
-    cache = model._penalty_cache
-    cache_max = model._PENALTY_CACHE_MAX
-    log10 = math.log10
-    expm1 = math.expm1
-
-    def flush(refs: float) -> float:
-        r = refs * split1
-        u = r * u11 if r < 1.0 else 10.0 ** (c01 + slope1 * log10(r))
-        if u > r:
-            u = r
-        f = -expm1(u * lp1)
-        f1 = 1.0 if f > 1.0 else (0.0 if f < 0.0 else f)
-        r = refs * split2
-        u = r * u12 if r < 1.0 else 10.0 ** (c02 + slope2 * log10(r))
-        if u > r:
-            u = r
-        f = -expm1(u * lp2)
-        f2 = 1.0 if f > 1.0 else (0.0 if f < 0.0 else f)
-        value = f1 * delta1 + f2 * delta2
-        if len(cache) >= cache_max:
-            cache.clear()
-        cache[refs] = value
-        return value
-
-    return flush
-
-
 #: Per-processor/per-stream state lists of one fused run (see
 #: :func:`_proc_arrays`).
 _ProcArrays = Tuple[List[float], List[float], List[float], List[float],
@@ -437,6 +396,36 @@ def _proc_arrays(n_procs: int, n_streams: int) -> _ProcArrays:
             [_NEVER] * n_procs,
             [[_NEVER] * n_streams for _ in range(n_procs)],
             [-1] * n_streams)
+
+
+#: See :func:`_service_locals`.
+_ServiceLocals = Tuple[Callable[[float], float],
+                       Callable[[float], Optional[float]],
+                       float, float, float, float, float, float, float,
+                       float, float, bool, float, float, float]
+
+
+def _service_locals(system: "NetworkProcessingSystem") -> _ServiceLocals:
+    """The model and config constants a loop's service-start block
+    reads, hoisted once per run: ``(flush, cache_get, pen_cold,
+    w_shared, w_code, w_stream, w_thread, t_warm, dispatch_c, lock_oh,
+    extra_c, data_touching, dt_const, refs_per_us, v_intensity)``.
+    ``flush`` is the model's memo-miss kernel
+    (``ExecutionTimeModel.penalty_fill``) and ``cache_get`` probes the
+    memo it fills; every float expression built from these replicates
+    the scalar tree exactly (``exec_model._penalty_scalar``/``_pen1``
+    and ``dispatch``'s service start)."""
+    cfg = system.config
+    model = system.model
+    data_touching = cfg.data_touching
+    dt_const = (model.costs.data_touching_us(system._fixed_size)
+                if data_touching else 0.0)
+    return (model.penalty_fill(), model._penalty_cache.get,
+            model._pen_cold, model._w_shared, model._w_code,
+            model._w_stream, model._w_thread, model._t_warm,
+            model._dispatch_us, model._lock_oh, cfg.fixed_overhead_us,
+            data_touching, dt_const, cfg.platform.references_per_us,
+            cfg.nonprotocol_intensity)
 
 
 def _first_stamps(counts: List[int]) -> Tuple[List[int], int]:
@@ -604,7 +593,6 @@ def _run_locking(
 ) -> None:
     cfg = system.config
     dispatcher = system.dispatcher
-    model = system.model
     policy = dispatcher.policy
     n_procs = cfg.platform.n_processors
     n_streams = cfg.traffic.n_streams
@@ -615,29 +603,12 @@ def _run_locking(
 
     # --- model constants / fast-path state (locals: no attribute loads
     # in the loop; every float expression below replicates the scalar
-    # code's tree exactly — see exec_model.execution_time_scalar,
+    # code's tree exactly — see exec_model._penalty_scalar,
     # exec_model._pen1 and dispatch.LockingDispatcher).
     COLD_ = COLD
-    flush = _flush_fn(system)
-    fast_ok = flush is not None
-    pen_cold = model._pen_cold
-    w_shared = model._w_shared
-    w_code = model._w_code
-    w_stream = model._w_stream
-    w_thread = model._w_thread
-    t_warm = model._t_warm
-    dispatch_c = model._dispatch_us
-    lock_oh = model._lock_oh
-    extra_c = cfg.fixed_overhead_us
-    cache_get = model._penalty_cache.get
-    model_pen1 = model._pen1
-    data_touching = cfg.data_touching
-    dt_const = (
-        model.costs.data_touching_us(system._fixed_size)
-        if data_touching else 0.0
-    )
-    refs_per_us = cfg.platform.references_per_us
-    v_intensity = cfg.nonprotocol_intensity
+    (flush, cache_get, pen_cold, w_shared, w_code, w_stream, w_thread,
+     t_warm, dispatch_c, lock_oh, extra_c, data_touching, dt_const,
+     refs_per_us, v_intensity) = _service_locals(system)
     cs_us = dispatcher._lock_cs_us
     sched_int = system.rngs.scheduling.integers
 
@@ -854,61 +825,51 @@ def _run_locking(
         else:
             thread_refs = COLD_
         n_calls += 1
-        if fast_ok:
-            if code_refs == 0.0:
-                n_analytic += 1
-                pc = 0.0
-            elif code_refs == COLD_:
-                n_analytic += 1
-                pc = pen_cold
-            else:
-                pc = cache_get(code_refs)
-                if pc is None:
-                    n_flush += 1
-                    pc = flush(code_refs)
-                else:
-                    n_cache += 1
-            if stream_refs == code_refs:
-                ps = pc
-            elif stream_refs == 0.0:
-                n_analytic += 1
-                ps = 0.0
-            elif stream_refs == COLD_:
-                n_analytic += 1
-                ps = pen_cold
-            else:
-                ps = cache_get(stream_refs)
-                if ps is None:
-                    n_flush += 1
-                    ps = flush(stream_refs)
-                else:
-                    n_cache += 1
-            if thread_refs == code_refs:
-                pt = pc
-            elif thread_refs == stream_refs:
-                pt = ps
-            elif thread_refs == 0.0:
-                n_analytic += 1
-                pt = 0.0
-            elif thread_refs == COLD_:
-                n_analytic += 1
-                pt = pen_cold
-            else:
-                pt = cache_get(thread_refs)
-                if pt is None:
-                    n_flush += 1
-                    pt = flush(thread_refs)
-                else:
-                    n_cache += 1
+        if code_refs == 0.0:
+            n_analytic += 1
+            pc = 0.0
+        elif code_refs == COLD_:
+            n_analytic += 1
+            pc = pen_cold
         else:
-            pc = model_pen1(code_refs)
-            ps = pc if stream_refs == code_refs else model_pen1(stream_refs)
-            if thread_refs == code_refs:
-                pt = pc
-            elif thread_refs == stream_refs:
-                pt = ps
+            pc = cache_get(code_refs)
+            if pc is None:
+                n_flush += 1
+                pc = flush(code_refs)
             else:
-                pt = model_pen1(thread_refs)
+                n_cache += 1
+        if stream_refs == code_refs:
+            ps = pc
+        elif stream_refs == 0.0:
+            n_analytic += 1
+            ps = 0.0
+        elif stream_refs == COLD_:
+            n_analytic += 1
+            ps = pen_cold
+        else:
+            ps = cache_get(stream_refs)
+            if ps is None:
+                n_flush += 1
+                ps = flush(stream_refs)
+            else:
+                n_cache += 1
+        if thread_refs == code_refs:
+            pt = pc
+        elif thread_refs == stream_refs:
+            pt = ps
+        elif thread_refs == 0.0:
+            n_analytic += 1
+            pt = 0.0
+        elif thread_refs == COLD_:
+            n_analytic += 1
+            pt = pen_cold
+        else:
+            pt = cache_get(thread_refs)
+            if pt is None:
+                n_flush += 1
+                pt = flush(thread_refs)
+            else:
+                n_cache += 1
         if epoch > epoch_seen[p]:
             pen_code = w_shared * pen_cold + (1.0 - w_shared) * pc
         else:
@@ -1004,7 +965,6 @@ def _run_locking_pools(
     """
     cfg = system.config
     dispatcher = system.dispatcher
-    model = system.model
     policy = dispatcher.policy
     n_procs = cfg.platform.n_processors
     n_streams = cfg.traffic.n_streams
@@ -1028,26 +988,9 @@ def _run_locking_pools(
     steals = 0
 
     COLD_ = COLD
-    flush = _flush_fn(system)
-    fast_ok = flush is not None
-    pen_cold = model._pen_cold
-    w_shared = model._w_shared
-    w_code = model._w_code
-    w_stream = model._w_stream
-    w_thread = model._w_thread
-    t_warm = model._t_warm
-    dispatch_c = model._dispatch_us
-    lock_oh = model._lock_oh
-    extra_c = cfg.fixed_overhead_us
-    cache_get = model._penalty_cache.get
-    model_pen1 = model._pen1
-    data_touching = cfg.data_touching
-    dt_const = (
-        model.costs.data_touching_us(system._fixed_size)
-        if data_touching else 0.0
-    )
-    refs_per_us = cfg.platform.references_per_us
-    v_intensity = cfg.nonprotocol_intensity
+    (flush, cache_get, pen_cold, w_shared, w_code, w_stream, w_thread,
+     t_warm, dispatch_c, lock_oh, extra_c, data_touching, dt_const,
+     refs_per_us, v_intensity) = _service_locals(system)
     cs_us = dispatcher._lock_cs_us
 
     n_calls = 0
@@ -1314,61 +1257,51 @@ def _run_locking_pools(
         else:
             thread_refs = COLD_
         n_calls += 1
-        if fast_ok:
-            if code_refs == 0.0:
-                n_analytic += 1
-                pc = 0.0
-            elif code_refs == COLD_:
-                n_analytic += 1
-                pc = pen_cold
-            else:
-                pc = cache_get(code_refs)
-                if pc is None:
-                    n_flush += 1
-                    pc = flush(code_refs)
-                else:
-                    n_cache += 1
-            if stream_refs == code_refs:
-                ps = pc
-            elif stream_refs == 0.0:
-                n_analytic += 1
-                ps = 0.0
-            elif stream_refs == COLD_:
-                n_analytic += 1
-                ps = pen_cold
-            else:
-                ps = cache_get(stream_refs)
-                if ps is None:
-                    n_flush += 1
-                    ps = flush(stream_refs)
-                else:
-                    n_cache += 1
-            if thread_refs == code_refs:
-                pt = pc
-            elif thread_refs == stream_refs:
-                pt = ps
-            elif thread_refs == 0.0:
-                n_analytic += 1
-                pt = 0.0
-            elif thread_refs == COLD_:
-                n_analytic += 1
-                pt = pen_cold
-            else:
-                pt = cache_get(thread_refs)
-                if pt is None:
-                    n_flush += 1
-                    pt = flush(thread_refs)
-                else:
-                    n_cache += 1
+        if code_refs == 0.0:
+            n_analytic += 1
+            pc = 0.0
+        elif code_refs == COLD_:
+            n_analytic += 1
+            pc = pen_cold
         else:
-            pc = model_pen1(code_refs)
-            ps = pc if stream_refs == code_refs else model_pen1(stream_refs)
-            if thread_refs == code_refs:
-                pt = pc
-            elif thread_refs == stream_refs:
-                pt = ps
+            pc = cache_get(code_refs)
+            if pc is None:
+                n_flush += 1
+                pc = flush(code_refs)
             else:
-                pt = model_pen1(thread_refs)
+                n_cache += 1
+        if stream_refs == code_refs:
+            ps = pc
+        elif stream_refs == 0.0:
+            n_analytic += 1
+            ps = 0.0
+        elif stream_refs == COLD_:
+            n_analytic += 1
+            ps = pen_cold
+        else:
+            ps = cache_get(stream_refs)
+            if ps is None:
+                n_flush += 1
+                ps = flush(stream_refs)
+            else:
+                n_cache += 1
+        if thread_refs == code_refs:
+            pt = pc
+        elif thread_refs == stream_refs:
+            pt = ps
+        elif thread_refs == 0.0:
+            n_analytic += 1
+            pt = 0.0
+        elif thread_refs == COLD_:
+            n_analytic += 1
+            pt = pen_cold
+        else:
+            pt = cache_get(thread_refs)
+            if pt is None:
+                n_flush += 1
+                pt = flush(thread_refs)
+            else:
+                n_cache += 1
         if epoch > epoch_seen[p]:
             pen_code = w_shared * pen_cold + (1.0 - w_shared) * pc
         else:
@@ -1427,7 +1360,6 @@ def _run_ips(
 ) -> None:
     cfg = system.config
     dispatcher = system.dispatcher
-    model = system.model
     policy = dispatcher.policy
     n_procs = cfg.platform.n_processors
     n_streams = cfg.traffic.n_streams
@@ -1438,25 +1370,9 @@ def _run_ips(
     pk_random = type(policy) is IPSRandomPolicy
 
     COLD_ = COLD
-    flush = _flush_fn(system)
-    fast_ok = flush is not None
-    pen_cold = model._pen_cold
-    w_shared = model._w_shared
-    w_code = model._w_code
-    w_stream = model._w_stream
-    w_thread = model._w_thread
-    t_warm = model._t_warm
-    dispatch_c = model._dispatch_us
-    extra_c = cfg.fixed_overhead_us
-    cache_get = model._penalty_cache.get
-    model_pen1 = model._pen1
-    data_touching = cfg.data_touching
-    dt_const = (
-        model.costs.data_touching_us(system._fixed_size)
-        if data_touching else 0.0
-    )
-    refs_per_us = cfg.platform.references_per_us
-    v_intensity = cfg.nonprotocol_intensity
+    (flush, cache_get, pen_cold, w_shared, w_code, w_stream, w_thread,
+     t_warm, dispatch_c, _lock_oh, extra_c, data_touching, dt_const,
+     refs_per_us, v_intensity) = _service_locals(system)
 
     n_calls = 0
     n_analytic = 0
@@ -1699,61 +1615,51 @@ def _run_ips(
             d = clock - stack_touch[p][k]
             thread_refs = d if d > 0.0 else 0.0
         n_calls += 1
-        if fast_ok:
-            if code_refs == 0.0:
-                n_analytic += 1
-                pc = 0.0
-            elif code_refs == COLD_:
-                n_analytic += 1
-                pc = pen_cold
-            else:
-                pc = cache_get(code_refs)
-                if pc is None:
-                    n_flush += 1
-                    pc = flush(code_refs)
-                else:
-                    n_cache += 1
-            if stream_refs == code_refs:
-                ps = pc
-            elif stream_refs == 0.0:
-                n_analytic += 1
-                ps = 0.0
-            elif stream_refs == COLD_:
-                n_analytic += 1
-                ps = pen_cold
-            else:
-                ps = cache_get(stream_refs)
-                if ps is None:
-                    n_flush += 1
-                    ps = flush(stream_refs)
-                else:
-                    n_cache += 1
-            if thread_refs == code_refs:
-                pt = pc
-            elif thread_refs == stream_refs:
-                pt = ps
-            elif thread_refs == 0.0:
-                n_analytic += 1
-                pt = 0.0
-            elif thread_refs == COLD_:
-                n_analytic += 1
-                pt = pen_cold
-            else:
-                pt = cache_get(thread_refs)
-                if pt is None:
-                    n_flush += 1
-                    pt = flush(thread_refs)
-                else:
-                    n_cache += 1
+        if code_refs == 0.0:
+            n_analytic += 1
+            pc = 0.0
+        elif code_refs == COLD_:
+            n_analytic += 1
+            pc = pen_cold
         else:
-            pc = model_pen1(code_refs)
-            ps = pc if stream_refs == code_refs else model_pen1(stream_refs)
-            if thread_refs == code_refs:
-                pt = pc
-            elif thread_refs == stream_refs:
-                pt = ps
+            pc = cache_get(code_refs)
+            if pc is None:
+                n_flush += 1
+                pc = flush(code_refs)
             else:
-                pt = model_pen1(thread_refs)
+                n_cache += 1
+        if stream_refs == code_refs:
+            ps = pc
+        elif stream_refs == 0.0:
+            n_analytic += 1
+            ps = 0.0
+        elif stream_refs == COLD_:
+            n_analytic += 1
+            ps = pen_cold
+        else:
+            ps = cache_get(stream_refs)
+            if ps is None:
+                n_flush += 1
+                ps = flush(stream_refs)
+            else:
+                n_cache += 1
+        if thread_refs == code_refs:
+            pt = pc
+        elif thread_refs == stream_refs:
+            pt = ps
+        elif thread_refs == 0.0:
+            n_analytic += 1
+            pt = 0.0
+        elif thread_refs == COLD_:
+            n_analytic += 1
+            pt = pen_cold
+        else:
+            pt = cache_get(thread_refs)
+            if pt is None:
+                n_flush += 1
+                pt = flush(thread_refs)
+            else:
+                n_cache += 1
         if migrated:
             pen_code = w_shared * pen_cold + (1.0 - w_shared) * pc
         else:

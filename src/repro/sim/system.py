@@ -67,7 +67,7 @@ class _ArrivalSource:
     """Pregenerated arrival state for one stream.
 
     Interarrival gaps and batch sizes are drawn from the stream's private
-    RNG in vectorized chunks (:meth:`ArrivalProcess.next_batches`) and
+    RNG in vectorized chunks (:meth:`ArrivalProcess.next_batches_array`) and
     consumed one batch per arrival event; the chunk refills on
     exhaustion.  Because every chunk reproduces the event-by-event draw
     sequence value for value, and each stream draws from its own RNG
@@ -193,7 +193,7 @@ class NetworkProcessingSystem:
         self.metrics = MetricsCollector(warmup_us=config.warmup_us)
         if model is not None:
             # Warm-state injection (the warm backend's affinity payoff):
-            # an ExecutionTimeModel's only mutable state memoizes a pure
+            # an ExecutionTimeModel's only mutable state caches a pure
             # function of its construction parameters, so reusing one
             # across runs is bit-identical to building it fresh — but
             # *only* for the parameters it was built from.  Guard hard.
@@ -227,6 +227,8 @@ class NetworkProcessingSystem:
         self._stream_counter = config.traffic.n_streams
         self.peak_concurrent_sessions = 0
         self._live_sessions = 0
+        #: Every arrival source of the run (see :meth:`_release`).
+        self._sources: List[_ArrivalSource] = []
         self._ran = False
 
     def _build_dispatcher(self) -> Union[LockingDispatcher, IPSDispatcher]:
@@ -272,6 +274,7 @@ class NetworkProcessingSystem:
                     end_us: Optional[float], chunk_hint: int) -> None:
         source = _ArrivalSource(stream_id, process, end_us, chunk_hint)
         source.record = Event(EVENT_ARRIVAL, self._arrival_fire, source)
+        self._sources.append(source)
         self._advance_arrivals(source)
 
     def _arrival_fire(self, source: _ArrivalSource) -> None:
@@ -296,9 +299,11 @@ class NetworkProcessingSystem:
         idx = source.idx
         gaps = source.gaps
         if idx >= len(gaps):
-            gaps, sizes = source.process.next_batches(source.chunk_hint)
+            gap_arr, size_arr = source.process.next_batches_array(
+                source.chunk_hint)
+            gaps = gap_arr.tolist()
             source.gaps = gaps
-            source.sizes = sizes
+            source.sizes = None if size_arr is None else size_arr.tolist()
             idx = 0
         sizes = source.sizes
         source.pending_size = 1 if sizes is None else sizes[idx]
@@ -399,6 +404,16 @@ class NetworkProcessingSystem:
             migrations=self.dispatcher.migrations,
         )
 
+    def _release(self) -> None:
+        """Break a finished run's reference cycles (``dispatcher.system``,
+        the attached policy, completion events bound to the dispatcher,
+        arrival sources and their events) so reference counting frees it
+        at once, not a full collection.  Empties the system."""
+        for source in self._sources:
+            source.record = None  # type: ignore[assignment]
+        vars(self.dispatcher).clear()
+        vars(self).clear()
+
 
 def run_simulation(config: SystemConfig, *,
                    model: Optional[ExecutionTimeModel] = None,
@@ -408,5 +423,10 @@ def run_simulation(config: SystemConfig, *,
     ``model`` optionally injects a pre-built (warm)
     :class:`ExecutionTimeModel`; it is validated against the config and
     cannot change results (see :class:`NetworkProcessingSystem`).
+    The system is freed on return (:meth:`~NetworkProcessingSystem._release`).
     """
-    return NetworkProcessingSystem(config, model=model).run()
+    system = NetworkProcessingSystem(config, model=model)
+    try:
+        return system.run()
+    finally:
+        system._release()

@@ -23,7 +23,6 @@ import numpy as np
 __all__ = [
     "ArrivalArrayChunk",
     "ArrivalBatch",
-    "ArrivalChunk",
     "ArrivalProcess",
     "ArrivalSpec",
     "PoissonArrivals",
@@ -40,14 +39,10 @@ __all__ = [
 #: previous batch, containing ``batch_size`` simultaneous packets.
 ArrivalBatch = Tuple[float, int]
 
-#: ``(gaps_us, batch_sizes)`` for a pregenerated chunk of batches; a
-#: ``None`` size list means "every batch is a single packet" (the common
-#: case, spared a list of ones).
-ArrivalChunk = Tuple[List[float], Optional[List[int]]]
-
-#: Array-valued chunk (``float64`` gaps, optional integer sizes) for the
-#: batched engine's vectorized merge; same bit-identity contract as
-#: :data:`ArrivalChunk`.
+#: ``(gaps_us, batch_sizes)`` for a pregenerated chunk of batches: a
+#: ``float64`` gap array and an integer size array, or ``None`` sizes
+#: when every batch is a single packet (the common case, spared an array
+#: of ones).
 ArrivalArrayChunk = Tuple[np.ndarray, Optional[np.ndarray]]
 
 
@@ -58,21 +53,23 @@ class ArrivalProcess(ABC):
     def next_batch(self) -> ArrivalBatch:
         """Sample the next ``(interarrival_gap_us, batch_size)``."""
 
-    def next_batches(self, n: int) -> ArrivalChunk:
+    def next_batches_array(self, n: int) -> ArrivalArrayChunk:
         """Pregenerate the next ``n`` batches in one call.
 
-        Returns ``(gaps_us, batch_sizes)`` where ``batch_sizes`` may be
-        ``None`` when every batch contains exactly one packet.
+        Returns ``(gaps_us, batch_sizes)``: a ``float64`` array and an
+        integer array, or ``None`` sizes when every batch contains exactly
+        one packet.  Both engines consume this block form: the batched
+        core (:mod:`repro.sim.batch`) merges streams with vectorized
+        cumulative sums, the scalar engine reads it one batch per event.
 
         **Contract (bit-identity):** the concatenation of chunks must
         reproduce, value for value, the sequence that repeated
         :meth:`next_batch` calls would have produced from the same RNG
-        state — the simulator's vectorized arrival pregeneration relies
-        on this to keep runs bit-identical with the historical
-        event-by-event sampling.  The default implementation simply loops
-        :meth:`next_batch`; subclasses may vectorize only where NumPy's
-        bulk sampling is stream-equivalent to repeated scalar sampling
-        (e.g. ``Generator.exponential``), which the property tests in
+        state — runs stay bit-identical with event-by-event sampling.
+        The default implementation simply loops :meth:`next_batch`;
+        subclasses may vectorize only where NumPy's bulk sampling is
+        stream-equivalent to repeated scalar sampling (e.g.
+        ``Generator.exponential``), which the property tests in
         ``tests/workloads/test_arrival_pregen.py`` enforce for every
         process type.
         """
@@ -88,26 +85,9 @@ class ArrivalProcess(ABC):
             sizes.append(size)
             if size != 1:
                 all_single = False
-        return gaps, (None if all_single else sizes)
-
-    def next_batches_array(self, n: int) -> ArrivalArrayChunk:
-        """Array-valued variant of :meth:`next_batches`.
-
-        Returns ``(gaps_us, batch_sizes)`` as a ``float64`` array and an
-        optional integer array (``None`` when every batch is a single
-        packet).  Same contract as :meth:`next_batches`: the concatenated
-        chunks must reproduce the event-by-event draw sequence value for
-        value — this is the block form the batched engine core
-        (:mod:`repro.sim.batch`) consumes, merging streams with vectorized
-        cumulative sums instead of per-event scheduling.  The default
-        implementation wraps :meth:`next_batches` (list and array carry
-        the identical float64 values); samplers whose bulk NumPy draws are
-        stream-equivalent override it to skip the list round-trip.
-        """
-        gaps, sizes = self.next_batches(n)
         return (
             np.asarray(gaps, dtype=np.float64),
-            None if sizes is None else np.asarray(sizes, dtype=np.int64),
+            None if all_single else np.asarray(sizes, dtype=np.int64),
         )
 
     def iter_batches(self, horizon_us: float) -> Iterator[Tuple[float, int]]:
@@ -149,7 +129,7 @@ class PoissonArrivals(ArrivalProcess):
     def next_batch(self) -> ArrivalBatch:
         return float(self._rng.exponential(self._mean_gap_us)), 1
 
-    def next_batches(self, n: int) -> ArrivalChunk:
+    def next_batches_array(self, n: int) -> ArrivalArrayChunk:
         """Vectorized pregeneration.
 
         ``Generator.exponential(scale, n)`` consumes the bit stream
@@ -157,13 +137,6 @@ class PoissonArrivals(ArrivalProcess):
         chunk is bit-identical to event-by-event sampling (asserted by
         the pregeneration property tests).
         """
-        if n <= 0:
-            raise ValueError("n must be positive")
-        return self._rng.exponential(self._mean_gap_us, n).tolist(), None
-
-    def next_batches_array(self, n: int) -> ArrivalArrayChunk:
-        """Vectorized array pregeneration (same draws as
-        :meth:`next_batches`, without the ``tolist`` round-trip)."""
         if n <= 0:
             raise ValueError("n must be positive")
         return self._rng.exponential(self._mean_gap_us, n), None
@@ -206,10 +179,10 @@ class DeterministicArrivals(ArrivalProcess):
             return self._phase_us + self._gap_us, 1
         return self._gap_us, 1
 
-    def next_batches(self, n: int) -> ArrivalChunk:
+    def next_batches_array(self, n: int) -> ArrivalArrayChunk:
         if n <= 0:
             raise ValueError("n must be positive")
-        gaps = [self._gap_us] * n
+        gaps = np.full(n, self._gap_us)
         if self._first:
             self._first = False
             gaps[0] = self._phase_us + self._gap_us
@@ -267,7 +240,7 @@ class BatchPoissonArrivals(ArrivalProcess):
         size = int(self._rng.geometric(self._p))
         return gap, size
 
-    # next_batches: the exponential/geometric draws interleave per batch,
+    # next_batches_array: the exponential/geometric draws interleave per batch,
     # so no bulk NumPy call can reproduce the scalar draw order; the base
     # implementation's scalar loop keeps pregeneration bit-identical.
 

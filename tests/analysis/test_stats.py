@@ -99,7 +99,7 @@ class TestBatchMeansCI:
             for df in range(1, 201):
                 expected = float(sps.t.ppf(q, df=df))
                 assert _t_critical(q, df) == expected
-                assert _t_critical(q, df) == expected  # the memoized value
+                assert _t_critical(q, df) == expected  # the cached value
 
     def test_ci_uses_the_direct_t_quantile(self):
         obs = np.random.default_rng(3).normal(5.0, 2.0, size=400)

@@ -1,6 +1,8 @@
 """Tests for the analytic packet execution-time model."""
 
+import dataclasses
 import math
+import pickle
 
 import hypothesis.strategies as st
 import numpy as np
@@ -198,14 +200,12 @@ class TestMemoization:
                            thread_refs=789.0, shared_invalidated=True),
         ]
 
-    def test_memoized_matches_uncached(self, hierarchy):
-        memo = ExecutionTimeModel(PAPER_COSTS, PAPER_COMPOSITION, hierarchy)
-        plain = ExecutionTimeModel(PAPER_COSTS, PAPER_COMPOSITION, hierarchy,
-                                   memoize=False)
+    def test_fast_path_matches_uncached(self, hierarchy):
+        model = ExecutionTimeModel(PAPER_COSTS, PAPER_COMPOSITION, hierarchy)
         for state in self._states():
             for _ in range(3):  # repeated lookups hit the memo table
-                assert memo.component_penalty_us(state) == \
-                    plain.component_penalty_us(state)
+                assert model.component_penalty_us(state) == \
+                    model._component_penalty_uncached(state)
 
     def test_memo_table_populates_and_bounds(self, hierarchy):
         model = ExecutionTimeModel(PAPER_COSTS, PAPER_COMPOSITION, hierarchy)
@@ -217,11 +217,15 @@ class TestMemoization:
         model.component_penalty_us(extra)  # triggers wholesale clear
         assert len(model._penalty_cache) == 1
 
-    def test_memoize_off_keeps_no_table(self, hierarchy):
-        model = ExecutionTimeModel(PAPER_COSTS, PAPER_COMPOSITION, hierarchy,
-                                   memoize=False)
-        model.component_penalty_us(ComponentState())
-        assert model._penalty_cache is None
+    def test_pickled_model_rebuilds_its_kernel(self, hierarchy):
+        model = ExecutionTimeModel(PAPER_COSTS, PAPER_COMPOSITION, hierarchy)
+        state = ComponentState(code_refs=42.0, stream_refs=7.0)
+        want = model.component_penalty_us(state)
+        copy = pickle.loads(pickle.dumps(model))
+        copy._penalty_cache.clear()  # force the copy's own kernel to run
+        assert copy.component_penalty_us(state) == want
+        assert len(copy._penalty_cache) == 2
+        assert len(model._penalty_cache) == 2  # the original memo is untouched
 
 
 class TestFastPathStats:
@@ -237,14 +241,15 @@ class TestFastPathStats:
     ]
 
     def test_scalar_fast_path_matches_uncached_bitwise(self, hierarchy):
-        memo = ExecutionTimeModel(PAPER_COSTS, PAPER_COMPOSITION, hierarchy)
-        plain = ExecutionTimeModel(PAPER_COSTS, PAPER_COMPOSITION, hierarchy,
-                                   memoize=False)
+        model = ExecutionTimeModel(PAPER_COSTS, PAPER_COMPOSITION, hierarchy)
         for code, stream, thread, inv in self.STATES:
+            reference = model._component_penalty_uncached(ComponentState(
+                code_refs=code, stream_refs=stream, thread_refs=thread,
+                shared_invalidated=inv))
             for locking in (False, True):
-                want = plain.execution_time_scalar(
-                    code, stream, thread, inv, locking=locking)
-                got = memo.execution_time_scalar(
+                want = model.execution_time_us(
+                    ComponentState(), penalty_us=reference, locking=locking)
+                got = model.execution_time_scalar(
                     code, stream, thread, inv, locking=locking)
                 assert got == want  # exact: no tolerance
 
@@ -272,18 +277,39 @@ class TestFastPathStats:
         assert s["component_evals"] == 6
         assert s["component_reuse_rate"] == 0.5
 
-    def test_unmemoized_model_counts_slow_calls(self, hierarchy):
-        plain = ExecutionTimeModel(PAPER_COSTS, PAPER_COMPOSITION, hierarchy,
-                                   memoize=False)
-        plain.execution_time_scalar(1.0, 2.0, 3.0, False)
-        s = plain.stats()
-        assert s["calls"] == 1
-        assert s["fast_calls"] == 0
-        assert s["hit_rate"] == 0.0
-        assert s["cache_size"] == 0
-
     def test_cache_bound_respected_by_fast_path(self, model):
         model._PENALTY_CACHE_MAX = 8
         for i in range(1, 40):
             model.execution_time_scalar(float(i), 0.0, 0.0, False)
         assert len(model._penalty_cache) <= 8
+
+
+def _two_way(hierarchy):
+    """``hierarchy`` with every level made 2-way set-associative."""
+    return dataclasses.replace(hierarchy, levels=tuple(
+        dataclasses.replace(level, associativity=2)
+        for level in hierarchy.levels))
+
+
+class TestSetAssociative:
+    """0 and COLD resolve exactly on set-associative levels too."""
+
+    @pytest.fixture
+    def two_way(self, hierarchy):
+        return ExecutionTimeModel(PAPER_COSTS, PAPER_COMPOSITION,
+                                  _two_way(hierarchy))
+
+    def test_cold_component_pays_the_full_transient(self, two_way):
+        assert two_way.flush_fractions(COLD) == (1.0, 1.0)
+        assert two_way.flush_fractions(0.0) == (0.0, 0.0)
+        assert two_way.reload_penalty(COLD) == (
+            PAPER_COSTS.l1_reload_us + PAPER_COSTS.l2_reload_us)
+        assert two_way.cold_service_us() > two_way.warm_service_us()
+
+    def test_fast_path_matches_uncached_bitwise(self, two_way):
+        for code, stream, thread, inv in TestFastPathStats.STATES:
+            state = ComponentState(code_refs=code, stream_refs=stream,
+                                   thread_refs=thread, shared_invalidated=inv)
+            for _ in range(2):  # second pass reads the memo
+                assert two_way.component_penalty_us(state) == \
+                    two_way._component_penalty_uncached(state)

@@ -109,6 +109,32 @@ class TestIndex:
         index = build_project_index(pkg)
         assert ("SystemConfig", "knob_a") in index.reads["sim/batch.py"]
 
+    def test_arithmetic_binding_keeps_operand_provenance(self, tmp_path):
+        # A binding derived by arithmetic from other bindings still reads
+        # their config fields when dereferenced.
+        pkg = make_pkg(tmp_path, {
+            "core/params.py": PARAMS,
+            "sim/engine.py": """
+                from ..core.params import SystemConfig
+
+                class Engine:
+                    def __init__(self, config: SystemConfig):
+                        self.a = config.knob_a
+                        self.b = config.knob_b
+                        self.total = self.a + 2.0 * self.b
+            """,
+            "sim/batch.py": """
+                from .engine import Engine
+
+                def fold(engine: Engine):
+                    return engine.total
+            """,
+        })
+        index = build_project_index(pkg)
+        reads = index.reads["sim/batch.py"]
+        assert ("SystemConfig", "knob_a") in reads
+        assert ("SystemConfig", "knob_b") in reads
+
     def test_call_graph_edges(self, tmp_path):
         pkg = make_pkg(tmp_path, {
             "sim/engine.py": """

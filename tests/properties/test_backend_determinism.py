@@ -7,7 +7,7 @@ output.  Hypothesis drives the adversarial levers — submission order and
 forced chunk sizes — and demands bit-identity with the serial reference.
 
 A separate deterministic case makes chunks mix configs with different
-exec-model parameters, so one worker switches memoized models inside a
+exec-model parameters, so one worker switches cached models inside a
 chunk, and demands the same.
 """
 

@@ -17,11 +17,15 @@ contract is bit-identity, not approximation.
 
 from __future__ import annotations
 
+import dataclasses
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from repro.cache.hierarchy import sgi_challenge_hierarchy
+from repro.core.params import PlatformConfig
 from repro.core.policies import IPS_POLICIES, LOCKING_POLICIES, MRUPolicy
 from repro.sim import batch
 from repro.sim.system import NetworkProcessingSystem, SystemConfig
@@ -131,6 +135,31 @@ def test_full_system_batched_equals_scalar(paradigm, policy, monkeypatch):
         monkeypatch,
     )
     assert states["scalar"] == states["batched"]
+
+
+@pytest.mark.parametrize("paradigm,policy", [
+    ("locking", "mru"), ("locking", "pools"), ("ips", "ips-mru"),
+])
+def test_set_associative_batched_equals_scalar(paradigm, policy, monkeypatch):
+    """2-way cache levels, one policy per fused loop: the penalty kernel
+    takes the binomial model instead of the direct-mapped closed form."""
+    hierarchy = sgi_challenge_hierarchy()
+    two_way = dataclasses.replace(hierarchy, levels=tuple(
+        dataclasses.replace(level, associativity=2)
+        for level in hierarchy.levels))
+    traffic = TrafficSpec(
+        stream_specs=tuple(PoissonSpec(2_500.0) for _ in range(4)),
+        size_model=FixedSize(1024),
+    )
+    states = _run_both(
+        dict(paradigm=paradigm, policy=policy, traffic=traffic,
+             platform=PlatformConfig(hierarchy=two_way),
+             duration_us=120_000.0, warmup_us=20_000.0, seed=3),
+        monkeypatch,
+    )
+    assert states["scalar"] == states["batched"]
+    _calls, analytic, _hits, computes = states["batched"]["model"]
+    assert analytic > 0 and computes > 0
 
 
 @pytest.mark.parametrize("paradigm,policy", [

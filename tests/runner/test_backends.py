@@ -101,7 +101,7 @@ class TestWarmChunkPath:
             reset_warm_state()
 
     def test_mismatched_cache_entry_degrades_to_cold_build(self):
-        # A memoized model is served only to configs whose exec-model
+        # A cached model is served only to configs whose exec-model
         # parameters equal its key: a model for other parameters sitting
         # in the cache must not leak into this run.
         reset_warm_state()
@@ -160,10 +160,9 @@ class TestBackendSelection:
     def test_warm_options_validation(self):
         with pytest.raises(ValueError):
             WarmOptions(chunk_tasks=0)
-        with pytest.raises(ValueError):
-            WarmOptions(target_chunk_s=0.0)
-        with pytest.raises(ValueError):
-            WarmOptions(max_chunk_tasks=0)
+        # The auto-sizing target and cap are module constants, not knobs.
+        assert [f.name for f in dataclasses.fields(WarmOptions)] == [
+            "chunk_tasks"]
 
     def test_jobs_label_names_backend(self):
         assert "backend=warm" in SweepRunner(jobs=2, backend="warm").jobs_label()

@@ -61,8 +61,6 @@ class TestOptions:
     @pytest.mark.parametrize("field,bad", [
         ("lease_timeout_s", 0.0),
         ("lease_tasks", 0),
-        ("target_lease_s", -1.0),
-        ("max_lease_tasks", 0),
         ("max_fleet_failures", -1),
         ("tick_s", 0.0),
         ("idle_poll_s", -0.5),
@@ -70,6 +68,12 @@ class TestOptions:
     def test_bad_tuning_rejected(self, field, bad):
         with pytest.raises(ValueError):
             DistributedOptions(**{field: bad})
+
+    @pytest.mark.parametrize("field", ["target_lease_s", "max_lease_tasks"])
+    def test_lease_sizing_is_not_a_knob(self, field):
+        # Auto-sized leases aim at a fixed target under a fixed cap.
+        with pytest.raises(TypeError, match=field):
+            DistributedOptions(**{field: 1})
 
     def test_options_cannot_be_mutated(self):
         opts = DistributedOptions()

@@ -1,13 +1,17 @@
 """Integration tests: full simulations, queueing validation, invariants."""
 
+import gc
 import math
+import weakref
 
 import pytest
 
 from repro.analysis.mg1 import md1_mean_delay, mmc_mean_delay
 from repro.core.params import PAPER_COSTS, PlatformConfig
 from repro.core.policies import LOCKING_POLICIES
+from repro.sim import batch
 from repro.sim.system import NetworkProcessingSystem, SystemConfig, run_simulation
+from repro.workloads.sessions import SessionChurnSpec
 from repro.workloads.traffic import TrafficSpec
 
 from ..conftest import fast_config
@@ -280,3 +284,45 @@ class TestIPSSemantics:
         )
         s = run_simulation(cfg)
         assert s.mean_lock_wait_us > 0.0
+
+
+class TestRunSimulationFreesTheSystem:
+    """A finished run is reclaimed by reference counting alone."""
+
+    @pytest.mark.parametrize("engine", ["scalar", "batched"])
+    @pytest.mark.parametrize("paradigm,policy", [
+        ("locking", "mru"), ("locking", "pools"), ("ips", "ips-mru"),
+    ])
+    def test_system_is_dead_on_return(self, engine, paradigm, policy,
+                                      monkeypatch):
+        self._assert_freed(monkeypatch, engine, fast_config(
+            paradigm=paradigm, policy=policy, duration_us=30_000.0,
+            warmup_us=5_000.0))
+
+    def test_churned_sessions_are_freed(self, monkeypatch):
+        churn = SessionChurnSpec(sessions_per_second=400.0,
+                                 mean_lifetime_us=5_000.0,
+                                 per_stream_rate_pps=2_000.0)
+        self._assert_freed(monkeypatch, "auto", fast_config(
+            churn=churn, duration_us=30_000.0, warmup_us=5_000.0))
+
+    @staticmethod
+    def _assert_freed(monkeypatch, engine, config):
+        monkeypatch.setenv(batch.ENGINE_ENV, engine)
+        built = []
+        run = NetworkProcessingSystem.run
+
+        def spy(system):
+            built.append(weakref.ref(system))
+            return run(system)
+
+        monkeypatch.setattr(NetworkProcessingSystem, "run", spy)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            summary = run_simulation(config)
+            assert built and built[0]() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert summary.n_packets > 0

@@ -1,7 +1,7 @@
 """Bit-identity of vectorized arrival pregeneration.
 
 The simulator pregenerates per-stream interarrival gaps and batch sizes
-in chunks (:meth:`ArrivalProcess.next_batches`) instead of drawing one
+in chunks (:meth:`ArrivalProcess.next_batches_array`) instead of drawing one
 batch per arrival event.  The hot-path overhaul is only admissible
 because the chunked draws reproduce the event-by-event draw sequence
 *bit for bit* from the same RNG state — these tests enforce that
@@ -64,10 +64,11 @@ def drain_chunked(process: ArrivalProcess, split):
     """The pregenerated sequence, refilled chunk by chunk."""
     gaps, sizes = [], []
     for n in split:
-        chunk_gaps, chunk_sizes = process.next_batches(n)
-        assert len(chunk_gaps) == n
-        gaps.extend(chunk_gaps)
-        sizes.extend(chunk_sizes if chunk_sizes is not None else [1] * n)
+        chunk_gaps, chunk_sizes = process.next_batches_array(n)
+        assert chunk_gaps.dtype == np.float64 and len(chunk_gaps) == n
+        gaps.extend(chunk_gaps.tolist())
+        sizes.extend(chunk_sizes.tolist() if chunk_sizes is not None
+                     else [1] * n)
     return gaps, sizes
 
 
@@ -75,7 +76,7 @@ def drain_chunked(process: ArrivalProcess, split):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("split", SPLITS, ids=lambda s: "+".join(map(str, s[:4])) + ("..." if len(s) > 4 else ""))
 def test_chunked_equals_scalar_bitwise(spec_name, seed, split):
-    """next_batches chunks == repeated next_batch, value for value.
+    """next_batches_array chunks == repeated next_batch, value for value.
 
     Equality is exact (``==`` on floats, no tolerance): the simulator's
     golden regression baseline depends on the draws being bit-identical,
@@ -135,7 +136,7 @@ def test_chunks_past_horizon_are_invisible():
     want, _ = drain_scalar(lone, 8)
     paired = spec.build(np.random.default_rng(5))
     other = spec.build(np.random.default_rng(6))
-    other.next_batches(1024)  # massive overdraw on a sibling stream
+    other.next_batches_array(1024)  # massive overdraw on a sibling stream
     got, _ = drain_chunked(paired, [8])
     assert got == want
 
@@ -144,17 +145,18 @@ def test_next_batches_rejects_nonpositive():
     for spec in SPECS.values():
         process = spec.build(np.random.default_rng(1))
         with pytest.raises(ValueError):
-            process.next_batches(0)
+            process.next_batches_array(0)
         with pytest.raises(ValueError):
-            process.next_batches(-3)
+            process.next_batches_array(-3)
 
 
 def test_batch_sizes_none_means_all_single():
     """The ``sizes is None`` compression is only ever used when every
     batch is a single packet."""
     bursty = SPECS["batch_poisson"].build(np.random.default_rng(3))
-    gaps, sizes = bursty.next_batches(256)
-    assert sizes is not None and any(s > 1 for s in sizes)
-    poisson = SPECS["poisson"].build(np.random.default_rng(3))
-    _, sizes = poisson.next_batches(256)
-    assert sizes is None
+    gaps, sizes = bursty.next_batches_array(256)
+    assert sizes is not None and (sizes > 1).any()
+    for name in ("poisson", "deterministic"):
+        single = SPECS[name].build(np.random.default_rng(3))
+        _, sizes = single.next_batches_array(256)
+        assert sizes is None
