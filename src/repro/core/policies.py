@@ -177,10 +177,37 @@ class LockingPolicy(ABC):
     ``per_processor_threads`` tells the dispatcher whether protocol threads
     are bound to processors (preserving thread-stack affinity) or drawn
     from a shared migratory pool.
+
+    The remaining class attributes describe the policy to the fused
+    engine (:mod:`repro.sim.batch`), which runs every Locking policy in
+    one loop.  :attr:`routing` names the queue an arriving packet joins:
+
+    - ``"global"``: one shared FIFO;
+    - ``"wired"``: queue ``stream_id mod N``;
+    - ``"last"``: the stream's last processor, spilling by
+      :attr:`spill_threshold`;
+    - ``"steer"``: a persistent steer table with the same spill;
+    - ``"group"``: queue ``stream_id mod G`` of ``G`` processor groups.
+
+    :attr:`pick` names how a ``global`` or ``group`` queue's packet picks
+    among the queue's idle processors: ``"mru"`` (the MRU idle processor,
+    ties by the scheduling RNG), ``"random"`` (a uniform draw, made only
+    when more than one is idle) or ``"stream"`` (the stream's last
+    processor if idle, else ``"mru"``).  :attr:`steal` adds a second
+    serve rule (see :class:`_PerProcessorQueuePolicy`).
     """
 
     name: str = "locking-policy"
     per_processor_threads: bool = False
+    routing: str = ""
+    pick: str = "mru"
+    #: Imbalance beyond which the ``last``/``steer`` rules spill to the
+    #: shortest queue (``None``: never spill).
+    spill_threshold: Optional[int] = None
+    #: Steal rule (``""``: none, ``"newest"`` or ``"head"``).
+    steal: str = ""
+    #: Queue length a steal victim must exceed.
+    steal_threshold: int = 0
 
     def __init__(self) -> None:
         self.view: Optional[SchedulerView] = None
@@ -206,11 +233,18 @@ class LockingPolicy(ABC):
 
 
 class _GlobalQueuePolicy(LockingPolicy):
-    """Shared base for policies with a single global FIFO."""
+    """Shared base for policies with a single global FIFO, served by a
+    shared thread pool: a subclass is its :attr:`~LockingPolicy.pick`
+    rule."""
+
+    routing = "global"
 
     def __init__(self) -> None:
         super().__init__()
         self._queue: Deque = deque()
+        #: The shared queue as the one-entry queue list of the fused
+        #: engine's description.
+        self._queues: List[Deque] = [self._queue]
 
     def on_arrival(self, packet) -> None:
         self._queue.append(packet)
@@ -235,6 +269,7 @@ class FCFSPolicy(_GlobalQueuePolicy):
     """Unaffinitized baseline: global FIFO, random idle processor."""
 
     name = "fcfs"
+    pick = "random"
 
     def _select_processor(self, packet, idle: List[int]) -> int:
         return self.view.random_choice(idle)
@@ -258,6 +293,7 @@ class StreamMRUPolicy(_GlobalQueuePolicy):
     """
 
     name = "stream-mru"
+    pick = "stream"
 
     def _select_processor(self, packet, idle: List[int]) -> int:
         last = self.view.stream_last_processor(packet.stream_id)
@@ -271,14 +307,13 @@ class _PerProcessorQueuePolicy(LockingPolicy):
     processor-bound threads.
 
     A subclass is its routing rule: :meth:`route` names the queue an
-    arriving packet joins, and :attr:`routing` names that rule for the
-    fused engine (:mod:`repro.sim.batch`), which runs ``wired``, ``last``,
-    ``steer`` and ``group`` in one loop.  The default serve rule is "own
+    arriving packet joins, and :attr:`~LockingPolicy.routing` names that
+    rule for the fused engine.  The default serve rule is "own
     queue": an idle processor serves the queue it owns, scanned in idle
-    order.  :attr:`steal` adds a second serve rule for when no idle
-    processor has work of its own: the MRU idle processor (the thief)
-    takes a packet from the longest queue holding more than
-    :attr:`steal_threshold` packets —
+    order.  :attr:`~LockingPolicy.steal` adds a second serve rule for when
+    no idle processor has work of its own: the MRU idle processor (the
+    thief) takes a packet from the longest queue holding more than
+    :attr:`~LockingPolicy.steal_threshold` packets —
 
     - ``"newest"``: the newest packet (LIFO end) of a longest queue,
       victim ties broken by the scheduling RNG;
@@ -290,15 +325,6 @@ class _PerProcessorQueuePolicy(LockingPolicy):
     """
 
     per_processor_threads = True
-    #: Routing rule replicated by the fused engine.
-    routing: str = ""
-    #: Imbalance beyond which the ``last``/``steer`` rules spill to the
-    #: shortest queue (``None``: never spill).
-    spill_threshold: Optional[int] = 0
-    #: Steal rule (``""``: none, ``"newest"`` or ``"head"``).
-    steal: str = ""
-    #: Queue length a steal victim must exceed.
-    steal_threshold: int = 0
 
     def __init__(self) -> None:
         super().__init__()
@@ -515,7 +541,6 @@ class WorkStealingPolicy(_PerProcessorQueuePolicy):
 
     name = "work-steal"
     routing = "last"
-    spill_threshold = None
     steal = "newest"
 
     def __init__(self, steal_threshold: int = 1) -> None:

@@ -1094,8 +1094,7 @@ def check_config_read_parity(
 # RPR009 — RNG provenance + policy fallback coverage
 # ----------------------------------------------------------------------
 _FALLBACK_DECL = "_SCALAR_FALLBACK_POLICIES"
-_FUSED_TUPLES = ("_LOCKING_POLICIES", "_LOCKING_POOL_POLICIES",
-                 "_IPS_POLICIES")
+_FUSED_TUPLES = ("_LOCKING_POLICIES", "_IPS_POLICIES")
 _POLICY_REGISTRIES = ("LOCKING_POLICIES", "IPS_POLICIES")
 _POLICIES_RELPATH = "core/policies.py"
 _TRACE_DEPTH = 10

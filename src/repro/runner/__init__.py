@@ -33,7 +33,6 @@ from .backends import (
     BACKEND_NAMES,
     DistributedOptions,
     ExecutionBackend,
-    WarmOptions,
     make_backend,
     reset_warm_state,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "SweepRunner",
     "TaskTimeout",
     "UncacheableConfig",
-    "WarmOptions",
     "canonicalize",
     "code_version",
     "config_key",

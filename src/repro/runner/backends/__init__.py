@@ -18,7 +18,7 @@ from typing import Optional
 from .base import BatchState, ExecutionBackend
 from .distributed import DistributedBackend, DistributedOptions
 from .serial import SerialBackend
-from .warm import WarmBackend, WarmOptions, reset_warm_state
+from .warm import WarmBackend, reset_warm_state
 
 __all__ = [
     "BACKEND_NAMES",
@@ -28,7 +28,6 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "WarmBackend",
-    "WarmOptions",
     "make_backend",
     "reset_warm_state",
 ]
@@ -39,15 +38,14 @@ BACKEND_NAMES = ("serial", "warm", "distributed")
 
 
 def make_backend(name: str,
-                 warm_options: Optional[WarmOptions] = None,
                  distributed_options: Optional[DistributedOptions] = None,
                  ) -> ExecutionBackend:
-    """Instantiate the named backend (``warm_options`` applies to warm,
-    ``distributed_options`` to distributed)."""
+    """Instantiate the named backend (``distributed_options`` applies to
+    distributed)."""
     if name == "serial":
         return SerialBackend()
     if name == "warm":
-        return WarmBackend(warm_options)
+        return WarmBackend()
     if name == "distributed":
         return DistributedBackend(distributed_options)
     raise ValueError(

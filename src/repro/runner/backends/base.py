@@ -44,7 +44,6 @@ from typing import (
     Tuple,
 )
 
-from ...core.exec_model import ExecutionTimeModel
 from ...sim.metrics import SimulationSummary
 from ...sim.system import SystemConfig, run_simulation
 from ..checkpoint import CheckpointJournal
@@ -132,17 +131,9 @@ def _format_chain(exc: BaseException) -> str:
     return " <- ".join(parts)
 
 
-def _execute_task(task: _WorkerTask,
-                  model: Optional[ExecutionTimeModel] = None) -> _WorkerOutcome:
+def _execute_task(task: _WorkerTask) -> _WorkerOutcome:
     """Worker entrypoint: run one attempt, honouring the fault plan and
-    the task deadline.  Must stay a module-level function (RPR006).
-
-    ``model`` is an optional pre-built :class:`ExecutionTimeModel` for
-    the task's exec-model parameters (a warm worker's cached model).
-    Injection is validated against the config and is purely a
-    memoization transplant, so it can never change results (the penalty
-    cache holds values of a pure function; see ``docs/PERFORMANCE.md``).
-    """
+    the task deadline.  Must stay a module-level function (RPR006)."""
     t0 = time.perf_counter()
     plan = task.plan
     try:
@@ -162,7 +153,7 @@ def _execute_task(task: _WorkerTask,
                     plan.decide("error", task.fault_key, task.attempt):
                 raise InjectedFault(
                     f"injected failure for task {task.fault_key[:12]}")
-            summary = run_simulation(task.config, model=model)
+            summary = run_simulation(task.config)
         return _WorkerOutcome(True, summary, "", "", time.perf_counter() - t0)
     except TaskTimeout as exc:
         return _WorkerOutcome(False, None, "timeout", str(exc),

@@ -36,11 +36,9 @@ behind a partition.  The design answers with three mechanisms:
 
 Dispatch matches the warm backend: one FIFO of ``(index, attempt)``
 tasks per batch, and an idle agent is leased the next chunk from its
-head.  Auto-sized leases are capped once per batch by
-:func:`~.base.chunk_cap`; a fixed :attr:`DistributedOptions.lease_tasks`
-is used as given.  An agent
-caches one :class:`~repro.core.exec_model.ExecutionTimeModel` per
-exec-model parameter set across leases, like a warm worker.  Scheduling
+head.  Leases are auto-sized like warm chunks and capped once per batch
+by :func:`~.base.chunk_cap`.  An agent carries no state from one task to
+the next, like a warm worker.  Scheduling
 cannot affect results: every config carries its own seed, and the chaos
 suite (``repro faults --backend distributed``) proves bit-identity
 under every fault kind.
@@ -119,8 +117,8 @@ _MAX_LEASE_TASKS = 32
 class DistributedOptions:
     """Tuning and test levers for the distributed backend.
 
-    Like :class:`~repro.runner.backends.WarmOptions`, none of these can
-    affect results — only wall-clock and recovery counters.
+    None of these can affect results — only wall-clock and recovery
+    counters.
     """
 
     #: TCP listen address, ``host:port`` (port 0 = ephemeral).
@@ -131,10 +129,6 @@ class DistributedOptions:
     #: Heartbeat budget: a lease silent for longer is expired and its
     #: tasks requeued (consuming an attempt each).
     lease_timeout_s: float = 60.0
-    #: Fixed tasks per lease, used as given (None = auto-size from
-    #: measured task cost, up to :data:`_MAX_LEASE_TASKS`, capped once
-    #: per batch by ``chunk_cap``).
-    lease_tasks: Optional[int] = None
     #: Agent deaths tolerated per batch before the coordinator retires
     #: the fleet and finishes on the local warm backend.
     max_fleet_failures: int = 3
@@ -149,8 +143,6 @@ class DistributedOptions:
     def __post_init__(self) -> None:
         if self.lease_timeout_s <= 0:
             raise ValueError("lease_timeout_s must be positive")
-        if self.lease_tasks is not None and self.lease_tasks < 1:
-            raise ValueError("lease_tasks must be >= 1 (or None = auto)")
         if self.max_fleet_failures < 0:
             raise ValueError("max_fleet_failures must be >= 0")
         if self.tick_s <= 0 or self.idle_poll_s <= 0:
@@ -166,8 +158,8 @@ def _agent_loop(link: TcpWorker, worker_id: str, idle_poll_s: float) -> None:
     The agent is *stateless by design*: everything a lease needs (tasks
     and fault plan) ships inside the lease message, so a fresh agent —
     respawned, or on another host — is interchangeable with the one that
-    died.  The only carried state is
-    the warm model cache, a pure accelerator (RPR012 ledger).
+    died.  It carries no state across tasks (the RPR012 ledger is
+    empty).
     """
     leases_seen = 0
     link.send(("hello", worker_id))
@@ -375,7 +367,7 @@ class DistributedBackend(ExecutionBackend):
         # stays per-task, matching the warm backend.  An agent holds one
         # lease at a time: one in-flight slot per worker, so auto-sized
         # leases are capped with ``slots=1``.
-        fixed_chunk = 1 if runner.fault_plan is not None else opts.lease_tasks
+        faulty = runner.fault_plan is not None
         cap = chunk_cap(len(queue), runner.jobs, 1)
         table = LeaseTable(opts.lease_timeout_s, self._clock)
         self._committed = {}
@@ -435,8 +427,8 @@ class DistributedBackend(ExecutionBackend):
                             and queue
                             and not (runner.fail_fast and batch.failures)):
                         self._grant(slot, runner, batch, queue, table,
-                                    fixed_chunk
-                                    or min(self._sizer.size(), cap),
+                                    1 if faulty
+                                    else min(self._sizer.size(), cap),
                                     transport)
 
                 if (not queue and table.active() == 0

@@ -17,10 +17,11 @@ backend instead:
   :func:`~.base.chunk_cap` so the tail of the batch stays queued for
   whichever worker frees first; dispatch is double-buffered
   (:data:`_PREFETCH`) so the parent's fold-and-refill never idles a
-  worker, and each chunk's summaries return as one pickled tuple;
-- on the worker, caches one model per exec-model parameter set
-  (:data:`_MODEL_CACHE`) — a pure memoization transplant, so results
-  are bit-identical to cold execution.
+  worker, and each chunk's summaries return as one pickled tuple.
+
+Each task builds its own model, exactly as a serial run does: building
+one costs microseconds, and a model shared across tasks saved under a
+millisecond per 600-run session (``docs/PERFORMANCE.md``).
 
 Fault tolerance: per-task SIGALRM deadlines inside workers, a
 parent-side hard watchdog that replaces wedged workers, crash detection
@@ -44,7 +45,6 @@ import signal
 import time
 import weakref
 from collections import deque
-from dataclasses import dataclass
 from multiprocessing.connection import Connection
 from multiprocessing.connection import wait as _conn_wait
 from multiprocessing.context import BaseContext
@@ -61,9 +61,7 @@ from typing import (
     Tuple,
 )
 
-from ...core.exec_model import ExecutionTimeModel
 from ...sim.metrics import SimulationSummary
-from ...sim.system import SystemConfig
 from .base import (
     BatchState,
     ExecutionBackend,
@@ -79,7 +77,7 @@ from .base import (
 if TYPE_CHECKING:
     from ..runner import SweepRunner
 
-__all__ = ["WarmBackend", "WarmOptions", "reset_warm_state"]
+__all__ = ["WarmBackend", "reset_warm_state"]
 
 
 # ----------------------------------------------------------------------
@@ -87,28 +85,12 @@ __all__ = ["WarmBackend", "WarmOptions", "reset_warm_state"]
 # survives across chunks; every entry here is governed by RPR012)
 # ----------------------------------------------------------------------
 
-#: Memoized execution-time models keyed by the exec-model parameters
-#: ``(costs, composition, platform.hierarchy)``, compared by value.  Reuse
-#: is safe because a model's only mutable state is a bounded memo table
-#: of a pure function of exactly those parameters, plus observability
-#: counters — enforced by the determinism suite.
-_MODEL_CACHE: Dict[Tuple[object, object, object], ExecutionTimeModel] = {}
-
-#: Bound on :data:`_MODEL_CACHE` (FIFO eviction): a sweep rarely carries
-#: more than a handful of exec-model parameterizations at once.
-_MODEL_CACHE_MAX = 8
-
 #: Ledger of worker-held mutable caches: global name -> why it is safe
 #: to hold across tasks.  Lint rule RPR012 cross-checks that every
 #: module-level mutable container in ``runner/backends/`` appears here
-#: *and* is cleared by :func:`reset_warm_state`.
-_WARM_LEDGER: Dict[str, str] = {
-    "_MODEL_CACHE": (
-        "ExecutionTimeModel per (costs, composition, hierarchy), keyed "
-        "by value: penalty memo of a pure function of exactly its key, "
-        "so reuse can never change results"
-    ),
-}
+#: *and* is cleared by :func:`reset_warm_state`.  Empty: a warm worker
+#: carries no state from one task to the next.
+_WARM_LEDGER: Dict[str, str] = {}
 
 
 def reset_warm_state() -> None:
@@ -116,27 +98,8 @@ def reset_warm_state() -> None:
 
     Called on worker start; also the RPR012 anchor: every ledger entry
     must be cleared here so 'what state can a warm worker carry?' has
-    exactly one auditable answer.
+    exactly one auditable answer (today: none).
     """
-    _MODEL_CACHE.clear()
-
-
-def _model_for(config: SystemConfig) -> Optional[ExecutionTimeModel]:
-    """The cached model for ``config``'s exec-model parameters, built
-    on first use; None (a cold build in the task) when the parameters
-    are unhashable custom objects."""
-    key = (config.costs, config.composition, config.platform.hierarchy)
-    try:
-        model = _MODEL_CACHE.get(key)
-    except TypeError:
-        return None
-    if model is None:
-        model = ExecutionTimeModel(config.costs, config.composition,
-                                   config.platform.hierarchy)
-        if len(_MODEL_CACHE) >= _MODEL_CACHE_MAX:
-            _MODEL_CACHE.pop(next(iter(_MODEL_CACHE)))
-        _MODEL_CACHE[key] = model
-    return model
 
 
 #: meta entry per executed task: (ok, kind, error, elapsed_s)
@@ -154,7 +117,7 @@ def _run_chunk(tasks: Sequence[_WorkerTask],
     so the coordinator sees liveness at task granularity: a hung task
     stops the beats and its lease expires, no cooperation needed.
     Separated from the worker loops so tests can drive the exact
-    chunk-execution path in-process and inspect :data:`_MODEL_CACHE`.
+    chunk-execution path in-process.
     """
     outcomes: List[_WorkerOutcome] = []
     interrupted = False
@@ -162,7 +125,7 @@ def _run_chunk(tasks: Sequence[_WorkerTask],
         if i and beat is not None:
             beat()
         try:
-            outcomes.append(_execute_task(task, model=_model_for(task.config)))
+            outcomes.append(_execute_task(task))
         except KeyboardInterrupt:
             interrupted = True
             break
@@ -223,24 +186,6 @@ def _mp_context() -> BaseContext:
 # ----------------------------------------------------------------------
 # Parent side
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class WarmOptions:
-    """Tuning levers for the warm backend.
-
-    None of these can affect results — only wall-clock (the determinism
-    suite runs adversarial combinations).
-    """
-
-    #: Fixed tasks per chunk (None = auto-size from measured task cost,
-    #: up to :data:`_MAX_CHUNK_TASKS`); either way a chunk is capped once
-    #: per batch by ``chunk_cap``.
-    chunk_tasks: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.chunk_tasks is not None and self.chunk_tasks < 1:
-            raise ValueError("chunk_tasks must be >= 1 (or None = auto)")
-
-
 #: Auto-sizing target: one chunk (or distributed lease) should cost about
 #: this much simulation wall-clock.
 _TARGET_CHUNK_S = 0.2
@@ -308,8 +253,7 @@ class WarmBackend(ExecutionBackend):
 
     name = "warm"
 
-    def __init__(self, options: Optional[WarmOptions] = None) -> None:
-        self.options = options if options is not None else WarmOptions()
+    def __init__(self) -> None:
         self._ctx = _mp_context()
         self._workers: List[_WarmWorker] = []
         self._procs: List[BaseProcess] = []      # shared with the finalizer
@@ -385,7 +329,6 @@ class WarmBackend(ExecutionBackend):
         # is double-buffered: one queued behind the one a worker runs, so
         # the parent's fold-and-refill latency never idles the worker.
         faulty = runner.fault_plan is not None
-        fixed_chunk = 1 if faulty else self.options.chunk_tasks
         prefetch = 1 if faulty else _PREFETCH
         cap = chunk_cap(len(queue), runner.jobs, prefetch)
         hard_s = runner._hard_timeout_s()
@@ -426,7 +369,7 @@ class WarmBackend(ExecutionBackend):
                         if (len(worker.chunks) <= level and queue
                                 and not (runner.fail_fast
                                          and batch.failures)):
-                            size = min(fixed_chunk or self._sizer.size(), cap)
+                            size = 1 if faulty else min(self._sizer.size(), cap)
                             if not self._dispatch(worker, runner, batch,
                                                   take(queue, size), queue):
                                 respawns += 1

@@ -72,7 +72,7 @@ from __future__ import annotations
 
 import hashlib
 import shutil
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
@@ -694,8 +694,3 @@ def run_fault_suite(workdir: Path, jobs: int = 2, seed: int = 1,
         scenarios = scenarios + _DISTRIBUTED_SCENARIOS
     return [scenario(workdir, jobs, seed, backend)
             for scenario in scenarios]
-
-
-def plan_with(plan: FaultPlan, **overrides: object) -> FaultPlan:
-    """A copy of ``plan`` with fields replaced (test helper)."""
-    return replace(plan, **overrides)  # type: ignore[arg-type]

@@ -86,7 +86,6 @@ from .backends import (
     BatchState,
     DistributedOptions,
     ExecutionBackend,
-    WarmOptions,
     make_backend,
 )
 from .backends.base import _execute_task, _WorkerTask
@@ -104,6 +103,10 @@ __all__ = [
     "set_runner",
     "use_runner",
 ]
+
+#: Multiple of ``timeout_s`` behind the parent-side watchdog
+#: (:meth:`SweepRunner._hard_timeout_s`).
+_HARD_TIMEOUT_FACTOR = 4.0
 
 
 @dataclass
@@ -258,9 +261,6 @@ class SweepRunner:
         ``"serial"`` (force in-process).
         Backend choice can never change results — only wall-clock
         (``docs/RUNNER.md``, ``docs/DISTRIBUTED.md``).
-    warm_options:
-        Optional :class:`~repro.runner.backends.WarmOptions` tuning the
-        warm backend (chunk size).  Ignored by the others.
     distributed_options:
         Optional :class:`~repro.runner.backends.DistributedOptions`
         tuning the distributed backend (bind address, lease timeout,
@@ -297,7 +297,6 @@ class SweepRunner:
                  check_invariants: bool = False,
                  *,
                  backend: str = "warm",
-                 warm_options: Optional[WarmOptions] = None,
                  distributed_options: Optional[DistributedOptions] = None,
                  timeout_s: Optional[float] = None,
                  retries: int = 0,
@@ -306,8 +305,7 @@ class SweepRunner:
                  checkpoint_dir: Optional["os.PathLike[str]"] = None,
                  resume: bool = False,
                  fault_plan: Optional[FaultPlan] = None,
-                 max_pool_failures: int = 2,
-                 hard_timeout_factor: float = 4.0) -> None:
+                 max_pool_failures: int = 2) -> None:
         if jobs is None:
             jobs = os.cpu_count() or 1
         if jobs < 0:
@@ -323,7 +321,6 @@ class SweepRunner:
         self.cache = cache
         self.check_invariants = check_invariants
         self.backend = backend
-        self.warm_options = warm_options
         self.distributed_options = distributed_options
         self.timeout_s = timeout_s
         self.retries = retries
@@ -333,7 +330,6 @@ class SweepRunner:
         self.resume = resume
         self.fault_plan = fault_plan
         self.max_pool_failures = max_pool_failures
-        self.hard_timeout_factor = hard_timeout_factor
         self.stats = RunnerStats()
         self._backends: Dict[str, ExecutionBackend] = {}
 
@@ -349,8 +345,7 @@ class SweepRunner:
         across batches."""
         instance = self._backends.get(name)
         if instance is None:
-            instance = make_backend(name, self.warm_options,
-                                    self.distributed_options)
+            instance = make_backend(name, self.distributed_options)
             self._backends[name] = instance
         return instance
 
@@ -592,12 +587,9 @@ class SweepRunner:
         wedged beyond its own SIGALRM guard."""
         if self.timeout_s is None:
             return None
-        return self.timeout_s * self.hard_timeout_factor + 1.0
+        return self.timeout_s * _HARD_TIMEOUT_FACTOR + 1.0
 
     # ------------------------------------------------------------------
-    def run_one(self, config: SystemConfig) -> SimulationSummary:
-        return self.run_many([config])[0]
-
     def run_seeds(self, config: SystemConfig,
                   seeds: Sequence[int]) -> List[SimulationSummary]:
         """Run one config under several seeds (replication helper for the

@@ -66,13 +66,14 @@ invariant checking, one coarse lock, any cache geometry (a memo miss
 calls the model's one penalty kernel, ``ExecutionTimeModel.penalty_fill``,
 whatever the levels' associativity), and the policies
 
-- ``mru``/``fcfs``/``stream-mru`` (Locking, shared queue and thread
-  pool; ``_run_locking``),
-- ``wired-streams``/``pools``/``flow-steer``/``grouped``/``hybrid``/
-  ``work-steal`` (Locking, per-processor threads and queues;
-  ``_run_locking_pools`` runs their routing rules
-  ``wired``/``last``/``steer``/``group`` and their steal rules
-  ``head``/``newest``),
+- every Locking policy in one loop, ``_run_locking``, driven by the
+  policy's description (``routing``, ``pick``, ``steal`` and
+  ``per_processor_threads``, see :class:`~repro.core.policies.LockingPolicy`):
+  ``mru``/``fcfs``/``stream-mru`` are one ``global`` queue with the
+  ``mru``/``random``/``stream`` pick and a shared thread pool;
+  ``wired-streams``/``pools``/``flow-steer``/``grouped``/``hybrid``/
+  ``work-steal`` route by ``wired``/``last``/``steer``/``group``, steal by
+  ``head``/``newest`` and run processor-bound threads;
 - ``ips-mru``/``ips-wired``/``ips-random`` (IPS; ``_run_ips``).
 
 That is every registered policy (``_SCALAR_FALLBACK_POLICIES`` is
@@ -113,7 +114,6 @@ from ..workloads.packet_train import PacketTrainSpec
 from .entities import Packet
 
 if TYPE_CHECKING:
-    from .dispatch import LockingDispatcher
     from .system import NetworkProcessingSystem
 
 __all__ = ["ENGINE_ENV", "engine_mode", "unsupported_reason", "run_fused"]
@@ -148,13 +148,12 @@ def engine_mode() -> str:
     )
 
 
-_LOCKING_POLICIES = (MRUPolicy, FCFSPolicy, StreamMRUPolicy)
-#: Locking policies with per-processor threads and per-processor (or
-#: per-group) queues, fused by ``_run_locking_pools`` from their
-#: ``routing``/``steal`` description.
-_LOCKING_POOL_POLICIES = (WiredStreamsPolicy, PerProcessorPoolsPolicy,
-                          FlowSteerPolicy, GroupedAffinityPolicy,
-                          HybridPolicy, WorkStealingPolicy)
+#: Locking policies, fused by ``_run_locking`` from their
+#: ``routing``/``pick``/``steal`` description.
+_LOCKING_POLICIES = (MRUPolicy, FCFSPolicy, StreamMRUPolicy,
+                     WiredStreamsPolicy, PerProcessorPoolsPolicy,
+                     FlowSteerPolicy, GroupedAffinityPolicy,
+                     HybridPolicy, WorkStealingPolicy)
 _IPS_POLICIES = (IPSMRUPolicy, IPSWiredPolicy, IPSRandomPolicy)
 _ARRIVAL_SPECS = (PoissonSpec, DeterministicSpec, BatchPoissonSpec,
                   PacketTrainSpec)
@@ -203,8 +202,7 @@ def unsupported_reason(system: "NetworkProcessingSystem") -> Optional[str]:
         return "expected arrival count too large to pregenerate"
     policy = system.dispatcher.policy
     if cfg.paradigm == "locking":
-        if (type(policy) not in _LOCKING_POLICIES
-                and type(policy) not in _LOCKING_POOL_POLICIES):
+        if type(policy) not in _LOCKING_POLICIES:
             return f"locking policy {policy.name!r} is not fused"
         if system.dispatcher.lock.n_locks != 1:
             return "layered locks pipeline per-packet reservations"
@@ -369,12 +367,10 @@ def run_fused(system: "NetworkProcessingSystem") -> None:
     if gc_was_enabled:
         gc.disable()
     try:
-        if system.config.paradigm != "locking":
-            _run_ips(system, *feed)
-        elif type(system.dispatcher.policy) in _LOCKING_POOL_POLICIES:
-            _run_locking_pools(system, *feed)
-        else:
+        if system.config.paradigm == "locking":
             _run_locking(system, *feed)
+        else:
+            _run_ips(system, *feed)
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -539,19 +535,6 @@ def _fold_back(
                                      backlog, max_backlog)
 
 
-def _fold_locking(dispatcher: "LockingDispatcher", free: List[int],
-                  tlp: List[int],
-                  lock_state: Tuple[float, float, float, int, int]) -> None:
-    """Locking-only fold-back: thread pool and the single coarse lock."""
-    pool = dispatcher.threads
-    pool._free[:] = free
-    for t, lp in enumerate(tlp):
-        pool._last_proc[t] = lp if lp >= 0 else None
-    lock0 = dispatcher.lock.locks[0]
-    (lock0._free_at, lock0.total_wait_us, lock0.total_hold_us,
-     lock0.acquisitions, lock0.contended) = lock_state
-
-
 def _fold_metrics_rows(
     system: "NetworkProcessingSystem",
     done: List[tuple],
@@ -582,7 +565,7 @@ def _fold_metrics_rows(
 
 
 # ----------------------------------------------------------------------
-# Locking paradigm, shared queue (mru, fcfs, stream-mru)
+# Locking paradigm
 # ----------------------------------------------------------------------
 def _run_locking(
     system: "NetworkProcessingSystem",
@@ -591,6 +574,56 @@ def _run_locking(
     counts: List[int],
     n_batches: int,
 ) -> None:
+    """Fused loop for every Locking policy.
+
+    The policy's ``routing`` attribute selects how an arrival picks its
+    queue (``spill_threshold``, ``pick`` and the queue count complete the
+    description):
+
+    - ``global`` (``mru``, ``fcfs``, ``stream-mru``): one shared queue
+      (``s % 1``), dispatched by the ``pick`` rule among all idle
+      processors — ``mru`` is ``mru_idle(mask, 0, 1)``, ``random`` draws
+      over the ascending idle processors only when more than one is idle,
+      ``stream`` takes the stream's last processor if idle, else ``mru``;
+    - ``wired`` (``wired-streams``, ``hybrid``): ``s % N``, never spills;
+    - ``last`` (``pools``, ``work-steal``): the stream's last processor
+      (``s % N`` before its first completion), spilling to the first
+      shortest queue when the preferred one is longer by more than the
+      threshold (``None``: never);
+    - ``steer`` (``flow-steer``): a persistent steer table with the same
+      spill, which re-steers the stream and counts a ``resteer``;
+    - ``group`` (``grouped``): ``s % G``, dispatched MRU among the
+      group's idle members with the scheduling-RNG tie-break.
+
+    Its ``steal`` attribute adds the second serve rule, for an idle
+    processor with an empty own queue (``steal_threshold`` completes it):
+    the MRU idle processor takes the head packet of the first longest
+    queue over the threshold (``head``, ``hybrid``) or the newest packet
+    of a longest one, victim ties by the scheduling RNG (``newest``,
+    ``work-steal``).
+
+    ``per_processor_threads`` selects the thread model: processor-bound
+    threads (``tid == p``) or a shared pool, where an arrival dispatch
+    takes the free thread that last ran on ``p`` (LIFO within that
+    preference).  A completion refill keeps its thread in both models:
+    the scalar release-append and acquire-pop cancel out (a stolen packet
+    runs on the thief's thread).  The scalar dispatcher repeats the serve
+    rules — own queue in ascending idle order, then steal — until they
+    yield nothing, so between events **(I1) a nonempty queue implies its
+    owning processor (or every processor of its group; of a ``global``
+    queue, every processor) is busy, and (I2) while any processor is idle
+    no queue is longer than the steal threshold.**  They make one serve
+    step per event exact (docs/PERFORMANCE.md): an arrival dispatches on
+    its idle target, or queues and lets the MRU idle thief take one
+    packet from its (unique) over-threshold queue; a completion refills
+    its own processor, or — only while no other processor is idle —
+    steals as the thief itself.  The draws — the ``pick`` and thief MRU
+    tie-breaks at arrival, the ``newest`` victim tie at completion — are
+    replicated draw for draw from ``_mru_idle`` and ``random_choice``.
+    The spill test runs on every ``last``/``steer`` arrival, also while
+    every processor is busy.  A re-steer leaves the stream's queued
+    packets behind — the Flow Director reordering pathology.
+    """
     cfg = system.config
     dispatcher = system.dispatcher
     policy = dispatcher.policy
@@ -598,8 +631,27 @@ def _run_locking(
     n_streams = cfg.traffic.n_streams
     duration_us = cfg.duration_us
 
-    pk_fcfs = type(policy) is FCFSPolicy
-    pk_stream = type(policy) is StreamMRUPolicy
+    # --- routing description
+    routing = policy.routing
+    threshold = policy.spill_threshold
+    n_queues = len(policy._queues)
+    queues: List[Deque[Tuple[float, int, int]]] = [
+        deque() for _ in range(n_queues)
+    ]
+    # ``global`` is ``group`` with one group: the queue is ``s % n_queues``
+    # and the pick rule runs over its idle members.
+    r_group = routing in ("group", "global")
+    r_wired = routing == "wired"
+    r_steer = routing == "steer"
+    pick_random = policy.pick == "random"
+    pick_stream = policy.pick == "stream"
+    steer = [-1] * n_streams
+    resteers = 0
+    steal = policy.steal
+    steal_thr = policy.steal_threshold
+    s_newest = steal == "newest"
+    steals = 0
+    per_proc = policy.per_processor_threads
 
     # --- model constants / fast-path state (locals: no attribute loads
     # in the loop; every float expression below replicates the scalar
@@ -610,7 +662,6 @@ def _run_locking(
      t_warm, dispatch_c, lock_oh, extra_c, data_touching, dt_const,
      refs_per_us, v_intensity) = _service_locals(system)
     cs_us = dispatcher._lock_cs_us
-    sched_int = system.rngs.scheduling.integers
 
     n_calls = 0
     n_analytic = 0
@@ -629,390 +680,11 @@ def _run_locking(
     idle_mask = (1 << n_procs) - 1
     first_completion_order: List[int] = []
 
-    # --- shared thread pool (free LIFO list; -1 = "never ran anywhere")
+    # --- thread pool (free LIFO list; -1 = "never ran anywhere")
     free = list(range(n_procs - 1, -1, -1))
     tlp = [-1] * n_procs
 
     # --- single coarse lock
-    lock_free_at = 0.0
-    lock_total_wait_us = 0.0
-    lock_total_hold_us = 0.0
-    lock_acqs = 0
-    lock_contended = 0
-
-    # --- queues / event feeds
-    queue: Deque[Tuple[float, int, int]] = deque()
-    queue_append = queue.append
-    queue_popleft = queue.popleft
-    comp_heap: List[tuple] = []
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    done: List[tuple] = []
-    done_append = done.append
-
-    rem = list(counts)
-    next_stamp, seq = _first_stamps(counts)
-    ai = 0
-    n_packets = len(m_times)
-    m_times.append(math.inf)  # sentinel: loop needs no bounds check
-    m_sids.append(0)
-    backlog = 0
-    max_backlog = 0
-    INF = math.inf
-
-    while True:
-        at = m_times[ai]
-        if comp_heap:
-            head = comp_heap[0]
-            ct = head[0]
-            if at < ct:
-                take_arrival = True
-            elif ct < at:
-                if ct > duration_us:
-                    break
-                take_arrival = False
-            else:
-                take_arrival = next_stamp[m_sids[ai]] < head[1]
-        else:
-            if at == INF:
-                break
-            take_arrival = True
-
-        if take_arrival:
-            # ---------------- arrival event ----------------
-            if not idle_mask:
-                # Every processor is busy: arrivals strictly before the
-                # next completion can only queue.  Process that whole
-                # presorted slice in one sweep — each firing does exactly
-                # what the scalar per-event path does (enqueue, then
-                # stamp the stream's next batch), and the backlog rises
-                # monotonically so one max update at the end is exact.
-                j = bisect_left(m_times, ct, ai)
-                if j == ai:
-                    j = ai + 1  # tie with the completion, won on stamp
-                for i in range(ai, j):
-                    s = m_sids[i]
-                    if s < 0:
-                        queue_append((m_times[i], s + n_streams, i))
-                        continue
-                    queue_append((m_times[i], s, i))
-                    rem_s = rem[s] - 1
-                    rem[s] = rem_s
-                    if rem_s:
-                        next_stamp[s] = seq
-                        seq += 1
-                backlog += j - ai
-                if backlog > max_backlog:
-                    max_backlog = backlog
-                ai = j
-                continue
-            s = m_sids[ai]
-            now = a = at
-            pid = ai
-            ai += 1
-            backlog += 1
-            if backlog > max_backlog:
-                max_backlog = backlog
-            # Queue is empty (loop invariant) and a processor is idle:
-            # the packet dispatches; its completion takes the next stamp,
-            # then (at its batch's last packet) the stream's next batch.
-            cstamp = seq
-            seq += 1
-            if s < 0:
-                s += n_streams
-            else:
-                rem_s = rem[s] - 1
-                rem[s] = rem_s
-                if rem_s:
-                    next_stamp[s] = seq
-                    seq += 1
-            if not (idle_mask & (idle_mask - 1)):
-                p = idle_mask.bit_length() - 1
-            elif pk_fcfs:
-                idle = [q for q in range(n_procs) if idle_mask >> q & 1]
-                p = idle[int(sched_int(0, len(idle)))]
-            else:
-                p = -1
-                if pk_stream:
-                    lastp = stream_lp[s]
-                    if lastp >= 0 and idle_mask >> lastp & 1:
-                        p = lastp
-                if p < 0:
-                    best_t = _NEVER
-                    best = []
-                    for q in range(n_procs):
-                        if idle_mask >> q & 1:
-                            tq = last_end[q]
-                            if tq > best_t:
-                                best_t = tq
-                                best = [q]
-                            elif tq == best_t:
-                                best.append(q)
-                    p = (best[0] if len(best) == 1
-                         else best[int(sched_int(0, len(best)))])
-        else:
-            # ---------------- completion event ----------------
-            heappop(comp_heap)
-            done_append(head)
-            now = head[0]
-            p = head[2]
-            s = head[3]
-            ex = head[6]
-            tid = head[8]
-            epoch += 1
-            clock = ref_clock[p] + ex * refs_per_us
-            ref_clock[p] = clock
-            accrued[p] = now
-            code_touch[p] = clock
-            stream_touch[p][s] = clock
-            thread_touch[p][tid] = clock
-            pbusy_us[p] += ex
-            last_end[p] = now
-            epoch_seen[p] = epoch
-            backlog -= 1
-            tlp[tid] = p
-            free.append(tid)
-            if stream_lp[s] < 0:
-                first_completion_order.append(s)
-            stream_lp[s] = p
-            if not queue:
-                idle_mask |= 1 << p
-                continue
-            # Queue non-empty ⇒ every other processor is busy: the
-            # policy (all three) must pick p, consulting no RNG.
-            a, s, pid = queue_popleft()
-            cstamp = seq
-            seq += 1
-
-        # ---------------- service start (inlined _start_service) -------
-        tid = free[-1]
-        if tlp[tid] == p:
-            free.pop()
-        else:
-            found = -1
-            for cand in reversed(free):
-                if tlp[cand] == p:
-                    found = cand
-                    break
-            if found < 0:
-                tid = free.pop()
-            else:
-                tid = found
-                free.remove(tid)
-        # A completion refill has dt == 0.0 here (accrued[p] == now): the
-        # scalar no-op branch.
-        dt = now - accrued[p]
-        if dt > 0.0:
-            ref_clock[p] += dt * refs_per_us * v_intensity
-            np_us[p] += dt
-            accrued[p] = now
-        elif dt < -1e-9:
-            raise ValueError(f"time went backwards: {now} < {accrued[p]}")
-        clock = ref_clock[p]
-        d = clock - code_touch[p]
-        code_refs = d if d > 0.0 else 0.0
-        lp_s = stream_lp[s]
-        if lp_s != p:
-            if lp_s >= 0:
-                migrations += 1
-            stream_refs = COLD_
-        else:
-            d = clock - stream_touch[p][s]
-            stream_refs = d if d > 0.0 else 0.0
-        if tlp[tid] == p:
-            d = clock - thread_touch[p][tid]
-            thread_refs = d if d > 0.0 else 0.0
-        else:
-            thread_refs = COLD_
-        n_calls += 1
-        if code_refs == 0.0:
-            n_analytic += 1
-            pc = 0.0
-        elif code_refs == COLD_:
-            n_analytic += 1
-            pc = pen_cold
-        else:
-            pc = cache_get(code_refs)
-            if pc is None:
-                n_flush += 1
-                pc = flush(code_refs)
-            else:
-                n_cache += 1
-        if stream_refs == code_refs:
-            ps = pc
-        elif stream_refs == 0.0:
-            n_analytic += 1
-            ps = 0.0
-        elif stream_refs == COLD_:
-            n_analytic += 1
-            ps = pen_cold
-        else:
-            ps = cache_get(stream_refs)
-            if ps is None:
-                n_flush += 1
-                ps = flush(stream_refs)
-            else:
-                n_cache += 1
-        if thread_refs == code_refs:
-            pt = pc
-        elif thread_refs == stream_refs:
-            pt = ps
-        elif thread_refs == 0.0:
-            n_analytic += 1
-            pt = 0.0
-        elif thread_refs == COLD_:
-            n_analytic += 1
-            pt = pen_cold
-        else:
-            pt = cache_get(thread_refs)
-            if pt is None:
-                n_flush += 1
-                pt = flush(thread_refs)
-            else:
-                n_cache += 1
-        if epoch > epoch_seen[p]:
-            pen_code = w_shared * pen_cold + (1.0 - w_shared) * pc
-        else:
-            pen_code = pc
-        penalty = w_code * pen_code + w_stream * ps + w_thread * pt
-        t_exec = t_warm + penalty + dispatch_c + extra_c
-        t_exec += lock_oh
-        if data_touching:
-            t_exec += dt_const
-        w = lock_free_at - now
-        if w > 0.0:
-            lock_wait_us = w
-            lock_contended += 1
-        else:
-            lock_wait_us = 0.0
-        lock_free_at = now + lock_wait_us + cs_us
-        lock_total_wait_us += lock_wait_us
-        lock_total_hold_us += cs_us
-        lock_acqs += 1
-        # A refill keeps p busy (scalar: idle in _complete, busy again in
-        # the immediately following _start_service).
-        idle_mask &= ~(1 << p)
-        heappush(comp_heap, (now + (lock_wait_us + t_exec), cstamp, p, s,
-                             a, now, t_exec, lock_wait_us, tid, pid))
-
-    _fold_locking(dispatcher, free, tlp,
-                  (lock_free_at, lock_total_wait_us, lock_total_hold_us,
-                   lock_acqs, lock_contended))
-    _fold_back(
-        system, arrays, thread_touch, dispatcher._thread_keys,
-        idle_mask=idle_mask, epoch=epoch, seq=seq, n_batches=n_batches,
-        n_packets=n_packets, done=done, comp_heap=comp_heap,
-        queues=[queue], dst_queues=[policy._queue],
-        first_completion_order=first_completion_order,
-        counters=(n_calls, n_analytic, n_cache, n_flush, migrations),
-        backlog=backlog, max_backlog=max_backlog,
-    )
-
-
-# ----------------------------------------------------------------------
-# Locking paradigm, per-processor queues (wired-streams, pools,
-# flow-steer, grouped)
-# ----------------------------------------------------------------------
-def _run_locking_pools(
-    system: "NetworkProcessingSystem",
-    m_times: List[float],
-    m_sids: List[int],
-    counts: List[int],
-    n_batches: int,
-) -> None:
-    """Fused loop for the per-processor-queue policies.
-
-    The policy's ``routing`` attribute selects how an arrival picks its
-    queue (``spill_threshold`` and the queue count complete the
-    description):
-
-    - ``wired`` (``wired-streams``, ``hybrid``): ``s % N``, never spills;
-    - ``last`` (``pools``, ``work-steal``): the stream's last processor
-      (``s % N`` before its first completion), spilling to the first
-      shortest queue when the preferred one is longer by more than the
-      threshold (``None``: never);
-    - ``steer`` (``flow-steer``): a persistent steer table with the same
-      spill, which re-steers the stream and counts a ``resteer``;
-    - ``group`` (``grouped``): ``s % G``, dispatched MRU among the
-      group's idle members with the scheduling-RNG tie-break.
-
-    Its ``steal`` attribute adds the second serve rule, for an idle
-    processor with an empty own queue (``steal_threshold`` completes it):
-    the MRU idle processor takes the head packet of the first longest
-    queue over the threshold (``head``, ``hybrid``) or the newest packet
-    of a longest one, victim ties by the scheduling RNG (``newest``,
-    ``work-steal``).
-
-    All run with processor-bound threads (``tid == proc``, so the
-    shared-pool preference scan of ``_run_locking`` collapses to
-    ``free.remove(p)``/``free.append(p)``; a stolen packet runs on the
-    thief's thread).  The scalar dispatcher repeats the serve rules — own
-    queue in ascending idle order, then steal — until they yield nothing,
-    so between events **(I1) a nonempty queue implies its owning
-    processor (or every processor of its group) is busy, and (I2) while
-    any processor is idle no queue is longer than the steal threshold.**
-    They make one serve step per event exact (docs/PERFORMANCE.md): an
-    arrival dispatches on its idle target, or queues and lets the MRU
-    idle thief take one packet from its (unique) over-threshold queue; a
-    completion refills its own processor, or — only while no other
-    processor is idle — steals as the thief itself.  The draws — the
-    ``group`` and thief MRU tie-breaks at arrival, the ``newest`` victim
-    tie at completion — are replicated draw for draw from ``_mru_idle``
-    and ``random_choice``.  The spill test runs on every ``last``/``steer``
-    arrival, also while every processor is busy.  A re-steer leaves the
-    stream's queued packets behind — the Flow Director reordering
-    pathology.
-    """
-    cfg = system.config
-    dispatcher = system.dispatcher
-    policy = dispatcher.policy
-    n_procs = cfg.platform.n_processors
-    n_streams = cfg.traffic.n_streams
-    duration_us = cfg.duration_us
-
-    # --- routing description
-    routing = policy.routing
-    threshold = policy.spill_threshold
-    n_queues = len(policy._queues)
-    queues: List[Deque[Tuple[float, int, int]]] = [
-        deque() for _ in range(n_queues)
-    ]
-    r_group = routing == "group"
-    r_wired = routing == "wired"
-    r_steer = routing == "steer"
-    steer = [-1] * n_streams
-    resteers = 0
-    steal = policy.steal
-    steal_thr = policy.steal_threshold
-    s_newest = steal == "newest"
-    steals = 0
-
-    COLD_ = COLD
-    (flush, cache_get, pen_cold, w_shared, w_code, w_stream, w_thread,
-     t_warm, dispatch_c, lock_oh, extra_c, data_touching, dt_const,
-     refs_per_us, v_intensity) = _service_locals(system)
-    cs_us = dispatcher._lock_cs_us
-
-    n_calls = 0
-    n_analytic = 0
-    n_cache = 0
-    n_flush = 0
-    migrations = 0
-
-    arrays = _proc_arrays(n_procs, n_streams)
-    (ref_clock, accrued, np_us, pbusy_us, last_end, epoch_seen,
-     code_touch, stream_touch, stream_lp) = arrays
-    # Per-processor threads: tid == p always, so one touch cell per
-    # processor replaces the shared pool's per-thread table.
-    thread_touch = [_NEVER] * n_procs
-    epoch = 0
-    idle_mask = (1 << n_procs) - 1
-    first_completion_order: List[int] = []
-
-    # --- per-processor thread pool (tid == p; -1 = never released here)
-    free = list(range(n_procs - 1, -1, -1))
-    tlp = [-1] * n_procs
-
     lock_free_at = 0.0
     lock_total_wait_us = 0.0
     lock_total_hold_us = 0.0
@@ -1113,10 +785,13 @@ def _run_locking_pools(
         if take_arrival:
             # ---------------- arrival event ----------------
             if not idle_mask:
-                # Every processor is busy: no dispatch is possible, but
-                # the routing rule (including the spill test, which
-                # consults no RNG) still runs per arrival, exactly as the
-                # scalar on_arrival path does.
+                # Every processor is busy: arrivals strictly before the
+                # next completion can only queue.  Process that whole
+                # presorted slice in one sweep — each firing does exactly
+                # what the scalar per-event path does (route and enqueue,
+                # the spill test included, then stamp the stream's next
+                # batch), and the backlog rises monotonically so one max
+                # update at the end is exact.
                 j = bisect_left(m_times, ct, ai)
                 if j == ai:
                     j = ai + 1  # tie with the completion, won on stamp
@@ -1155,8 +830,16 @@ def _run_locking_pools(
             if r_group:
                 g = s % n_queues
                 qg = queues[g]
-                # Nonempty group queue ⇒ no idle group member (I1).
-                p = -1 if qg else mru_idle(idle_mask, g, n_queues)
+                lastp = stream_lp[s]
+                if qg:
+                    p = -1  # nonempty queue ⇒ no idle member (I1)
+                elif pick_stream and lastp >= 0 and idle_mask >> lastp & 1:
+                    p = lastp
+                elif pick_random and idle_mask & (idle_mask - 1):
+                    idle = [q for q in range(n_procs) if idle_mask >> q & 1]
+                    p = idle[int(system.rngs.scheduling.integers(0, len(idle)))]
+                else:
+                    p = mru_idle(idle_mask, g, n_queues)
                 if p < 0:
                     qg.append((at, s, pid))
             else:
@@ -1188,7 +871,17 @@ def _run_locking_pools(
                 qt = queues[victim]
                 a, s, pid = qt.pop() if s_newest else qt.popleft()
                 steals += 1
-            free.remove(p)  # per-processor thread acquire
+            # --- thread acquire
+            if per_proc:
+                tid = p
+                free.remove(p)
+            else:
+                for tid in reversed(free):
+                    if tlp[tid] == p:
+                        free.remove(tid)
+                        break
+                else:
+                    tid = free.pop()
         else:
             # ---------------- completion event ----------------
             heappop(comp_heap)
@@ -1197,26 +890,28 @@ def _run_locking_pools(
             p = head[2]
             s = head[3]
             ex = head[6]
+            tid = head[8]
             epoch += 1
             clock = ref_clock[p] + ex * refs_per_us
             ref_clock[p] = clock
             accrued[p] = now
             code_touch[p] = clock
             stream_touch[p][s] = clock
-            thread_touch[p] = clock
+            thread_touch[p][tid] = clock
             pbusy_us[p] += ex
             last_end[p] = now
             epoch_seen[p] = epoch
             backlog -= 1
-            tlp[p] = p  # release: _last_proc[p] = p ...
+            tlp[tid] = p  # release: _last_proc[tid] = p ...
             if stream_lp[s] < 0:
                 first_completion_order.append(s)
             stream_lp[s] = p
             # Only p can refill: every other idle processor's queue is
             # empty (I1), and with another processor idle no queue is
             # over the steal threshold (I2), so p is the only possible
-            # thief.  The scalar release-append + acquire-remove cancel
-            # out, so the free list is untouched.
+            # thief.  The refill needs no draw (p is the only idle
+            # processor its queue may use), and the scalar release-append
+            # + acquire-pop cancel out, so the free list is untouched.
             qp = queues[p % n_queues]
             if qp:
                 a, s, pid = qp.popleft()
@@ -1224,7 +919,7 @@ def _run_locking_pools(
                 victim = pick_victim() if steal and not idle_mask else -1
                 if victim < 0:
                     idle_mask |= 1 << p
-                    free.append(p)
+                    free.append(tid)
                     continue
                 qt = queues[victim]
                 a, s, pid = qt.pop() if s_newest else qt.popleft()
@@ -1233,6 +928,8 @@ def _run_locking_pools(
             seq += 1
 
         # ---------------- service start (inlined _start_service) -------
+        # A completion refill has dt == 0.0 here (accrued[p] == now): the
+        # scalar no-op branch.
         dt = now - accrued[p]
         if dt > 0.0:
             ref_clock[p] += dt * refs_per_us * v_intensity
@@ -1251,8 +948,8 @@ def _run_locking_pools(
         else:
             d = clock - stream_touch[p][s]
             stream_refs = d if d > 0.0 else 0.0
-        if tlp[p] == p:
-            d = clock - thread_touch[p]
+        if tlp[tid] == p:
+            d = clock - thread_touch[p][tid]
             thread_refs = d if d > 0.0 else 0.0
         else:
             thread_refs = COLD_
@@ -1321,18 +1018,23 @@ def _run_locking_pools(
         lock_total_wait_us += lock_wait_us
         lock_total_hold_us += cs_us
         lock_acqs += 1
+        # A refill keeps p busy (scalar: idle in _complete, busy again in
+        # the immediately following _start_service).
         idle_mask &= ~(1 << p)
         heappush(comp_heap, (now + (lock_wait_us + t_exec), cstamp, p, s,
-                             a, now, t_exec, lock_wait_us, p, pid))
+                             a, now, t_exec, lock_wait_us, tid, pid))
 
-    _fold_locking(dispatcher, free, tlp,
-                  (lock_free_at, lock_total_wait_us, lock_total_hold_us,
-                   lock_acqs, lock_contended))
-    thread_rows = [[_NEVER] * n_procs for _ in range(n_procs)]
-    for p in range(n_procs):
-        thread_rows[p][p] = thread_touch[p]
+    pool = dispatcher.threads
+    pool._free[:] = free
+    for t, lp in enumerate(tlp):
+        pool._last_proc[t] = lp if lp >= 0 else None
+    lock0 = dispatcher.lock.locks[0]
+    (lock0._free_at, lock0.total_wait_us, lock0.total_hold_us,
+     lock0.acquisitions, lock0.contended) = (
+        lock_free_at, lock_total_wait_us, lock_total_hold_us, lock_acqs,
+        lock_contended)
     _fold_back(
-        system, arrays, thread_rows, dispatcher._thread_keys,
+        system, arrays, thread_touch, dispatcher._thread_keys,
         idle_mask=idle_mask, epoch=epoch, seq=seq, n_batches=n_batches,
         n_packets=n_packets, done=done, comp_heap=comp_heap,
         queues=queues, dst_queues=policy._queues,
@@ -1345,7 +1047,8 @@ def _run_locking_pools(
             if steer[s] >= 0:
                 policy._steer[s] = steer[s]
         policy.resteers = resteers
-    policy.steals = steals
+    if steal:
+        policy.steals = steals
 
 
 # ----------------------------------------------------------------------

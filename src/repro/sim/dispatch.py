@@ -146,16 +146,6 @@ class BaseDispatcher(SchedulerView):
                 best.append(p)
         return best[0] if len(best) == 1 else self.random_choice(best)
 
-    # ------------------------------------------------------------------
-    # Component cache-state assembly
-    # ------------------------------------------------------------------
-    def _stream_refs(self, proc: ProcessorState, stream_id: int, now: float) -> float:
-        """Intervening refs for the stream-state component (migration-aware)."""
-        last = self._stream_last_proc.get(stream_id)
-        if last != proc.proc_id:
-            return COLD
-        return proc.refs_since_touch(("stream", stream_id), now)
-
     def _complete(self, proc: ProcessorState) -> None:
         raise NotImplementedError
 
@@ -381,12 +371,6 @@ class IPSDispatcher(BaseDispatcher):
         self._stack_thread_keys: List[Tuple[str, int]] = [
             ("stack_thread", k) for k in range(n_stacks)
         ]
-
-    def stack_of(self, stream_id: int) -> int:
-        return stream_id % self.n_stacks
-
-    def stack_last_processor(self, stack_id: int) -> Optional[int]:
-        return self._stack_last_proc[stack_id]
 
     def on_arrival(self, packet: Packet) -> None:
         self._queues[packet.stream_id % self.n_stacks].append(packet)

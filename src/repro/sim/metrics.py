@@ -274,11 +274,6 @@ class MetricsCollector:
             self.max_backlog = max_backlog
 
     @property
-    def n_recorded(self) -> int:
-        """Post-warmup completion rows recorded so far."""
-        return len(self._col_stream) + len(self._block)
-
-    @property
     def records(self) -> List[PacketRecord]:
         """Per-packet records (lazily materialized from the columns).
 

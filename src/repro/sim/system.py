@@ -179,8 +179,7 @@ class SystemConfig:
 class NetworkProcessingSystem:
     """One fully wired simulation instance (single-use: build, run)."""
 
-    def __init__(self, config: SystemConfig, *,
-                 model: Optional[ExecutionTimeModel] = None) -> None:
+    def __init__(self, config: SystemConfig) -> None:
         self.config = config
         self.costs = config.costs
         self.data_touching = config.data_touching
@@ -191,25 +190,9 @@ class NetworkProcessingSystem:
         )
         self.rngs = RandomStreams(config.seed)
         self.metrics = MetricsCollector(warmup_us=config.warmup_us)
-        if model is not None:
-            # Warm-state injection (the warm backend's affinity payoff):
-            # an ExecutionTimeModel's only mutable state caches a pure
-            # function of its construction parameters, so reusing one
-            # across runs is bit-identical to building it fresh — but
-            # *only* for the parameters it was built from.  Guard hard.
-            if (model.costs != config.costs
-                    or model.composition != config.composition
-                    or model.hierarchy != config.platform.hierarchy):
-                raise ValueError(
-                    "injected ExecutionTimeModel was built from different "
-                    "exec-model parameters than this config; reusing it "
-                    "would be incorrect"
-                )
-            self.model = model
-        else:
-            self.model = ExecutionTimeModel(
-                config.costs, config.composition, config.platform.hierarchy
-            )
+        self.model = ExecutionTimeModel(
+            config.costs, config.composition, config.platform.hierarchy
+        )
         refs_per_us = config.platform.references_per_us
         self.processors: List[ProcessorState] = [
             ProcessorState(p, refs_per_us, config.nonprotocol_intensity)
@@ -415,17 +398,12 @@ class NetworkProcessingSystem:
         vars(self).clear()
 
 
-def run_simulation(config: SystemConfig, *,
-                   model: Optional[ExecutionTimeModel] = None,
-                   ) -> SimulationSummary:
+def run_simulation(config: SystemConfig) -> SimulationSummary:
     """Convenience wrapper: build and run in one call.
 
-    ``model`` optionally injects a pre-built (warm)
-    :class:`ExecutionTimeModel`; it is validated against the config and
-    cannot change results (see :class:`NetworkProcessingSystem`).
     The system is freed on return (:meth:`~NetworkProcessingSystem._release`).
     """
-    system = NetworkProcessingSystem(config, model=model)
+    system = NetworkProcessingSystem(config)
     try:
         return system.run()
     finally:

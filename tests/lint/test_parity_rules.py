@@ -232,16 +232,16 @@ class TestWarmStateLedger:
         """Seed a new module-level cache in warm.py, optionally with a
         ledger entry (``register`` = reason string) and a reset hook."""
         warm = pkg / self.WARM
-        edit(warm, "_MODEL_CACHE_MAX = 8",
-             "_MODEL_CACHE_MAX = 8\n_EXTRA_CACHE: Dict[str, int] = {}",
+        edit(warm, "_TARGET_CHUNK_S = 0.2",
+             "_TARGET_CHUNK_S = 0.2\n_EXTRA_CACHE: Dict[str, int] = {}",
              count=1)
         if register is not None:
-            edit(warm, 'change results"\n    ),\n}',
-                 'change results"\n    ),\n'
-                 f'    "_EXTRA_CACHE": {register!r},\n}}', count=1)
+            edit(warm, "_WARM_LEDGER: Dict[str, str] = {}",
+                 "_WARM_LEDGER: Dict[str, str] = {\n"
+                 f"    \"_EXTRA_CACHE\": {register!r},\n}}", count=1)
         if reset:
-            edit(warm, "    _MODEL_CACHE.clear()",
-                 "    _MODEL_CACHE.clear()\n    _EXTRA_CACHE.clear()",
+            edit(warm, '(today: none).\n    """\n',
+                 '(today: none).\n    """\n    _EXTRA_CACHE.clear()\n',
                  count=1)
 
     def test_unregistered_cache_fires(self, pkg):
@@ -271,9 +271,9 @@ class TestWarmStateLedger:
         assert "non-empty reason" in rpr012[0].message
 
     def test_stale_ledger_entry_fires(self, pkg):
-        edit(pkg / self.WARM, 'change results"\n    ),\n}',
-             'change results"\n    ),\n'
-             '    "_GHOST_CACHE": "long gone",\n}', count=1)
+        edit(pkg / self.WARM, "_WARM_LEDGER: Dict[str, str] = {}",
+             '_WARM_LEDGER: Dict[str, str] = {"_GHOST_CACHE": "long gone"}',
+             count=1)
         rpr012 = [f for f in run_lint(pkg) if f.code == "RPR012"]
         assert len(rpr012) == 1
         assert "stale _WARM_LEDGER entry '_GHOST_CACHE'" in rpr012[0].message

@@ -139,10 +139,12 @@ def test_full_system_batched_equals_scalar(paradigm, policy, monkeypatch):
 
 @pytest.mark.parametrize("paradigm,policy", [
     ("locking", "mru"), ("locking", "pools"), ("ips", "ips-mru"),
+    ("locking", "fcfs"),
 ])
 def test_set_associative_batched_equals_scalar(paradigm, policy, monkeypatch):
-    """2-way cache levels, one policy per fused loop: the penalty kernel
-    takes the binomial model instead of the direct-mapped closed form."""
+    """2-way cache levels, one policy per thread model and paradigm: the
+    penalty kernel takes the binomial model instead of the direct-mapped
+    closed form."""
     hierarchy = sgi_challenge_hierarchy()
     two_way = dataclasses.replace(hierarchy, levels=tuple(
         dataclasses.replace(level, associativity=2)
@@ -166,6 +168,7 @@ def test_set_associative_batched_equals_scalar(paradigm, policy, monkeypatch):
     ("locking", "mru"), ("locking", "wired-streams"), ("locking", "pools"),
     ("locking", "flow-steer"), ("locking", "grouped"), ("locking", "hybrid"),
     ("locking", "work-steal"), ("ips", "ips-mru"), ("ips", "ips-random"),
+    ("locking", "fcfs"), ("locking", "stream-mru"),
 ])
 def test_saturated_batched_equals_scalar(paradigm, policy, monkeypatch):
     """Deep-overload deterministic workload (the benchmark's regime):
@@ -187,7 +190,7 @@ def test_saturated_batched_equals_scalar(paradigm, policy, monkeypatch):
 @pytest.mark.parametrize("paradigm,policy", [
     ("locking", "mru"), ("locking", "fcfs"), ("locking", "wired-streams"),
     ("locking", "pools"), ("locking", "flow-steer"), ("locking", "grouped"),
-    ("ips", "ips-wired"),
+    ("ips", "ips-wired"), ("locking", "stream-mru"),
 ])
 def test_exact_cross_stream_ties_batched_equals_scalar(
     paradigm, policy, monkeypatch,
@@ -273,6 +276,7 @@ _BATCH_SPECS = {
 @pytest.mark.parametrize("shape", sorted(_BATCH_SPECS))
 @pytest.mark.parametrize("paradigm,policy", [
     ("locking", "mru"), ("locking", "wired-streams"), ("ips", "ips-wired"),
+    ("locking", "fcfs"), ("locking", "stream-mru"),
 ])
 def test_batched_arrivals_batched_equals_scalar(
     paradigm, policy, shape, monkeypatch,

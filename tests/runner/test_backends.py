@@ -1,9 +1,8 @@
 """Unit tests for the sweep execution backends.
 
 Covers the pieces the warm backend is built from — the shared task
-queue and its per-batch chunk cap, the in-process chunk path with its
-model cache, options validation, the backend factory — plus small
-end-to-end warm==serial checks.  The heavyweight bit-identity contracts live in
+queue and its per-batch chunk cap, the in-process chunk path, the
+backend factory — plus small end-to-end warm==serial checks.  The heavyweight bit-identity contracts live in
 ``tests/properties/test_backend_determinism.py`` and the fault suite.
 """
 
@@ -12,18 +11,14 @@ from collections import deque
 
 import pytest
 
-from repro.core.exec_model import ExecutionTimeModel
-from repro.core.params import PAPER_COMPOSITION, PAPER_COSTS
+import repro.runner
+from repro.core.params import PAPER_COSTS
 from repro.runner import SweepRunner, use_runner
-from repro.runner.backends import BACKEND_NAMES, WarmOptions, make_backend
+from repro.runner.backends import BACKEND_NAMES, make_backend
 from repro.runner.backends import warm as warm_mod
 from repro.runner.backends.base import _WorkerTask, chunk_cap, take
-from repro.runner.backends.warm import (
-    _MODEL_CACHE,
-    _run_chunk,
-    reset_warm_state,
-)
-from repro.sim.system import NetworkProcessingSystem, run_simulation
+from repro.runner.backends.warm import _run_chunk, reset_warm_state
+from repro.sim.system import run_simulation
 
 from ..conftest import fast_config
 
@@ -66,73 +61,25 @@ def _costly(cfg, factor):
         PAPER_COSTS, t_cold_us=PAPER_COSTS.t_cold_us * factor))
 
 
-def _params(cfg):
-    return (cfg.costs, cfg.composition, cfg.platform.hierarchy)
-
-
 class TestWarmChunkPath:
-    def test_chunk_matches_serial_and_caches_model(self):
-        reset_warm_state()
-        try:
-            configs = [_tiny(seed=s) for s in (1, 2, 3)]
-            meta, summaries, interrupted = _run_chunk(
-                tuple(_worker_task(c) for c in configs))
-            assert not interrupted
-            assert all(ok for ok, *_ in meta)
-            assert summaries == tuple(run_simulation(c) for c in configs)
-            assert list(_MODEL_CACHE) == [_params(configs[0])]
-            model = _MODEL_CACHE[_params(configs[0])]
-            _run_chunk((_worker_task(_tiny(seed=9)),))
-            assert _MODEL_CACHE[_params(configs[0])] is model  # reused
-        finally:
-            reset_warm_state()
+    def test_chunk_matches_serial(self):
+        configs = [_tiny(seed=s) for s in (1, 2, 3)]
+        meta, summaries, interrupted = _run_chunk(
+            tuple(_worker_task(c) for c in configs))
+        assert not interrupted
+        assert all(ok for ok, *_ in meta)
+        assert summaries == tuple(run_simulation(c) for c in configs)
 
     def test_chunk_may_mix_exec_model_params(self):
-        reset_warm_state()
-        try:
-            configs = [_tiny(seed=1), _costly(_tiny(seed=2), 2),
-                       _tiny(seed=3), _costly(_tiny(seed=4), 2)]
-            _, summaries, _ = _run_chunk(
-                tuple(_worker_task(c) for c in configs))
-            assert summaries == tuple(run_simulation(c) for c in configs)
-            assert list(_MODEL_CACHE) == [_params(configs[0]),
-                                          _params(configs[1])]
-        finally:
-            reset_warm_state()
-
-    def test_mismatched_cache_entry_degrades_to_cold_build(self):
-        # A cached model is served only to configs whose exec-model
-        # parameters equal its key: a model for other parameters sitting
-        # in the cache must not leak into this run.
-        reset_warm_state()
-        try:
-            cfg = _tiny(seed=6)
-            other = _costly(cfg, 2)
-            warm_mod._model_for(other)
-            _, summaries, _ = _run_chunk((_worker_task(cfg),))
-            assert summaries == (run_simulation(cfg),)
-            assert _MODEL_CACHE[_params(cfg)].costs == cfg.costs
-            assert len(_MODEL_CACHE) == 2
-        finally:
-            reset_warm_state()
-
-    def test_model_cache_is_bounded(self):
-        reset_warm_state()
-        try:
-            configs = [_costly(_tiny(), 1.0 + i / 16)
-                       for i in range(warm_mod._MODEL_CACHE_MAX + 3)]
-            for cfg in configs:
-                warm_mod._model_for(cfg)
-            assert len(_MODEL_CACHE) == warm_mod._MODEL_CACHE_MAX
-            assert _params(configs[0]) not in _MODEL_CACHE  # FIFO eviction
-            assert _params(configs[-1]) in _MODEL_CACHE
-        finally:
-            reset_warm_state()
+        configs = [_tiny(seed=1), _costly(_tiny(seed=2), 2),
+                   _tiny(seed=3), _costly(_tiny(seed=4), 2)]
+        _, summaries, _ = _run_chunk(tuple(_worker_task(c) for c in configs))
+        assert summaries == tuple(run_simulation(c) for c in configs)
 
     def test_reset_clears_everything_in_ledger(self):
-        warm_mod._model_for(_tiny())
         reset_warm_state()
-        assert _MODEL_CACHE == {}
+        for name in warm_mod._WARM_LEDGER:
+            assert not getattr(warm_mod, name)
 
 
 # ----------------------------------------------------------------------
@@ -158,46 +105,32 @@ class TestBackendSelection:
             SweepRunner(jobs=2, backend="threads")
 
     def test_warm_options_validation(self):
-        with pytest.raises(ValueError):
-            WarmOptions(chunk_tasks=0)
-        # The auto-sizing target and cap are module constants, not knobs.
-        assert [f.name for f in dataclasses.fields(WarmOptions)] == [
-            "chunk_tasks"]
+        # The warm backend takes no options: chunk sizing is a module
+        # constant (_TARGET_CHUNK_S under _MAX_CHUNK_TASKS), not a knob,
+        # and so is the watchdog factor.
+        assert not hasattr(repro.runner, "WarmOptions")
+        for knob in ("warm_options", "hard_timeout_factor"):
+            with pytest.raises(TypeError, match=knob):
+                SweepRunner(jobs=2, **{knob: None})
 
     def test_jobs_label_names_backend(self):
         assert "backend=warm" in SweepRunner(jobs=2, backend="warm").jobs_label()
         assert "backend" not in SweepRunner(jobs=0).jobs_label()
 
 
-class TestModelInjection:
-    def test_matching_model_accepted(self):
-        cfg = _tiny(seed=2)
-        model = ExecutionTimeModel(cfg.costs, cfg.composition,
-                                   cfg.platform.hierarchy)
-        assert NetworkProcessingSystem(cfg, model=model).run() == \
-            run_simulation(cfg)
-
-    def test_mismatched_model_rejected(self):
-        cfg = _tiny()
-        wrong = ExecutionTimeModel(
-            dataclasses.replace(PAPER_COSTS, dispatch_us=99.0),
-            PAPER_COMPOSITION, cfg.platform.hierarchy)
-        with pytest.raises(ValueError, match="different exec-model"):
-            NetworkProcessingSystem(cfg, model=wrong)
-
-
 @pytest.mark.slow
 class TestWarmEndToEnd:
-    def test_warm_matches_serial_and_counts_chunks(self):
-        # 12 tasks on 2 workers x 2 slots: the per-batch cap is
-        # ceil(12 / 8) = 2, so the forced 2-task chunks survive it.
+    def test_warm_matches_serial_and_counts_chunks(self, monkeypatch):
+        # 12 tasks on 2 workers x 2 slots: four one-task probes fill the
+        # slots, then, with the sizing target out of reach, every chunk
+        # takes the per-batch cap of ceil(12 / 8) = 2 tasks.
+        monkeypatch.setattr(warm_mod, "_TARGET_CHUNK_S", 1e9)
         configs = [_tiny(seed=s) for s in range(1, 13)]
         serial = SweepRunner(jobs=0).run_many(configs)
-        runner = SweepRunner(jobs=2, backend="warm",
-                             warm_options=WarmOptions(chunk_tasks=2))
+        runner = SweepRunner(jobs=2, backend="warm")
         try:
             assert runner.run_many(configs) == serial
-            assert runner.stats.chunks == len(configs) // 2
+            assert runner.stats.chunks == 4 + (len(configs) - 4) // 2
             assert "chunks" in runner.stats.summary_line(runner.jobs_label())
         finally:
             runner.close()
