@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 from scipy import stats as sps
@@ -20,6 +20,7 @@ from scipy import stats as sps
 __all__ = [
     "batch_means_ci",
     "batch_means",
+    "linear_percentiles",
     "welch_moving_average",
     "suggest_warmup_index",
     "relative_half_width",
@@ -46,7 +47,52 @@ def batch_means(observations: np.ndarray, n_batches: int = 20) -> np.ndarray:
         )
     batch_size = len(obs) // n_batches
     usable = batch_size * n_batches
-    return obs[:usable].reshape(n_batches, batch_size).mean(axis=1)
+    # ``.mean(axis=1)`` is this row-wise sum divided by the row length.
+    return np.add.reduce(obs[:usable].reshape(n_batches, batch_size), axis=1) / batch_size
+
+
+def linear_percentiles(values: np.ndarray, percents: Sequence[float]) -> List[float]:
+    """``np.percentile(values, percents)`` as Python floats, bit for bit.
+
+    NumPy's default (linear) rule, replayed on the order statistics it
+    needs, which one ``np.partition`` places (O(n), and a few microseconds
+    where ``np.percentile`` costs tens): the virtual index
+    ``v = (n-1) * p/100``; at ``v >= n-1`` both neighbours are the maximum
+    (NumPy points both at index ``-1``, so their weight cannot matter);
+    otherwise the neighbours are ``floor(v)`` and the next one, weighted by
+    the fraction.  The interpolation is NumPy's ``_lerp``: ``b - d*(1-t)``
+    for ``t >= 0.5``, else ``a + d*t``.  A NaN anywhere makes every result
+    that NaN, as NumPy does.  ``values`` (float64) is not modified.
+    """
+    last = len(values) - 1
+    if last < 0:
+        raise ValueError("percentiles of an empty sample")
+    picks = []
+    kth = {last}
+    for p in percents:
+        v = last * (p / 100)
+        if v >= last:
+            lo = hi = last
+            t = 0.0
+        else:
+            lo = math.floor(v)
+            hi = lo + 1
+            t = v - lo
+        kth.add(lo)
+        kth.add(hi)
+        picks.append((lo, hi, t))
+    ordered = np.array(values, dtype=np.float64)
+    ordered.partition(sorted(kth))
+    top = float(ordered[last])
+    if top != top:  # NaN sorts last
+        return [top] * len(picks)
+    out = []
+    for lo, hi, t in picks:
+        a = float(ordered[lo])
+        b = top if hi == last else float(ordered[hi])
+        d = b - a
+        out.append(b - d * (1.0 - t) if t >= 0.5 else a + d * t)
+    return out
 
 
 @lru_cache(maxsize=1024)
@@ -89,11 +135,17 @@ def batch_means_ci(
         sample = obs
     else:
         sample = batch_means(obs, n_batches)
-    mean = float(sample.mean())
-    sem = float(sample.std(ddof=1) / math.sqrt(len(sample)))
+    # ``sample.mean()`` and ``sample.std(ddof=1)`` as NumPy computes them
+    # (``_mean``: pairwise sum over count; ``_var``: the pairwise sum of
+    # squared deviations from that mean over ``k - 1``), without the
+    # wrappers' overhead.
+    k = len(sample)
+    mean = float(np.add.reduce(sample)) / k
+    dev = sample - mean
+    sem = math.sqrt(float(np.add.reduce(dev * dev)) / (k - 1)) / math.sqrt(k)
     if sem == 0.0:
         return (mean, mean)
-    t = _t_critical(0.5 + confidence / 2.0, len(sample) - 1)
+    t = _t_critical(0.5 + confidence / 2.0, k - 1)
     return (mean - t * sem, mean + t * sem)
 
 

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import ast
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence,

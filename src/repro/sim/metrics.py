@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..analysis.stats import batch_means_ci
+from ..analysis.stats import batch_means_ci, linear_percentiles
 from .entities import Packet
 
 __all__ = ["PacketRecord", "MetricsCollector", "SimulationSummary"]
@@ -42,6 +42,10 @@ _GOLDEN_UNCOVERED_KEYS = {
         "(both pinned) and the processor count"
     ),
 }
+
+
+#: The delay percentiles a summary reports (p50, p95, p99), in percent.
+_PERCENTILES = (50.0, 95.0, 99.0)
 
 
 @dataclass(frozen=True)
@@ -357,27 +361,31 @@ class MetricsCollector:
         execs = np.fromiter(self._col_exec, np.float64, n)
         lock_waits_us = np.fromiter(self._col_lock_wait, np.float64, n)
         proc_ids = np.fromiter(self._col_proc, np.int64, n)
-        mean_delay_us = float(delays_us.mean())
-        # One shared sort/partition for all three quantiles; each result
-        # equals the corresponding single-quantile call bit for bit.
-        p50, p95, p99 = np.percentile(delays_us, (50.0, 95.0, 99.0))
+        # Means are NumPy's ``.mean()`` without its wrapper: the same
+        # pairwise ``add.reduce`` sum divided by the count.
+        add = np.add.reduce
+        mean_delay_us = float(add(delays_us)) / n
+        p50, p95, p99 = linear_percentiles(delays_us, _PERCENTILES)
         ci = batch_means_ci(delays_us, n_batches=n_batches)
         measured_span = duration_us - self.warmup_us
-        throughput_pps = len(delays_us) / measured_span * 1e6 if measured_span > 0 else 0.0
+        throughput_pps = n / measured_span * 1e6 if measured_span > 0 else 0.0
         # Stable group-by-stream of the completion-ordered rows: each
         # stream's rows are one contiguous slice in their original order,
         # so its mean sums the same values in the same order as a boolean
-        # mask would.
-        by_stream = np.argsort(stream_ids, kind="stable")
+        # mask would.  One ``add.reduce`` per slice, not ``np.add.reduceat``:
+        # that sums each segment sequentially, which differs from the
+        # pairwise sum beyond 8 values.
+        by_stream = stream_ids.argsort(kind="stable")
         streams_c = stream_ids[by_stream]
         new_group = np.empty(n, dtype=bool)
         new_group[0] = True
         np.not_equal(streams_c[1:], streams_c[:-1], out=new_group[1:])
-        bounds = np.flatnonzero(new_group).tolist()
+        bounds = new_group.nonzero()[0].tolist()
         delays_by_stream_us = delays_us[by_stream]
         per_stream = {
-            int(streams_c[lo]): float(delays_by_stream_us[lo:hi].mean())
-            for lo, hi in zip(bounds, bounds[1:] + [n])
+            s: float(add(delays_by_stream_us[lo:hi])) / (hi - lo)
+            for s, lo, hi in zip(streams_c[bounds].tolist(), bounds,
+                                 bounds[1:] + [n])
         }
         (ooo_total, depth_counts, per_stream_ooo,
          row_migrations, per_stream_mig) = self._reordering(
@@ -385,16 +393,16 @@ class MetricsCollector:
             by_stream, new_group,
         )
         return SimulationSummary(
-            n_packets=len(delays_us),
+            n_packets=n,
             duration_us=duration_us,
             mean_delay_us=mean_delay_us,
             delay_ci_us=ci,
-            mean_queueing_us=float(queueing_us.mean()),
-            mean_exec_us=float(execs.mean()),
-            mean_lock_wait_us=float(lock_waits_us.mean()),
-            p50_delay_us=float(p50),
-            p95_delay_us=float(p95),
-            p99_delay_us=float(p99),
+            mean_queueing_us=float(add(queueing_us)) / n,
+            mean_exec_us=float(add(execs)) / n,
+            mean_lock_wait_us=float(add(lock_waits_us)) / n,
+            p50_delay_us=p50,
+            p95_delay_us=p95,
+            p99_delay_us=p99,
             throughput_pps=throughput_pps,
             offered_rate_pps=offered_rate_pps,
             utilization_per_proc=utilization_per_proc,
@@ -434,11 +442,11 @@ class MetricsCollector:
         if n == 0:
             return 0, {}, {}, 0, {}
         # --- sequence numbers: arrival rank within stream -------------
-        # Stable sort by arrival (ties keep completion order), then a
-        # stable group-by-stream on top: rows end up grouped per stream,
-        # arrival-ordered within the group.
-        by_arrival = np.argsort(arrivals_us, kind="stable")
-        ga = by_arrival[np.argsort(stream_ids[by_arrival], kind="stable")]
+        # One stable lexicographic sort: rows end up grouped per stream,
+        # arrival-ordered within the group, ties in completion order (the
+        # same permutation as a stable sort by arrival followed by a
+        # stable sort by stream).
+        ga = np.lexsort((arrivals_us, stream_ids))
         streams_a = stream_ids[ga]
         new_group_a = np.empty(n, dtype=bool)
         new_group_a[0] = True
@@ -456,7 +464,7 @@ class MetricsCollector:
         # value).
         streams_c = stream_ids[by_stream]
         seq_c = seq[by_stream]
-        group_idx = np.cumsum(new_group) - 1
+        group_idx = new_group.cumsum() - 1
         run_max = (
             np.maximum.accumulate(seq_c + group_idx * n) - group_idx * n
         )
@@ -468,23 +476,24 @@ class MetricsCollector:
         depth_c = prev_max - seq_c  # > 0 iff out of order
         late = depth_c > 0
         ooo_total = int(np.count_nonzero(late))
-        depth_counts: Dict[int, int] = {}
-        per_stream_ooo: Dict[int, int] = {}
-        if ooo_total:
-            for d, c in zip(*np.unique(depth_c[late], return_counts=True)):
-                depth_counts[int(d)] = int(c)
-            for s, c in zip(*np.unique(streams_c[late], return_counts=True)):
-                per_stream_ooo[int(s)] = int(c)
+        depth_counts = _nonzero_counts(depth_c[late]) if ooo_total else {}
+        per_stream_ooo = _nonzero_counts(streams_c[late]) if ooo_total else {}
         # --- migrations: processor changes in service-start order -----
-        by_start = np.argsort(starts_us, kind="stable")
-        gs = by_start[np.argsort(stream_ids[by_start], kind="stable")]
+        gs = np.lexsort((starts_us, stream_ids))
         streams_s = stream_ids[gs]
         procs_s = proc_ids[gs]
         same_stream = streams_s[1:] == streams_s[:-1]
         moved = same_stream & (procs_s[1:] != procs_s[:-1])
         migrations_total = int(np.count_nonzero(moved))
-        per_stream_mig: Dict[int, int] = {}
-        if migrations_total:
-            for s, c in zip(*np.unique(streams_s[1:][moved], return_counts=True)):
-                per_stream_mig[int(s)] = int(c)
+        per_stream_mig = (_nonzero_counts(streams_s[1:][moved])
+                          if migrations_total else {})
         return ooo_total, depth_counts, per_stream_ooo, migrations_total, per_stream_mig
+
+
+def _nonzero_counts(values: np.ndarray) -> Dict[int, int]:
+    """``{value: count}`` over non-negative ints, ascending by value (what
+    ``np.unique(values, return_counts=True)`` pairs up), from one
+    ``np.bincount``."""
+    counts = np.bincount(values)
+    present = counts.nonzero()[0]
+    return dict(zip(present.tolist(), counts[present].tolist()))
