@@ -22,22 +22,22 @@ Public API highlights
 """
 
 from .cache import (
+    MVS_WORKLOAD,
     CacheHierarchy,
     CacheLevelConfig,
     CacheSimulator,
     FootprintFunction,
-    MVS_WORKLOAD,
     flushed_fraction,
     sgi_challenge_hierarchy,
 )
 from .core import (
     COLD,
-    ComponentState,
-    ExecutionTimeModel,
-    FootprintComposition,
     PAPER_COMPOSITION,
     PAPER_COSTS,
     PAPER_PLATFORM,
+    ComponentState,
+    ExecutionTimeModel,
+    FootprintComposition,
     PlatformConfig,
     ProtocolCosts,
     make_ips_policy,

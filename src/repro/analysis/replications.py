@@ -14,15 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import TYPE_CHECKING, Callable, Tuple
 
 import numpy as np
 from scipy import stats as sps
 
 # NOTE: repro.sim imports repro.analysis.stats, so sim types are imported
 # lazily inside the functions to avoid a package-level cycle.
-from typing import TYPE_CHECKING
-
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.metrics import SimulationSummary
     from ..sim.system import SystemConfig

@@ -15,8 +15,8 @@ Appendix A:
 """
 
 from .flush import flushed_fraction, flushed_fraction_poisson, survival_fraction
-from .fractal import FractalFit, estimate_fractal_dimension, predict_miss_ratio
 from .footprint import MVS_WORKLOAD, FootprintFunction, mvs_footprint
+from .fractal import FractalFit, estimate_fractal_dimension, predict_miss_ratio
 from .hierarchy import (
     CHALLENGE_L2,
     R4400_L1D,

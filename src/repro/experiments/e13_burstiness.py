@@ -20,8 +20,8 @@ from typing import Dict, Tuple
 from ..analysis.tables import format_table
 from ..runner import get_runner
 from ..sim.system import SystemConfig
-from ..workloads.packet_train import PacketTrainSpec
 from ..workloads.arrivals import PoissonSpec
+from ..workloads.packet_train import PacketTrainSpec
 from ..workloads.traffic import TrafficSpec
 from .base import ExperimentResult
 

@@ -46,7 +46,6 @@ text|github] [paths]``; suppress individual findings with
 ``docs/LINTING.md``.
 """
 
-from .findings import Finding, RULES, is_known_code
 from .engine import (
     lint_file,
     lint_paths,
@@ -54,6 +53,7 @@ from .engine import (
     render_github,
     render_report,
 )
+from .findings import RULES, Finding, is_known_code
 from .flow import (
     build_project_index,
     check_config_read_parity,

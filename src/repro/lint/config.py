@@ -123,8 +123,9 @@ FORBIDDEN_WALLCLOCK: Tuple[str, ...] = (
     "secrets.randbelow",
 )
 
-#: Package-relative paths of the distributed backend's time-sensitive
-#: core: lease bookkeeping, transport chaos, and the coordinator loop.
+#: Package-relative paths of the fleet's time-sensitive core: lease
+#: bookkeeping, the transports and their chaos wrapper, and the lease
+#: coordinator with the two fleets built on it.
 #: These modules must take their time source through the injectable
 #: clock seam (``DistributedOptions.clock`` / the ``LeaseTable`` clock
 #: argument) rather than *calling* wall-clock functions directly —
@@ -134,8 +135,10 @@ FORBIDDEN_WALLCLOCK: Tuple[str, ...] = (
 #: timing-dependent.
 CLOCK_SEAM_RELPATHS: Tuple[str, ...] = (
     "runner/backends/distributed.py",
+    "runner/backends/fleet.py",
     "runner/backends/lease.py",
     "runner/backends/transport.py",
+    "runner/backends/warm.py",
 )
 
 #: Calls resolving under this prefix construct/draw NumPy randomness.

@@ -28,7 +28,7 @@ from .config import (
     is_result_affecting,
     relpath_in_package,
 )
-from .findings import Finding, RULES
+from .findings import RULES, Finding
 from .flow import (
     build_project_index,
     check_config_read_parity,

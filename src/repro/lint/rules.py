@@ -36,7 +36,7 @@ Matched by attribute/function name (the hot-path modules are few and
 idiomatic, so name matching is precise there); legitimate exceptions
 carry a suppression comment explaining why.
 
-RPR013 protects the distributed backend's injectable clock seam: inside
+RPR013 protects the lease coordinator's injectable clock seam: inside
 the modules listed in ``CLOCK_SEAM_RELPATHS`` (lease bookkeeping,
 transport, coordinator loop), *calling* a wall-clock function directly is
 flagged — lease-expiry arithmetic must flow through the clock passed via
@@ -57,7 +57,7 @@ work locally and then break under spawn.  The callee is matched by name
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Union
 
 from .config import (
     FORBIDDEN_WALLCLOCK,
@@ -537,7 +537,7 @@ class HotPathBatchRule(_BaseRule):
 
 
 # ----------------------------------------------------------------------
-# RPR013 — injectable clock seam in distributed coordinator/lease logic
+# RPR013 — injectable clock seam in the coordinator/lease logic
 # ----------------------------------------------------------------------
 class ClockSeamRule(_BaseRule):
     """Flag direct wall-clock *calls* inside the distributed backend's

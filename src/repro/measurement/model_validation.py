@@ -24,8 +24,8 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from ..cache.flush import flushed_fraction
-from ..cache.validation import fit_footprint_constants, measure_footprint_samples
 from ..cache.traces import zipf_trace
+from ..cache.validation import fit_footprint_constants, measure_footprint_samples
 from .cachestate import CacheStateExperiment, FootprintLayout, TwoLevelTimedCache
 
 __all__ = ["ModelValidationPoint", "ModelValidationResult", "validate_exec_model"]

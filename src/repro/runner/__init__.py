@@ -6,7 +6,7 @@ repetitive across invocations (tests, benchmarks, and ``repro all`` re-run
 identical grid points).  This package provides:
 
 - :class:`SweepRunner` — fans a batch of :class:`SystemConfig` runs out
-  over persistent warm workers or a distributed agent fleet (``jobs=N``;
+  over one lease coordinator's agent fleet, local or over tcp (``jobs=N``;
   ``jobs=0`` = serial fallback) with deterministic, submission-ordered
   results that are bit-identical to serial execution, and with
   fault-tolerant execution: per-task timeouts, bounded retries with

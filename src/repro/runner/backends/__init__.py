@@ -1,10 +1,10 @@
 """Pluggable sweep-execution backends.
 
-``serial`` runs in-process (the bit-identity reference), ``warm`` keeps
-persistent workers alive across batches, fed from one shared task queue
-(the local parallel path), and ``distributed`` puts the same
-shared-queue dispatch behind a network transport — a coordinator leasing task chunks
-to stateless worker agents with heartbeat expiry and idempotent commit
+``serial`` runs in-process (the bit-identity reference).  ``warm`` and
+``distributed`` are one lease coordinator (:mod:`.fleet`) over two
+transports: ``warm`` keeps persistent agent processes on pipes alive
+across batches (the local parallel path), ``distributed`` leases to
+agents over tcp, forked here or joining from other hosts
 (``docs/DISTRIBUTED.md``).  All three fold results through the same
 :class:`~repro.runner.runner.SweepRunner` machinery (cache, checkpoint
 journal, retries), so backend choice can never change results — only

@@ -6,12 +6,9 @@ the actual running of a batch to an :class:`ExecutionBackend`:
 
 ``serial``
     In-process, one task at a time (the deterministic reference path).
-``warm``
-    Long-lived worker processes pulling chunks from one shared task
-    queue (``docs/PERFORMANCE.md``).
-``distributed``
-    A coordinator leasing chunks to worker agents over a network
-    transport (``docs/DISTRIBUTED.md``).
+``warm`` and ``distributed``
+    One lease coordinator (:mod:`.fleet`) over long-lived agents, on
+    pipes or on tcp (``docs/RUNNER.md``, ``docs/DISTRIBUTED.md``).
 
 Every backend honours the same contract: *scheduling can never affect
 results*.  Each config carries its own seed, so outputs are bit-identical
@@ -92,8 +89,8 @@ def _deadline(timeout_s: Optional[float]) -> Iterator[None]:
     """Raise :class:`TaskTimeout` when the block exceeds ``timeout_s``.
 
     Uses a SIGALRM interval timer, which requires the main thread of a
-    POSIX process — exactly what a warm worker, a distributed agent, and
-    the CLI's serial path all are.  Anywhere else the guard degrades to *no*
+    POSIX process — exactly what a fleet agent and the CLI's serial path
+    both are.  Anywhere else the guard degrades to *no*
     in-band timeout; the parent-side hard watchdog still bounds parallel
     execution.
     """
@@ -165,14 +162,6 @@ def _execute_task(task: _WorkerTask) -> _WorkerOutcome:
                               time.perf_counter() - t0)
 
 
-def _worker_init() -> None:
-    """Worker initializer: restore default SIGTERM disposition so a
-    forked worker does not inherit the parent's graceful-shutdown handler
-    (which would turn worker teardown into spurious tracebacks)."""
-    if hasattr(signal, "SIGTERM"):
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-
-
 # ----------------------------------------------------------------------
 # The backend seam
 # ----------------------------------------------------------------------
@@ -197,8 +186,8 @@ class BatchState:
 
 
 #: One queued task attempt: ``(index in the batch, 1-based attempt)``.
-#: The warm and distributed backends keep a batch's pending attempts in
-#: one FIFO of these, shared by every worker.
+#: The fleet coordinator keeps a batch's pending attempts in one FIFO of
+#: these, shared by every agent.
 Task = Tuple[int, int]
 
 

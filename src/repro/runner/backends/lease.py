@@ -1,11 +1,11 @@
-"""Lease bookkeeping for the distributed backend.
+"""Lease bookkeeping for the fleet coordinator (:mod:`.fleet`).
 
 A *lease* is the unit of at-least-once dispatch: the coordinator grants a
-worker a chunk of tasks for a bounded time, the worker heartbeats while
-executing, and a lease whose heartbeats stop arriving is *expired* — its
-tasks are requeued (consuming an attempt from the retry budget, exactly
-like a crashed warm worker) and the worker is presumed lost until it
-speaks again.  A worker that was merely slow or partitioned may later
+worker a chunk of tasks, and every beat or result from that worker
+refreshes all of its leases.  A lease whose worker stays silent past the
+budget is *expired* — its tasks are requeued (consuming an attempt from
+the retry budget, exactly like a crashed worker) and the worker is
+presumed lost.  A worker that was merely slow or partitioned may later
 deliver a result for an expired lease; the :class:`LeaseTable` keeps
 retired leases addressable so the coordinator can still interpret (and
 byte-compare) those stale deliveries instead of dropping data it cannot
@@ -49,13 +49,15 @@ class LeaseTable:
 
     ``timeout_s`` is the heartbeat budget: a lease whose ``last_beat_s``
     is older than this (by the injected clock) is expired by the next
-    :meth:`expired` sweep.  Retired leases (expired, released, or
-    completed) stay addressable so late results can be matched to their
-    tasks and routed through the idempotent commit gate.
+    :meth:`expired` sweep; ``None`` means leases never expire (the
+    worker's loss is reported some other way).  Retired leases (expired,
+    released, or completed) stay addressable so late results can be
+    matched to their tasks and routed through the idempotent commit
+    gate.
     """
 
-    def __init__(self, timeout_s: float, clock: Clock) -> None:
-        if timeout_s <= 0:
+    def __init__(self, timeout_s: Optional[float], clock: Clock) -> None:
+        if timeout_s is not None and timeout_s <= 0:
             raise ValueError("lease timeout_s must be positive")
         self.timeout_s = timeout_s
         self._clock = clock
@@ -73,12 +75,16 @@ class LeaseTable:
         return lease
 
     def heartbeat(self, lease_id: int) -> bool:
-        """Refresh a lease's heartbeat; False if it is no longer active
-        (the beat arrived after expiry — the worker is stale)."""
+        """Refresh every active lease of ``lease_id``'s worker: it spoke,
+        so it is alive.  False if the lease is no longer active (the beat
+        arrived after expiry — the worker is stale)."""
         lease = self._active.get(lease_id)
         if lease is None:
             return False
-        lease.last_beat_s = self._clock()
+        now = self._clock()
+        for held in self._active.values():
+            if held.worker_id == lease.worker_id:
+                held.last_beat_s = now
         return True
 
     # -- retirement ---------------------------------------------------
@@ -98,38 +104,34 @@ class LeaseTable:
 
     def expired(self) -> List[Lease]:
         """Pop every active lease whose heartbeat budget ran out."""
+        if self.timeout_s is None:
+            return []
         now = self._clock()
-        out = [lease for lease in self._active.values()
-               if now - lease.last_beat_s > self.timeout_s]
-        for lease in out:
-            self._retired[lease.lease_id] = self._active.pop(lease.lease_id)
-        return out
+        return self._retire([lease for lease in self._active.values()
+                             if now - lease.last_beat_s > self.timeout_s])
 
     def release_worker(self, worker_id: str) -> List[Lease]:
-        """Pop every active lease held by ``worker_id`` (it died)."""
-        out = [lease for lease in self._active.values()
-               if lease.worker_id == worker_id]
-        for lease in out:
-            self._retired[lease.lease_id] = self._active.pop(lease.lease_id)
-        return out
+        """Pop every active lease held by ``worker_id`` (it was lost)."""
+        return self._retire([lease for lease in self._active.values()
+                             if lease.worker_id == worker_id])
 
     def release_all(self) -> List[Lease]:
         """Pop every active lease (fleet retirement / fallback path)."""
-        out = list(self._active.values())
-        for lease in out:
-            self._retired[lease.lease_id] = lease
-        self._active.clear()
-        return out
+        return self._retire(list(self._active.values()))
+
+    def _retire(self, leases: List[Lease]) -> List[Lease]:
+        for lease in leases:
+            self._retired[lease.lease_id] = self._active.pop(lease.lease_id)
+        return leases
 
     # -- inspection ---------------------------------------------------
     def active(self) -> int:
         return len(self._active)
 
-    def lease_of(self, worker_id: str) -> Optional[Lease]:
-        for lease in self._active.values():
-            if lease.worker_id == worker_id:
-                return lease
-        return None
+    def held(self, worker_id: str) -> int:
+        """Active leases held by ``worker_id``."""
+        return sum(1 for lease in self._active.values()
+                   if lease.worker_id == worker_id)
 
     def snapshot(self) -> List[Dict[str, object]]:
         """JSON-ready view of the active leases (``repro sweep status``)."""

@@ -26,6 +26,4 @@ class SerialBackend(ExecutionBackend):
         for i in batch.work:
             if runner.fail_fast and batch.failures:
                 return
-            runner._run_inline(i, 1, batch.configs, batch.keys,
-                               batch.fault_keys, batch.results,
-                               batch.journal, batch.failures)
+            runner._run_inline(batch, i, 1)

@@ -1,24 +1,26 @@
-"""The message transport for the distributed backend, plus the chaos wrapper.
+"""The lease coordinator's message transports, plus the chaos wrapper.
 
-The coordinator binds a localhost (or ``DistributedOptions.bind``)
-socket and workers connect out — the multi-host path.  Messages travel
-as length-prefixed, versioned frames (:data:`_HEADER`), so a torn read
-or a protocol-drifted peer fails loudly as a :class:`TransportError`,
-never as silent corruption.
+Two transports carry the same messages between the coordinator
+(:mod:`.fleet`) and its agents: :class:`PipeCoordinator` (``warm``, one
+``multiprocessing`` pipe per forked agent) and :class:`TcpCoordinator`
+(``distributed``: agents connect out to a localhost or
+``DistributedOptions.bind`` socket, from this host or others).  TCP
+messages travel as length-prefixed, versioned frames (:data:`_HEADER`),
+so a torn read or a protocol-drifted peer fails loudly as a
+:class:`TransportError`, never as silent corruption.
 
-Both sides are deliberately dumb pipes: delivery order is per-sender
-FIFO, delivery itself is at-least-once *at best* — the lease/commit
-machinery in :mod:`.distributed` owns correctness, the transport owns
-only bytes.  That split is what makes the chaos wrapper honest:
+Both are deliberately dumb pipes: delivery order is per-sender FIFO,
+delivery itself is at-least-once *at best* — the lease/commit machinery
+in :mod:`.fleet` owns correctness, the transport owns only bytes.  That
+split is what makes the chaos wrapper honest:
 :class:`ChaosCoordinatorTransport` sits where every message already
-passes (the coordinator's edge, behind :class:`CoordinatorTransport`)
-and drops, delays, duplicates, or partitions traffic under the same
-sha256-pure :class:`~repro.runner.faults.FaultPlan` that drives task
-faults, so a chaos run replays bit-identically from its seed.
+passes (the coordinator's edge) and drops, delays, duplicates, or
+partitions traffic under the same sha256-pure
+:class:`~repro.runner.faults.FaultPlan` that drives task faults, so a
+chaos run replays bit-identically from its seed.
 
 RPR013 applies here: transport code never reads the wall clock.  The
-chaos wrapper holds delayed messages for a counted number of polls — a
-pure function of call counts, not of time.
+chaos wrapper holds delayed messages for a counted number of polls.
 """
 
 from __future__ import annotations
@@ -28,15 +30,18 @@ import selectors
 import socket
 import struct
 from abc import ABC, abstractmethod
-from typing import Any, Deque, Dict, List, Optional, Tuple
-
 from collections import deque
+from multiprocessing.connection import Connection, wait
+from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
 from ..faults import FaultPlan
 
 __all__ = [
+    "AgentLink",
     "ChaosCoordinatorTransport",
     "CoordinatorTransport",
+    "PipeCoordinator",
+    "PipeWorker",
     "TcpCoordinator",
     "TcpWorker",
     "TransportError",
@@ -123,10 +128,6 @@ class CoordinatorTransport(ABC):
         """Send to ``worker_id``; False when no route exists or the send
         visibly failed (the message never left the coordinator)."""
 
-    @abstractmethod
-    def address(self) -> str:
-        """The address workers connect to."""
-
     def pending(self) -> int:
         """Messages held inside the transport (chaos delays); the
         completion check drains these before declaring a batch done."""
@@ -135,6 +136,83 @@ class CoordinatorTransport(ABC):
     @abstractmethod
     def close(self) -> None:
         """Release sockets (idempotent)."""
+
+
+# ----------------------------------------------------------------------
+# Pipes
+# ----------------------------------------------------------------------
+class PipeCoordinator(CoordinatorTransport):
+    """One pipe per local agent, routed by the id it was forked with.
+
+    A pipe that reports EOF is dropped: its agent is dead, and the
+    coordinator sees that through the process itself.
+    """
+
+    def __init__(self) -> None:
+        self._routes: Dict[str, Connection] = {}
+
+    def attach(self, worker_id: str, conn: Connection) -> None:
+        self._routes[worker_id] = conn
+
+    def _drop(self, conn: Connection) -> None:
+        for worker_id, route in list(self._routes.items()):
+            if route is conn:
+                del self._routes[worker_id]
+        conn.close()
+
+    def poll(self, timeout_s: float) -> List[Message]:
+        out: List[Message] = []
+        conns = list(self._routes.values())
+        ready = wait(conns, timeout_s)
+        for conn in conns:
+            if conn not in ready:
+                continue
+            try:
+                out.append(conn.recv())
+            except (EOFError, OSError):
+                self._drop(conn)
+        return out
+
+    def send(self, worker_id: str, message: Message) -> bool:
+        conn = self._routes.get(worker_id)
+        if conn is None:
+            return False
+        try:
+            conn.send(message)
+            return True
+        except OSError:
+            self._drop(conn)
+            return False
+
+    def close(self) -> None:
+        for conn in list(self._routes.values()):
+            self._drop(conn)
+
+
+class PipeWorker:
+    """Agent side of :class:`PipeCoordinator`, with the interface of
+    :class:`TcpWorker`."""
+
+    def __init__(self, conn: Connection) -> None:
+        self._conn = conn
+
+    def send(self, message: Message) -> None:
+        try:
+            self._conn.send(message)
+        except (OSError, ValueError) as exc:
+            raise TransportError(f"coordinator unreachable: {exc}") from exc
+
+    def recv(self, timeout_s: float) -> Optional[Message]:
+        try:
+            if not self._conn.poll(timeout_s):
+                return None
+            message: Message = self._conn.recv()
+        except (EOFError, OSError, ValueError) as exc:
+            raise TransportError(f"coordinator unreachable: {exc}") from exc
+        return message
+
+    def close(self) -> None:
+        self._conn.close()
 
 
 # ----------------------------------------------------------------------
@@ -160,6 +238,7 @@ class TcpCoordinator(CoordinatorTransport):
         self._routes: Dict[str, socket.socket] = {}
 
     def address(self) -> str:
+        """The ``host:port`` workers connect to."""
         host, port = self._server.getsockname()[:2]
         return f"{host}:{port}"
 
@@ -184,6 +263,8 @@ class TcpCoordinator(CoordinatorTransport):
             assert isinstance(sock, socket.socket)
             if sock is self._server:
                 conn, _addr = self._server.accept()
+                # Frames are small and each one is awaited: no Nagle wait.
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 self._selector.register(conn, selectors.EVENT_READ)
                 self._buffers[conn] = bytearray()
                 continue
@@ -239,6 +320,7 @@ class TcpWorker:
         except OSError as exc:
             raise TransportError(
                 f"cannot reach coordinator at {address}: {exc}") from exc
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._buffer = bytearray()
         self._queue: Deque[Message] = deque()
 
@@ -277,6 +359,10 @@ class TcpWorker:
             except OSError:
                 pass
             self._sock = None
+
+
+#: Agent side: one connection to the coordinator.
+AgentLink = Union[TcpWorker, PipeWorker]
 
 
 # ----------------------------------------------------------------------
@@ -347,9 +433,6 @@ class ChaosCoordinatorTransport(CoordinatorTransport):
                 and self._plan.decide(kind, key, seq))
 
     # -- the wrapped interface ----------------------------------------
-    def address(self) -> str:
-        return self._inner.address()
-
     def pending(self) -> int:
         return len(self._held) + self._inner.pending()
 

@@ -38,10 +38,11 @@ Fault kinds
     The task raises :class:`KeyboardInterrupt`, exercising the graceful
     shutdown + checkpoint-flush path exactly as a user Ctrl-C would.
 
-Network fault kinds (distributed backend only)
-----------------------------------------------
-These are decided at the coordinator's transport edge by
+Network fault kinds (either fleet)
+----------------------------------
+These are decided at the lease coordinator's transport edge by
 :class:`~repro.runner.backends.transport.ChaosCoordinatorTransport`,
+which wraps the pipe and the tcp transport alike,
 keyed per ``"<worker>|<message-type>"`` with a per-key sequence number
 as the attempt — same sha256 threshold test, so a chaos run replays
 bit-identically from its seed (``repro faults --backend distributed``).
@@ -61,7 +62,7 @@ bit-identically from its seed (``repro faults --backend distributed``).
     the worker's traffic (e.g. idle re-hellos) advances the window.
 ``kill``
     The worker agent process exits abnormally on receipt of its Nth
-    lease — the fleet-loss adversary behind ``max_fleet_failures``.
+    lease — the fleet-loss adversary behind ``max_pool_failures``.
 
 Network and kill faults also respect ``max_faulty_attempts`` per task,
 so no task loses more attempts to chaos than budgeted however often its
@@ -97,7 +98,7 @@ FAULT_KINDS: Tuple[str, ...] = (
 )
 
 #: The kinds decided at the transport edge (message-level); any nonzero
-#: rate among these makes the distributed backend wrap its transport in
+#: rate among these makes the lease coordinator wrap its transport in
 #: the chaos layer.
 NETWORK_FAULT_KINDS: Tuple[str, ...] = (
     "drop", "delay", "duplicate", "partition")
@@ -216,21 +217,13 @@ def _grid_keys(configs: "List[SystemConfig]") -> List[str]:
     return [config_key(cfg) for cfg in configs]
 
 
-def _dist_opts(backend: str, *,
-               lease_timeout_s: float = 60.0,
-               idle_poll_s: float = 0.5,
-               max_fleet_failures: int = 3,
-               ) -> "Optional[DistributedOptions]":
-    """Tuning for scenarios parameterized over backends (None for every
-    backend but distributed).  Keyword defaults mirror
-    :class:`DistributedOptions`."""
-    if backend != "distributed":
-        return None
+def _tcp(lease_timeout_s: float,
+         idle_poll_s: float = 0.5) -> "DistributedOptions":
+    """A network-chaos scenario's tuning of the distributed backend."""
     from .backends.distributed import DistributedOptions
 
     return DistributedOptions(lease_timeout_s=lease_timeout_s,
-                              idle_poll_s=idle_poll_s,
-                              max_fleet_failures=max_fleet_failures)
+                              idle_poll_s=idle_poll_s)
 
 
 def _scenario_crash_retry(workdir: Path, jobs: int, seed: int,
@@ -249,8 +242,7 @@ def _scenario_crash_retry(workdir: Path, jobs: int, seed: int,
     plan = FaultPlan(seed=seed, crash=1.0, max_faulty_attempts=1,
                      only_keys=(keys[1], keys[4]))
     runner = SweepRunner(jobs=max(2, jobs), backend=backend, retries=2,
-                         backoff_base_s=0.0, timeout_s=60.0, fault_plan=plan,
-                         distributed_options=_dist_opts(backend))
+                         backoff_base_s=0.0, timeout_s=60.0, fault_plan=plan)
     results = runner.run_many(configs)
     runner.close()
     crashed = len(plan.affected("crash", keys))
@@ -278,8 +270,7 @@ def _scenario_hang_timeout(workdir: Path, jobs: int, seed: int,
     plan = FaultPlan(seed=seed, hang=1.0, max_faulty_attempts=None,
                      hang_s=30.0, only_keys=(keys[2],))
     runner = SweepRunner(jobs=jobs, backend=backend, retries=1,
-                         backoff_base_s=0.0, timeout_s=0.5, fault_plan=plan,
-                         distributed_options=_dist_opts(backend))
+                         backoff_base_s=0.0, timeout_s=0.5, fault_plan=plan)
     t0 = time.perf_counter()
     try:
         runner.run_many(configs)
@@ -378,8 +369,7 @@ def _scenario_happy_path_identity(workdir: Path, jobs: int, seed: int,
     hardened = SweepRunner(jobs=jobs, backend=backend,
                            cache=ResultCache(workdir / "happy-cache"),
                            timeout_s=120.0, retries=2,
-                           checkpoint_dir=workdir / "happy-checkpoints",
-                           distributed_options=_dist_opts(backend))
+                           checkpoint_dir=workdir / "happy-checkpoints")
     results = hardened.run_many(configs)
     hardened.close()
     ok = (results == reference and hardened.stats.failures == 0
@@ -474,8 +464,7 @@ def _scenario_dist_duplicate_delivery(workdir: Path, jobs: int, seed: int,
     reference = SweepRunner(jobs=0).run_many(configs)
     plan = FaultPlan(seed=seed, duplicate=1.0, max_faulty_attempts=None)
     runner = SweepRunner(jobs=max(2, jobs), backend="distributed", retries=2,
-                         backoff_base_s=0.0, fault_plan=plan,
-                         distributed_options=_dist_opts("distributed"))
+                         backoff_base_s=0.0, fault_plan=plan)
     results = runner.run_many(configs)
     runner.close()
     n = len(configs)
@@ -503,8 +492,7 @@ def _scenario_dist_drop_lease_recovery(workdir: Path, jobs: int, seed: int,
     plan = FaultPlan(seed=seed, drop=1.0, max_faulty_attempts=1)
     runner = SweepRunner(jobs=max(2, jobs), backend="distributed", retries=4,
                          backoff_base_s=0.0, fault_plan=plan,
-                         distributed_options=_dist_opts(
-                             "distributed", lease_timeout_s=0.5))
+                         distributed_options=_tcp(lease_timeout_s=0.5))
     results = runner.run_many(configs)
     runner.close()
     ok = (results == reference and runner.stats.failures == 0
@@ -520,10 +508,10 @@ def _scenario_dist_drop_lease_recovery(workdir: Path, jobs: int, seed: int,
 
 def _scenario_dist_lease_expiry_no_timeout(workdir: Path, jobs: int, seed: int,
                                            backend: str) -> ScenarioResult:
-    """A worker hangs mid-task with *no* task timeout configured: missed
-    heartbeats alone expire the lease, the task is requeued (consuming an
-    attempt) and re-executed elsewhere, and the late completion from the
-    recovered worker is discarded as stale."""
+    """A worker hangs mid-task with *no* task timeout configured: its
+    silence alone expires the lease, the hung agent is killed and
+    respawned, and the task is requeued (consuming an attempt) and
+    re-executed."""
     from .runner import SweepRunner
 
     configs = _scenario_grid(5, seed)
@@ -533,8 +521,7 @@ def _scenario_dist_lease_expiry_no_timeout(workdir: Path, jobs: int, seed: int,
                      hang_s=2.5, only_keys=(keys[1],))
     runner = SweepRunner(jobs=max(2, jobs), backend="distributed", retries=3,
                          backoff_base_s=0.0, fault_plan=plan,
-                         distributed_options=_dist_opts(
-                             "distributed", lease_timeout_s=0.6))
+                         distributed_options=_tcp(lease_timeout_s=0.6))
     results = runner.run_many(configs)
     runner.close()
     ok = (results == reference and runner.stats.failures == 0
@@ -542,10 +529,10 @@ def _scenario_dist_lease_expiry_no_timeout(workdir: Path, jobs: int, seed: int,
           and runner.stats.timeouts >= 1)
     return ScenarioResult(
         "dist-hung-worker-lease-expires", ok,
-        f"hung worker's lease expired via missed heartbeats "
+        f"hung worker's lease expired on its silence "
         f"({runner.stats.lease_expiries} expiries, {runner.stats.timeouts} "
-        f"timeout attempts charged, {runner.stats.stale_results} stale "
-        f"result(s) discarded) with no task timeout configured; results "
+        f"timeout attempts charged, {runner.stats.pool_respawns} agent(s) "
+        f"respawned) with no task timeout configured; results "
         f"{'bit-identical to' if results == reference else 'DIVERGED from'} "
         f"serial reference")
 
@@ -564,9 +551,8 @@ def _scenario_dist_partition_heal(workdir: Path, jobs: int, seed: int,
                      only_keys=("w0.1",), partition_window=4)
     runner = SweepRunner(jobs=max(2, jobs), backend="distributed", retries=2,
                          backoff_base_s=0.0, fault_plan=plan,
-                         distributed_options=_dist_opts(
-                             "distributed", lease_timeout_s=1.0,
-                             idle_poll_s=0.1))
+                         distributed_options=_tcp(lease_timeout_s=1.0,
+                                                  idle_poll_s=0.1))
     results = runner.run_many(configs)
     runner.close()
     ok = (results == reference and runner.stats.failures == 0)
@@ -595,8 +581,7 @@ def _scenario_dist_stale_result_discarded(workdir: Path, jobs: int, seed: int,
                      only_keys=("w0.1|result",), delay_polls=40)
     runner = SweepRunner(jobs=max(2, jobs), backend="distributed", retries=2,
                          backoff_base_s=0.0, fault_plan=plan,
-                         distributed_options=_dist_opts(
-                             "distributed", lease_timeout_s=0.5))
+                         distributed_options=_tcp(lease_timeout_s=0.5))
     results = runner.run_many(configs)
     runner.close()
     n = len(configs)
@@ -615,10 +600,10 @@ def _scenario_dist_stale_result_discarded(workdir: Path, jobs: int, seed: int,
 
 def _scenario_dist_fleet_loss_fallback(workdir: Path, jobs: int, seed: int,
                                        backend: str) -> ScenarioResult:
-    """Every worker agent dies on receipt of every lease: after
-    ``max_fleet_failures`` the coordinator stops burning respawns and
-    degrades gracefully to the local warm backend, completing the sweep
-    bit-identically with zero failed tasks."""
+    """Every worker agent dies on receipt of every lease: past
+    ``max_pool_failures`` the coordinator stops burning respawns, retires
+    the fleet and finishes the batch inline, bit-identically and with
+    zero failed tasks."""
     from .runner import SweepRunner
 
     configs = _scenario_grid(5, seed)
@@ -626,18 +611,17 @@ def _scenario_dist_fleet_loss_fallback(workdir: Path, jobs: int, seed: int,
     plan = FaultPlan(seed=seed, kill=1.0, max_faulty_attempts=None)
     runner = SweepRunner(jobs=max(2, jobs), backend="distributed", retries=4,
                          backoff_base_s=0.0, fault_plan=plan,
-                         distributed_options=_dist_opts(
-                             "distributed", max_fleet_failures=2))
+                         max_pool_failures=2)
     results = runner.run_many(configs)
     runner.close()
     ok = (results == reference and runner.stats.failures == 0
           and runner.stats.fleet_fallbacks == 1
           and runner.stats.pool_respawns >= 1)
     return ScenarioResult(
-        "dist-fleet-loss-falls-back-to-warm", ok,
+        "dist-fleet-loss-finishes-inline", ok,
         f"agents killed on every lease: {runner.stats.pool_respawns} "
         f"respawn(s) before giving up, {runner.stats.fleet_fallbacks} "
-        f"fallback to the local warm backend, {runner.stats.failures} "
+        f"batch finished inline, {runner.stats.failures} "
         f"failed tasks; results "
         f"{'bit-identical to' if results == reference else 'DIVERGED from'} "
         f"serial reference")

@@ -12,11 +12,11 @@ guaranteeing the output is **bit-identical** to serial execution:
 
 ``jobs=0`` (or 1) is a strict serial fallback executing in-process;
 ``jobs=None`` uses one worker per CPU.  With ``jobs>1`` the ``backend``
-parameter picks the execution engine: ``"warm"`` (default) keeps
-persistent workers alive across batches, fed from one shared queue,
-``"distributed"`` leases chunks to worker agents over a network
-transport, and ``"serial"`` forces in-process execution regardless of
-``jobs`` (see :mod:`repro.runner.backends`).
+parameter picks the execution engine: ``"warm"`` (default) leases
+chunks from one shared queue to persistent local agents on pipes,
+``"distributed"`` runs the same lease coordinator over tcp, and
+``"serial"`` forces in-process execution regardless of ``jobs`` (see
+:mod:`repro.runner.backends`).
 A :class:`ResultCache` makes re-runs of ``repro all``, the tests, and
 the benchmarks skip already-computed points; identical configs *within*
 one batch are also deduplicated so e.g. a repeated baseline run is
@@ -29,14 +29,14 @@ process can be interrupted, without throwing away completed work:
 
 - **Timeouts** — ``timeout_s`` bounds each task's wall clock (SIGALRM
   deadline inside the worker, plus a hard parent-side watchdog that
-  replaces a wedged worker), so a hung config is *reported*, never
-  a deadlock.
+  kills and replaces a wedged agent), so a hung config is *reported*,
+  never a deadlock.
 - **Retries** — each failed/timed-out task is retried up to ``retries``
   times with deterministic (seedless, jitter-free) exponential backoff.
-- **Worker recovery** — a crashed warm worker (pipe EOF) or distributed
-  agent is respawned and only the lost tasks requeued; after
-  ``max_pool_failures`` respawns the runner degrades gracefully to
-  serial in-process execution for the remainder.
+- **Worker recovery** — a crashed or wedged agent of either fleet is
+  respawned and only its lost tasks requeued; a fleet that loses more
+  than ``max_pool_failures`` agents in a batch is retired and the rest
+  of the batch runs inline, counted in ``fleet_fallbacks``.
 - **Checkpoint/resume** — completed tasks are journaled (see
   :mod:`repro.runner.checkpoint`); SIGINT/SIGTERM commit the cache and
   journal and print a resume hint, and ``resume=True`` replays completed
@@ -66,6 +66,7 @@ import signal
 import sys
 import threading
 import time
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -88,7 +89,7 @@ from .backends import (
     ExecutionBackend,
     make_backend,
 )
-from .backends.base import _execute_task, _WorkerTask
+from .backends.base import Task, _execute_task, _WorkerTask
 from .cache import ResultCache
 from .checkpoint import CheckpointJournal, sweep_id
 from .faults import FaultPlan
@@ -123,12 +124,12 @@ class RunnerStats:
     failures: int = 0        # tasks that exhausted every attempt
     pool_respawns: int = 0   # worker processes replaced after breaking
     batches: int = 0
-    chunks: int = 0          # warm/distributed chunk dispatches
-    leases: int = 0          # distributed lease grants
-    lease_expiries: int = 0  # leases forfeited to missed heartbeats
+    chunks: int = 0          # warm/distributed lease dispatches
+    leases: int = 0          # warm/distributed lease grants
+    lease_expiries: int = 0  # leases forfeited to an agent's silence
     dup_results: int = 0     # duplicate identical results discarded
     stale_results: int = 0   # results delivered for retired leases
-    fleet_fallbacks: int = 0  # batches finished on the local fallback
+    fleet_fallbacks: int = 0  # batches finished inline, fleet over budget
     elapsed_s: float = 0.0   # wall-clock spent inside run_many
 
     def snapshot(self) -> "RunnerStats":
@@ -255,16 +256,16 @@ class SweepRunner:
         execution entirely, so an invariant-checking gate should run with
         the cache disabled.
     backend:
-        Execution engine for ``jobs>1``: ``"warm"`` (default; persistent
-        workers fed from one shared task queue), ``"distributed"`` (lease-based
-        coordinator + worker-agent fleet over tcp), or
+        Execution engine for ``jobs>1``: ``"warm"`` (default; the lease
+        coordinator over persistent local agents on pipes),
+        ``"distributed"`` (the same coordinator over tcp), or
         ``"serial"`` (force in-process).
         Backend choice can never change results — only wall-clock
         (``docs/RUNNER.md``, ``docs/DISTRIBUTED.md``).
     distributed_options:
         Optional :class:`~repro.runner.backends.DistributedOptions`
         tuning the distributed backend (bind address, lease timeout,
-        fleet policy — ``docs/DISTRIBUTED.md``).  Ignored by the others.
+        poll cadence — ``docs/DISTRIBUTED.md``).  Ignored by the others.
     timeout_s:
         Per-task wall-clock budget; ``None`` (default) = unbounded.  A
         task over budget is reported as a ``timeout`` failure and retried.
@@ -288,8 +289,11 @@ class SweepRunner:
     fault_plan:
         Optional deterministic fault injector (tests/CI only).
     max_pool_failures:
-        Worker respawns tolerated per batch before degrading to serial
-        execution.
+        Agents either fleet may lose per batch (deaths, and kills of
+        agents silent past their budget), each replaced by a fresh one.
+        One more, and the fleet is retired and the rest of the batch runs
+        inline with attempts carried over, counted in
+        ``stats.fleet_fallbacks``.
     """
 
     def __init__(self, jobs: Optional[int] = 0,
@@ -314,6 +318,8 @@ class SweepRunner:
             raise ValueError("retries must be >= 0")
         if timeout_s is not None and timeout_s <= 0:
             raise ValueError("timeout_s must be positive (or None)")
+        if max_pool_failures < 0:
+            raise ValueError("max_pool_failures must be >= 0")
         if backend not in BACKEND_NAMES:
             raise ValueError(f"unknown backend {backend!r}; expected one "
                              f"of {BACKEND_NAMES}")
@@ -341,8 +347,8 @@ class SweepRunner:
     # ------------------------------------------------------------------
     def _get_backend(self, name: str) -> ExecutionBackend:
         """The (lazily created, runner-lifetime) backend instance for
-        ``name`` — long-lived so the warm backend's workers survive
-        across batches."""
+        ``name`` — long-lived so a fleet's agents survive across
+        batches."""
         instance = self._backends.get(name)
         if instance is None:
             instance = make_backend(name, self.distributed_options)
@@ -357,7 +363,7 @@ class SweepRunner:
         return self._get_backend(self.backend)
 
     def close(self) -> None:
-        """Release backend resources (persistent warm workers).  The
+        """Release backend resources (persistent fleet agents).  The
         runner remains usable — backends respawn lazily on demand."""
         backends, self._backends = self._backends, {}
         for instance in backends.values():
@@ -515,17 +521,16 @@ class SweepRunner:
     # ------------------------------------------------------------------
     # completion / retry plumbing shared by every backend
     # ------------------------------------------------------------------
-    def _complete(self, i: int, summary: SimulationSummary,
-                  key: Optional[str],
-                  results: List[Optional[SimulationSummary]],
-                  journal: Optional[CheckpointJournal]) -> None:
-        results[i] = summary
+    def _complete(self, batch: BatchState, i: int,
+                  summary: SimulationSummary) -> None:
+        batch.results[i] = summary
         self.stats.executed += 1
+        key = batch.keys[i]
         if key is not None:
             if self.cache is not None:
                 self.cache.put(key, summary)
-            if journal is not None:
-                journal.record(key, summary)
+            if batch.journal is not None:
+                batch.journal.record(key, summary)
 
     def _backoff(self, attempt: int) -> None:
         """Deterministic exponential backoff before attempt ``attempt+1``
@@ -535,56 +540,41 @@ class SweepRunner:
         if delay_s > 0:
             time.sleep(delay_s)
 
-    def _fail(self, i: int, key: Optional[str], kind: str, error: str,
-              attempts: int, elapsed_s: float,
-              failures: List[FailureReport]) -> None:
-        failures.append(FailureReport(
-            index=i, key=key, kind=kind, attempts=attempts, error=error,
-            elapsed_s=elapsed_s, label=getattr(self, "_label", "")))
-
-    def _retry_or_fail(self, i: int, attempt: int, kind: str, error: str,
-                       elapsed_s: float,
-                       pending: "Deque[Tuple[int, int]]",
-                       keys: Sequence[Optional[str]],
-                       failures: List[FailureReport]) -> None:
+    def _retry_or_fail(self, batch: BatchState, pending: Deque[Task],
+                       i: int, attempt: int, kind: str, error: str,
+                       elapsed_s: float) -> None:
+        """Count a failed attempt; queue the next one on ``pending``, or
+        report the task failed once its attempts are spent."""
+        if kind == "timeout":
+            self.stats.timeouts += 1
         if attempt <= self.retries:
             self.stats.retries += 1
             self._backoff(attempt)
             pending.append((i, attempt + 1))
-        else:
-            self._fail(i, keys[i], kind, error, attempt, elapsed_s, failures)
+            return
+        batch.failures.append(FailureReport(
+            index=i, key=batch.keys[i], kind=kind, attempts=attempt,
+            error=error, elapsed_s=elapsed_s,
+            label=getattr(self, "_label", "")))
 
-    def _run_inline(self, i: int, first_attempt: int,
-                    configs: Sequence[SystemConfig],
-                    keys: Sequence[Optional[str]],
-                    fault_keys: Sequence[str],
-                    results: List[Optional[SimulationSummary]],
-                    journal: Optional[CheckpointJournal],
-                    failures: List[FailureReport]) -> None:
+    def _run_inline(self, batch: BatchState, i: int, attempt: int) -> None:
         """Attempt loop for one task, executed in-process."""
-        attempt = first_attempt
-        while True:
+        pending: Deque[Task] = deque([(i, attempt)])
+        while pending:
+            i, attempt = pending.popleft()
             outcome = _execute_task(_WorkerTask(
-                configs[i], fault_keys[i], attempt, self.timeout_s,
-                self.fault_plan, inline=True))
-            if outcome.ok:
-                assert outcome.summary is not None
-                self._complete(i, outcome.summary, keys[i], results, journal)
-                return
-            if outcome.kind == "timeout":
-                self.stats.timeouts += 1
-            if attempt > self.retries:
-                self._fail(i, keys[i], outcome.kind, outcome.error, attempt,
-                           outcome.elapsed_s, failures)
-                return
-            self.stats.retries += 1
-            self._backoff(attempt)
-            attempt += 1
+                batch.configs[i], batch.fault_keys[i], attempt,
+                self.timeout_s, self.fault_plan, inline=True))
+            if outcome.summary is not None:
+                self._complete(batch, i, outcome.summary)
+            else:
+                self._retry_or_fail(batch, pending, i, attempt, outcome.kind,
+                                    outcome.error, outcome.elapsed_s)
 
     def _hard_timeout_s(self) -> Optional[float]:
-        """Parent-side watchdog deadline for one in-flight task: generous
-        multiple of the soft budget, so it only fires when a worker is
-        wedged beyond its own SIGALRM guard."""
+        """Parent-side watchdog: how long a fleet agent holding leases may
+        stay silent.  A generous multiple of the soft budget, so it only
+        fires when an agent is wedged beyond its own SIGALRM guard."""
         if self.timeout_s is None:
             return None
         return self.timeout_s * _HARD_TIMEOUT_FACTOR + 1.0

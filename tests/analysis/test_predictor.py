@@ -4,8 +4,7 @@ import math
 
 import pytest
 
-from repro.analysis.predictor import AnalyticPredictor, DelayPrediction
-from repro.core.params import PAPER_COSTS, PlatformConfig
+from repro.analysis.predictor import AnalyticPredictor
 from repro.sim.system import SystemConfig, run_simulation
 from repro.workloads.traffic import TrafficSpec
 

@@ -10,7 +10,7 @@ from repro.cache.fractal import (
 )
 from repro.cache.hierarchy import CacheLevelConfig
 from repro.cache.simulator import CacheSimulator
-from repro.cache.traces import sequential_trace, uniform_trace, zipf_trace
+from repro.cache.traces import sequential_trace, zipf_trace
 
 
 class TestEstimation:

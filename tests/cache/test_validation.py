@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cache.footprint import MVS_WORKLOAD, FootprintFunction
-from repro.cache.hierarchy import CacheLevelConfig, R4400_L1D
+from repro.cache.hierarchy import R4400_L1D
 from repro.cache.traces import uniform_trace, zipf_trace
 from repro.cache.validation import (
     FootprintSample,

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import settings as hypothesis_settings
 
-from repro.core.params import PAPER_COMPOSITION, PAPER_COSTS
 from repro.cache.hierarchy import sgi_challenge_hierarchy
 from repro.core.exec_model import ExecutionTimeModel
+from repro.core.params import PAPER_COMPOSITION, PAPER_COSTS
 from repro.sim.system import SystemConfig
 from repro.workloads.traffic import TrafficSpec
 

@@ -1,7 +1,7 @@
 """Unit tests for scheduling policies against a scripted SchedulerView."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import pytest

@@ -1,7 +1,5 @@
 """Tests for the ablation studies (A01-A04)."""
 
-import pytest
-
 from repro.experiments.base import ABLATION_IDS, run_experiment
 
 

@@ -232,8 +232,8 @@ class TestWarmStateLedger:
         """Seed a new module-level cache in warm.py, optionally with a
         ledger entry (``register`` = reason string) and a reset hook."""
         warm = pkg / self.WARM
-        edit(warm, "_TARGET_CHUNK_S = 0.2",
-             "_TARGET_CHUNK_S = 0.2\n_EXTRA_CACHE: Dict[str, int] = {}",
+        anchor = '__all__ = ["WarmBackend", "reset_warm_state"]'
+        edit(warm, anchor, anchor + "\n_EXTRA_CACHE: Dict[str, int] = {}",
              count=1)
         if register is not None:
             edit(warm, "_WARM_LEDGER: Dict[str, str] = {}",

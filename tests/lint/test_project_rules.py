@@ -8,8 +8,6 @@ import json
 import pathlib
 import shutil
 
-import pytest
-
 from repro.lint import check_cache_key_conformance, check_registry_conformance
 from repro.lint.project import system_config_fields
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.params import PAPER_COSTS, ProtocolCosts
-from repro.measurement.cachestate import CacheStateExperiment, FootprintLayout
 from repro.measurement.calibrate import (
     calibrated_paper_costs,
     derive_composition,
@@ -69,6 +68,7 @@ class TestFullPipeline:
 
     def test_calibrated_costs_usable_in_simulation(self):
         from repro.sim.system import run_simulation
+
         from ..conftest import fast_config
         costs, comp = calibrated_paper_costs()
         s = run_simulation(fast_config(costs=costs, composition=comp,

@@ -23,7 +23,7 @@ from hypothesis import given, settings
 
 from repro.core.params import PAPER_COSTS
 from repro.runner import SweepRunner
-from repro.runner.backends import warm as warm_mod
+from repro.runner.backends import fleet as fleet_mod
 from repro.sim.system import SystemConfig, run_simulation
 
 from ..conftest import fast_config
@@ -44,10 +44,10 @@ _PROBES = 4
 
 
 def _force_chunks(mp: pytest.MonkeyPatch, size: int) -> None:
-    """Make every post-probe warm chunk ``size`` tasks: the sizing
+    """Make every post-probe warm lease ``size`` tasks: the sizing
     target out of reach, the cap at ``size``."""
-    mp.setattr(warm_mod, "_TARGET_CHUNK_S", 1e9)
-    mp.setattr(warm_mod, "_MAX_CHUNK_TASKS", size)
+    mp.setattr(fleet_mod, "_TARGET_CHUNK_S", 1e9)
+    mp.setattr(fleet_mod, "_MAX_LEASE_TASKS", size)
 
 @functools.lru_cache(maxsize=1)
 def _grid() -> Tuple[SystemConfig, ...]:

@@ -18,7 +18,7 @@ to the local warm backend — that path must be just as invisible.
 from __future__ import annotations
 
 import functools
-from typing import List, Tuple
+from typing import Tuple
 
 import hypothesis.strategies as st
 import pytest

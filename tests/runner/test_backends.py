@@ -7,17 +7,21 @@ backend factory — plus small end-to-end warm==serial checks.  The heavyweight 
 """
 
 import dataclasses
+import os
+import signal
 from collections import deque
 
 import pytest
 
 import repro.runner
 from repro.core.params import PAPER_COSTS
-from repro.runner import SweepRunner, use_runner
+from repro.runner import FaultPlan, SweepRunner, config_key, use_runner
 from repro.runner.backends import BACKEND_NAMES, make_backend
+from repro.runner.backends import fleet as fleet_mod
 from repro.runner.backends import warm as warm_mod
 from repro.runner.backends.base import _WorkerTask, chunk_cap, take
-from repro.runner.backends.warm import _run_chunk, reset_warm_state
+from repro.runner.backends.fleet import _run_chunk
+from repro.runner.backends.warm import reset_warm_state
 from repro.sim.system import run_simulation
 
 from ..conftest import fast_config
@@ -105,8 +109,8 @@ class TestBackendSelection:
             SweepRunner(jobs=2, backend="threads")
 
     def test_warm_options_validation(self):
-        # The warm backend takes no options: chunk sizing is a module
-        # constant (_TARGET_CHUNK_S under _MAX_CHUNK_TASKS), not a knob,
+        # The warm backend takes no options: lease sizing is a module
+        # constant (_TARGET_CHUNK_S under _MAX_LEASE_TASKS), not a knob,
         # and so is the watchdog factor.
         assert not hasattr(repro.runner, "WarmOptions")
         for knob in ("warm_options", "hard_timeout_factor"):
@@ -124,7 +128,7 @@ class TestWarmEndToEnd:
         # 12 tasks on 2 workers x 2 slots: four one-task probes fill the
         # slots, then, with the sizing target out of reach, every chunk
         # takes the per-batch cap of ceil(12 / 8) = 2 tasks.
-        monkeypatch.setattr(warm_mod, "_TARGET_CHUNK_S", 1e9)
+        monkeypatch.setattr(fleet_mod, "_TARGET_CHUNK_S", 1e9)
         configs = [_tiny(seed=s) for s in range(1, 13)]
         serial = SweepRunner(jobs=0).run_many(configs)
         runner = SweepRunner(jobs=2, backend="warm")
@@ -152,3 +156,52 @@ class TestWarmEndToEnd:
         with use_runner(SweepRunner(jobs=2, backend="warm")) as runner:
             assert runner.run_many(configs) == serial
             runner.close()
+
+    def test_wedged_agent_is_killed_and_respawned(self):
+        # A SIGSTOPped agent holds its leases in silence, beyond its own
+        # SIGALRM guard.  After the hard watchdog's 4 x 0.25 + 1 = 2 s the
+        # leases expire, the agent is killed and a fresh one forked, and
+        # the requeued tasks still come out bit-identical.
+        configs = [_tiny(seed=s) for s in range(1, 13)]
+        serial = SweepRunner(jobs=0).run_many(configs)
+        runner = SweepRunner(jobs=2, backend="warm", timeout_s=0.25,
+                             retries=2, backoff_base_s=0.0)
+        stopped = []
+        try:
+            runner.run_many(configs[:2])  # the fleet is up and idle
+            backend = runner._get_backend("warm")
+            grant = backend._grant
+
+            def grant_then_stop(run, slot, size):
+                grant(run, slot, size)
+                if not stopped:
+                    os.kill(slot.process.pid, signal.SIGSTOP)
+                    stopped.append(slot.process.pid)
+
+            backend._grant = grant_then_stop
+            assert runner.run_many(configs) == serial
+        finally:
+            runner.close()
+        assert stopped
+        assert runner.stats.lease_expiries >= 1
+        assert runner.stats.pool_respawns >= 1
+        assert runner.stats.failures == 0
+
+    def test_fleet_over_budget_finishes_inline_and_says_so(self):
+        # One crash against a budget of zero: the fleet is retired and the
+        # batch finishes in-process, the crashed task from attempt 2.
+        configs = [_tiny(seed=s) for s in range(1, 7)]
+        serial = SweepRunner(jobs=0).run_many(configs)
+        plan = FaultPlan(seed=1, crash=1.0, max_faulty_attempts=1,
+                         only_keys=(config_key(configs[0]),))
+        runner = SweepRunner(jobs=2, backend="warm", retries=1,
+                             backoff_base_s=0.0, fault_plan=plan,
+                             max_pool_failures=0)
+        try:
+            assert runner.run_many(configs) == serial
+        finally:
+            runner.close()
+        assert runner.stats.fleet_fallbacks == 1
+        assert runner.stats.pool_respawns == 0
+        assert runner.stats.retries == 1
+        assert "1 fleet fallback" in runner.stats.summary_line()

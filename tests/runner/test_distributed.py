@@ -28,11 +28,10 @@ from repro.runner import (
     SweepRunner,
     make_backend,
 )
+from repro.runner.backends import fleet as fleet_mod
 from repro.runner.backends.base import BatchState
-from repro.runner.backends import distributed as distributed_mod
 from repro.runner.backends.distributed import DistributedBackend
-from repro.runner.backends import warm as warm_mod
-from repro.runner.backends.warm import _mp_context
+from repro.runner.backends.fleet import _mp_context
 from repro.runner.faults import _grid_keys, _scenario_grid
 
 
@@ -62,7 +61,6 @@ class TestOptions:
 
     @pytest.mark.parametrize("field,bad", [
         ("lease_timeout_s", 0.0),
-        ("max_fleet_failures", -1),
         ("tick_s", 0.0),
         ("idle_poll_s", -0.5),
     ])
@@ -101,7 +99,7 @@ class TestHappyPath:
         assert runner.stats.lease_expiries == 0
 
     def test_fixed_single_task_leases_match_serial(self, monkeypatch):
-        monkeypatch.setattr(distributed_mod, "_MAX_LEASE_TASKS", 1)
+        monkeypatch.setattr(fleet_mod, "_MAX_LEASE_TASKS", 1)
         configs = _scenario_grid(5, seed=13)
         runner = SweepRunner(jobs=2, backend="distributed",
                              distributed_options=_opts())
@@ -114,14 +112,15 @@ class TestHappyPath:
         assert runner.stats.leases >= runner.stats.executed
 
     def test_auto_sized_leases_are_capped(self, monkeypatch):
-        # 8 tasks on 2 agents: the sizer would ask for 4 tasks per lease
-        # once it has a sample, but chunk_cap holds every lease of the
-        # batch to ceil(8 / 4) = 2.  Capped, the at most 2 one-task probes
-        # leave at least 6 tasks for 2-task leases: >= 5 leases in all.
-        # Uncapped, 4-task leases would finish the batch in at most 4.
-        monkeypatch.setattr(warm_mod, "_TARGET_CHUNK_S", 1e9)
-        monkeypatch.setattr(distributed_mod, "_MAX_LEASE_TASKS", 4)
-        configs = _scenario_grid(8, seed=14)
+        # 16 tasks on 2 agents x 2 leases: the sizer would ask for 4
+        # tasks per lease once it has a sample, but chunk_cap holds every
+        # lease of the batch to ceil(16 / 8) = 2.  Capped, the at most 4
+        # one-task probes leave at least 12 tasks for 2-task leases:
+        # >= 9 leases in all.  Uncapped, 4-task leases would finish the
+        # batch in at most 7.
+        monkeypatch.setattr(fleet_mod, "_TARGET_CHUNK_S", 1e9)
+        monkeypatch.setattr(fleet_mod, "_MAX_LEASE_TASKS", 4)
+        configs = _scenario_grid(16, seed=14)
         runner = SweepRunner(jobs=2, backend="distributed",
                              distributed_options=_opts())
         try:
@@ -129,7 +128,7 @@ class TestHappyPath:
         finally:
             runner.close()
         assert results == _serial(configs)
-        assert runner.stats.leases >= 5
+        assert runner.stats.leases >= 9
 
 
 # ----------------------------------------------------------------------

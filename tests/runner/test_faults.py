@@ -145,6 +145,11 @@ class TestSerialFailurePaths:
         with pytest.raises(ValueError):
             SweepRunner(timeout_s=0.0)
 
+    def test_negative_failure_budget_rejected(self):
+        # The one agent-loss budget for both fleets lives on the runner.
+        with pytest.raises(ValueError, match="max_pool_failures"):
+            SweepRunner(max_pool_failures=-1)
+
 
 class TestInterruptCheckpoint:
     def test_interrupt_leaves_loadable_checkpoint(self, tmp_path):
@@ -179,18 +184,32 @@ class TestInterruptCheckpoint:
 
 @pytest.mark.slow
 class TestFaultSuite:
-    @pytest.mark.parametrize("backend", ["warm"])
-    def test_every_scenario_passes(self, tmp_path, backend):
-        results = run_fault_suite(tmp_path, jobs=2, seed=1, backend=backend)
-        expected = [
-            "crash-retry-completes",
-            "hang-times-out-not-deadlocked",
-            "corrupt-entry-quarantined-and-recomputed",
-            "interrupt-checkpoint-resume",
-            "happy-path-bit-identical",
+    COMMON = [
+        "crash-retry-completes",
+        "hang-times-out-not-deadlocked",
+        "corrupt-entry-quarantined-and-recomputed",
+        "interrupt-checkpoint-resume",
+        "happy-path-bit-identical",
+    ]
+    EXTRA = {
+        "warm": [
             "warm-crash-cold-respawn-bit-identical",
             "warm-hung-worker-does-not-block",
-        ]
+        ],
+        "distributed": [
+            "dist-duplicate-delivery-committed-once",
+            "dist-dropped-frames-lease-expiry-requeues",
+            "dist-hung-worker-lease-expires",
+            "dist-partitioned-worker-heals-and-rejoins",
+            "dist-stale-result-discarded-not-double-counted",
+            "dist-fleet-loss-finishes-inline",
+        ],
+    }
+
+    @pytest.mark.parametrize("backend", ["warm", "distributed"])
+    def test_every_scenario_passes(self, tmp_path, backend):
+        results = run_fault_suite(tmp_path, jobs=2, seed=1, backend=backend)
+        expected = self.COMMON + self.EXTRA[backend]
         assert [r.name for r in results] == expected
         failed = [r for r in results if not r.ok]
         assert failed == [], "\n".join(f"{r.name}: {r.detail}" for r in failed)

@@ -71,6 +71,27 @@ class TestLeaseTable:
         clock.advance(2.5)
         assert len(table.expired()) == 1
 
+    def test_heartbeat_refreshes_every_lease_of_its_worker(self):
+        # The worker spoke, so all it holds is alive; others are not.
+        clock = FakeClock()
+        table = LeaseTable(2.0, clock)
+        table.grant(1, "w0", _tasks(0))
+        table.grant(2, "w0", _tasks(1))
+        other = table.grant(3, "w1", _tasks(2))
+        clock.advance(1.5)
+        assert table.heartbeat(2)
+        clock.advance(1.0)
+        assert table.expired() == [other]
+        assert table.held("w0") == 2
+
+    def test_no_budget_never_expires(self):
+        clock = FakeClock()
+        table = LeaseTable(None, clock)
+        table.grant(1, "w0", _tasks(0))
+        clock.advance(1e9)
+        assert table.expired() == []
+        assert table.active() == 1
+
     def test_heartbeat_after_expiry_reports_stale(self):
         clock = FakeClock()
         table = LeaseTable(1.0, clock)
@@ -103,8 +124,8 @@ class TestLeaseTable:
         released = table.release_worker("w0")
         assert sorted(lease.lease_id for lease in released) == [1, 3]
         assert table.active() == 1
-        assert table.lease_of("w1") is not None
-        assert table.lease_of("w0") is None
+        assert table.held("w1") == 1
+        assert table.held("w0") == 0
 
     def test_release_all_empties_the_table(self):
         table = LeaseTable(5.0, FakeClock())

@@ -1,11 +1,14 @@
-"""Unit tests for the distributed transport and the chaos wrapper.
+"""Unit tests for the fleet transports and the chaos wrapper.
 
 The frame codec is tested for exactness and tamper-loudness; the TCP
-pair is exercised over loopback; the chaos wrapper is tested for
+pair is exercised over loopback and the pipe pair in-process; the chaos
+wrapper is tested for
 determinism (same plan, same faults) through a scripted in-memory inner
 transport — no sleeping, no sockets, no timing dependence.
 """
 
+import multiprocessing
+import socket
 import threading
 
 import pytest
@@ -15,6 +18,8 @@ from repro.runner.backends import transport
 from repro.runner.backends.transport import (
     ChaosCoordinatorTransport,
     CoordinatorTransport,
+    PipeCoordinator,
+    PipeWorker,
     TcpCoordinator,
     TcpWorker,
     TransportError,
@@ -173,6 +178,63 @@ class TestTcpPair:
         finally:
             worker.close()
             coord.close()
+
+
+    def test_both_ends_set_tcp_nodelay(self):
+        # Every frame is awaited by its peer; Nagle's algorithm would hold
+        # each small one back for a delayed ACK.
+        coord = TcpCoordinator()
+        worker = TcpWorker(coord.address())
+        try:
+            worker.send(("hello", "w0"))
+            for _ in range(50):
+                if coord.poll(0.1):
+                    break
+            (accepted,) = coord._buffers
+            for sock in (worker._sock, accepted):
+                assert sock.getsockopt(socket.IPPROTO_TCP,
+                                       socket.TCP_NODELAY)
+        finally:
+            worker.close()
+            coord.close()
+
+
+class TestPipePair:
+    def _pair(self):
+        coord = PipeCoordinator()
+        parent, child = multiprocessing.Pipe(duplex=True)
+        coord.attach("w0", parent)
+        return coord, PipeWorker(child)
+
+    def test_round_trip_both_ways(self):
+        coord, worker = self._pair()
+        try:
+            worker.send(("hello", "w0"))
+            worker.send(("beat", "w0", 1))
+            assert coord.poll(1.0) == [("hello", "w0")]
+            assert coord.poll(1.0) == [("beat", "w0", 1)]
+            assert coord.poll(0.01) == []
+            assert coord.send("w0", ("lease", 1, []))
+            assert worker.recv(1.0) == ("lease", 1, [])
+            assert worker.recv(0.01) is None
+        finally:
+            worker.close()
+            coord.close()
+
+    def test_eof_drops_the_route(self):
+        coord, worker = self._pair()
+        worker.close()
+        assert coord.poll(1.0) == []
+        assert coord.send("w0", ("stop",)) is False
+        assert coord.send("nobody", ("stop",)) is False
+        coord.close()
+
+    def test_worker_detects_closed_coordinator(self):
+        coord, worker = self._pair()
+        coord.close()
+        with pytest.raises(TransportError):
+            worker.recv(1.0)
+        worker.close()
 
 
 class _ScriptedInner(CoordinatorTransport):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.policies import LockingPolicy, IPSPolicy
+from repro.core.policies import IPSPolicy, LockingPolicy
 from repro.sim.system import NetworkProcessingSystem
 from repro.workloads.traffic import TrafficSpec
 

@@ -1,7 +1,5 @@
 """Tests for simulation entities: packets, processor state, thread pool."""
 
-import math
-
 import pytest
 
 from repro.core.exec_model import COLD

@@ -1,12 +1,11 @@
 """Integration tests: full simulations, queueing validation, invariants."""
 
 import gc
-import math
 import weakref
 
 import pytest
 
-from repro.analysis.mg1 import md1_mean_delay, mmc_mean_delay
+from repro.analysis.mg1 import md1_mean_delay
 from repro.core.params import PAPER_COSTS, PlatformConfig
 from repro.core.policies import LOCKING_POLICIES
 from repro.sim import batch

@@ -1,12 +1,10 @@
 """Tests for execution tracing, attribution, and simulator invariants."""
 
-import math
-
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.core.exec_model import COLD, ComponentState
+from repro.core.exec_model import ComponentState
 from repro.core.params import PAPER_COSTS
 from repro.sim.entities import Packet
 from repro.sim.system import NetworkProcessingSystem

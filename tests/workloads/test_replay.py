@@ -76,6 +76,7 @@ class TestReplay:
     def test_usable_in_simulation(self, rng):
         from repro.sim.system import run_simulation
         from repro.workloads.traffic import TrafficSpec
+
         from ..conftest import fast_config
         times = tuple(float(t) for t in range(100, 50_000, 500))
         traffic = TrafficSpec((ReplaySpec(times_us=times, loop=True),))

@@ -11,7 +11,6 @@ from repro.xkernel.fddi import (
     encode_fddi_header,
 )
 from repro.xkernel.ip import (
-    IP_HEADER_LEN,
     IPPROTO_UDP,
     IPProtocol,
     encode_ip_header,
@@ -25,7 +24,7 @@ from repro.xkernel.protocol import (
     Session,
     TruncatedHeaderError,
 )
-from repro.xkernel.udp import UDP_HEADER_LEN, UDPProtocol, encode_udp_header
+from repro.xkernel.udp import UDPProtocol, encode_udp_header
 
 MAC = bytes(6)
 SRC_MAC = bytes([2, 0, 0, 0, 0, 1])
