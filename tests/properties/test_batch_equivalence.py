@@ -93,6 +93,9 @@ def _system_state(system, summary):
             for q in d._queues
         ]
         state["migrations"] = d.migrations
+        state["stream_last_proc"] = dict(d._stream_last_proc)
+        state["stack_busy"] = list(d._stack_busy)
+        state["stack_last_proc"] = dict(d._stack_last_proc)
     return state
 
 
@@ -135,6 +138,29 @@ def test_full_system_batched_equals_scalar(paradigm, policy, monkeypatch):
         monkeypatch,
     )
     assert states["scalar"] == states["batched"]
+
+
+@pytest.mark.parametrize("n_stacks", [2, 6])
+@pytest.mark.parametrize("policy", sorted(IPS_POLICIES))
+def test_ips_stack_count_batched_equals_scalar(policy, n_stacks, monkeypatch):
+    """IPS with fewer and with more stacks than its 4 processors: the
+    per-stack serving-context tables are sized by the stack count, not
+    the processor count, and ``ips-wired`` wires stack ``k`` to processor
+    ``k mod 4`` (with 6 stacks, two processors own two stacks each)."""
+    traffic = TrafficSpec(
+        stream_specs=tuple(PoissonSpec(3_000.0) for _ in range(8)),
+        size_model=FixedSize(1024),
+    )
+    states = _run_both(
+        dict(paradigm="ips", policy=policy, traffic=traffic,
+             n_stacks=n_stacks, platform=PlatformConfig(n_processors=4),
+             duration_us=100_000.0, warmup_us=10_000.0, seed=6),
+        monkeypatch,
+    )
+    assert states["scalar"] == states["batched"]
+    assert len(states["batched"]["stack_busy"]) == n_stacks
+    # Every stack served work and has a last processor.
+    assert None not in states["batched"]["stack_last_proc"].values()
 
 
 @pytest.mark.parametrize("paradigm,policy", [
