@@ -276,7 +276,6 @@ def compare_backends(repeats: int = 5,
                 "chunks": stats.chunks,
             }
             if backend == "distributed":
-                rows[backend]["leases"] = stats.leases
                 rows[backend]["lease_expiries"] = stats.lease_expiries
                 rows[backend]["dup_results"] = stats.dup_results
     finally:
@@ -288,7 +287,7 @@ def compare_backends(repeats: int = 5,
         if backend == "warm":
             extra = f"  ({row['chunks']} chunks)"
         elif backend == "distributed":
-            extra = (f"  ({row['leases']} leases, "
+            extra = (f"  ({row['chunks']} chunks, "
                      f"{row['lease_expiries']} expired, "
                      f"{row['dup_results']} dups)")
         print(f"[bench_runner] {backend}: {row['best_s']:.3f} s  "

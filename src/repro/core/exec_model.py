@@ -259,7 +259,7 @@ class ExecutionTimeModel:
         finite, positive count in the bounded memo (cleared wholesale at
         :attr:`_PENALTY_CACHE_MAX` entries) and returns it.
 
-        :meth:`_pen1` and the fused loops (:mod:`repro.sim.batch`) call
+        :meth:`_pen1` and the fused loop (:mod:`repro.sim.batch`) call
         it on a memo miss, after resolving ``0`` and ``COLD``.  A closure
         over hoisted locals (no attribute loads, no reference to the
         model), built on first use and rebuilt if the bound was
@@ -457,7 +457,7 @@ class ExecutionTimeModel:
                     data_touching: bool, locking: bool,
                     extra_us: float) -> float:
         """The service-time sum shared by both entry points (the fused
-        loops inline the same expression tree)."""
+        loop inlines the same expression tree)."""
         if extra_us < 0:
             raise ValueError("extra_us must be non-negative")
         t = self._t_warm + penalty_us + self._dispatch_us + extra_us

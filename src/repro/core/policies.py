@@ -165,39 +165,37 @@ def _mru_idle(view: SchedulerView, idle: List[int]) -> int:
 
 
 # ----------------------------------------------------------------------
-# Locking-paradigm policies
+# The fused engine's description of a policy
 # ----------------------------------------------------------------------
-class LockingPolicy(ABC):
-    """Queueing + processor-selection policy for the Locking paradigm.
-
-    Lifecycle: the dispatcher calls :meth:`attach` once, then
-    :meth:`on_arrival` for every packet and :meth:`next_dispatch`
-    repeatedly (after arrivals and completions) until it returns ``None``.
-
-    ``per_processor_threads`` tells the dispatcher whether protocol threads
-    are bound to processors (preserving thread-stack affinity) or drawn
-    from a shared migratory pool.
-
-    The remaining class attributes describe the policy to the fused
-    engine (:mod:`repro.sim.batch`), which runs every Locking policy in
-    one loop.  :attr:`routing` names the queue an arriving packet joins:
+class PolicyDescription:
+    """Class attributes that describe a policy of either paradigm to the
+    fused engine (:mod:`repro.sim.batch`), which runs every policy in one
+    loop.  :attr:`routing` names the queue an arriving packet joins:
 
     - ``"global"``: one shared FIFO;
     - ``"wired"``: queue ``stream_id mod N``;
     - ``"last"``: the stream's last processor, spilling by
       :attr:`spill_threshold`;
     - ``"steer"``: a persistent steer table with the same spill;
-    - ``"group"``: queue ``stream_id mod G`` of ``G`` processor groups.
+    - ``"group"``: queue ``stream_id mod G`` of ``G`` processor groups;
+    - ``"stack"``: the IPS stack ``stream_id mod K``, which serves one
+      packet at a time.
 
-    :attr:`pick` names how a ``global`` or ``group`` queue's packet picks
-    among the queue's idle processors: ``"mru"`` (the MRU idle processor,
-    ties by the scheduling RNG), ``"random"`` (a uniform draw, made only
-    when more than one is idle) or ``"stream"`` (the stream's last
-    processor if idle, else ``"mru"``).  :attr:`steal` adds a second
-    serve rule (see :class:`_PerProcessorQueuePolicy`).
+    :attr:`pick` names how the packet at the head of a ``global``,
+    ``group`` or idle ``stack`` queue picks among its idle processors:
+    ``"mru"`` (the MRU idle processor, ties by the scheduling RNG),
+    ``"random"`` (a uniform draw, made only when more than one is idle),
+    ``"stream"`` (the stream's — for a stack, the stack's — last
+    processor if idle, else ``"mru"``) or ``"wired"`` (a stack's
+    processor ``k mod N``, if idle).  :attr:`steal` adds a second serve
+    rule (see :class:`_PerProcessorQueuePolicy`).
+
+    ``per_processor_threads`` tells the Locking dispatcher whether
+    protocol threads are bound to processors (preserving thread-stack
+    affinity) or drawn from a shared migratory pool; an IPS stack is its
+    own thread.
     """
 
-    name: str = "locking-policy"
     per_processor_threads: bool = False
     routing: str = ""
     pick: str = "mru"
@@ -208,6 +206,20 @@ class LockingPolicy(ABC):
     steal: str = ""
     #: Queue length a steal victim must exceed.
     steal_threshold: int = 0
+
+
+# ----------------------------------------------------------------------
+# Locking-paradigm policies
+# ----------------------------------------------------------------------
+class LockingPolicy(PolicyDescription, ABC):
+    """Queueing + processor-selection policy for the Locking paradigm.
+
+    Lifecycle: the dispatcher calls :meth:`attach` once, then
+    :meth:`on_arrival` for every packet and :meth:`next_dispatch`
+    repeatedly (after arrivals and completions) until it returns ``None``.
+    """
+
+    name: str = "locking-policy"
 
     def __init__(self) -> None:
         self.view: Optional[SchedulerView] = None
@@ -615,15 +627,17 @@ class GroupedAffinityPolicy(_PerProcessorQueuePolicy):
 # ----------------------------------------------------------------------
 # IPS-paradigm policies
 # ----------------------------------------------------------------------
-class IPSPolicy(ABC):
+class IPSPolicy(PolicyDescription, ABC):
     """Processor selection for runnable IPS stacks.
 
     The IPS dispatcher keeps a per-stack serial queue; whenever a stack has
     work and is not already executing, it asks the policy on which idle
-    processor the stack may run (``None`` = stay queued).
+    processor the stack may run (``None`` = stay queued).  A subclass's
+    :attr:`~PolicyDescription.pick` names its rule to the fused engine.
     """
 
     name: str = "ips-policy"
+    routing = "stack"
 
     @abstractmethod
     def select_processor(
@@ -636,6 +650,7 @@ class IPSWiredPolicy(IPSPolicy):
     """Stack ``k`` pinned to processor ``k mod N``."""
 
     name = "ips-wired"
+    pick = "wired"
 
     def select_processor(self, stack_id, view, stack_last_proc):
         proc = stack_id % view.n_processors
@@ -647,6 +662,7 @@ class IPSMRUPolicy(IPSPolicy):
     processor."""
 
     name = "ips-mru"
+    pick = "stream"
 
     def select_processor(self, stack_id, view, stack_last_proc):
         idle = view.idle_processors()
@@ -662,6 +678,7 @@ class IPSRandomPolicy(IPSPolicy):
     random idle processor."""
 
     name = "ips-random"
+    pick = "random"
 
     def select_processor(self, stack_id, view, stack_last_proc):
         idle = view.idle_processors()

@@ -92,7 +92,7 @@ HOT_PATH_SCALAR_CALLS: Tuple[str, ...] = (
     "at_call",
     "on_arrival",
     "on_completion",
-    # Policy hooks: the fused loops must inline policy decisions (queue
+    # Policy hooks: the fused loop must inline policy decisions (queue
     # steering, group-masked MRU), never call back into the scalar
     # per-packet policy/dispatch objects.
     "next_dispatch",

@@ -1094,7 +1094,7 @@ def check_config_read_parity(
 # RPR009 — RNG provenance + policy fallback coverage
 # ----------------------------------------------------------------------
 _FALLBACK_DECL = "_SCALAR_FALLBACK_POLICIES"
-_FUSED_TUPLES = ("_LOCKING_POLICIES", "_IPS_POLICIES")
+_FUSED_DECL = "_FUSED_POLICIES"
 _POLICY_REGISTRIES = ("LOCKING_POLICIES", "IPS_POLICIES")
 _POLICIES_RELPATH = "core/policies.py"
 _TRACE_DEPTH = 10
@@ -1199,9 +1199,7 @@ def check_rng_provenance(
                     if isinstance(v, ast.Name):
                         registered[v.id] = v.lineno
 
-    fused: Set[str] = set()
-    for name in _FUSED_TUPLES:
-        fused |= _module_tuple_names(batch, name) or set()
+    fused = _module_tuple_names(batch, _FUSED_DECL) or set()
 
     declared, decl_line = _module_declaration(batch, _FALLBACK_DECL)
     if declared is None:

@@ -253,7 +253,6 @@ class FleetBackend(ExecutionBackend):
         self._slots: List[_AgentSlot] = []       # shared with the finalizer
         self._task_ema_s: Optional[float] = None  # see _lease_size
         self._lease_counter = 0
-        self._committed: Dict[int, SimulationSummary] = {}
         self._status: Optional[Path] = None
         self._status_tick = 0
         self._finalizer = weakref.finalize(
@@ -336,7 +335,6 @@ class FleetBackend(ExecutionBackend):
         per_agent = 1 if faulty else _LEASES_PER_AGENT
         cap = 1 if faulty else chunk_cap(len(run.queue), runner.jobs,
                                          per_agent)
-        self._committed = {}
         # Where `repro sweep status` looks for this batch's live state.
         self._status = None if batch.journal is None else \
             batch.journal.path.with_suffix(".state.json")
@@ -388,18 +386,20 @@ class FleetBackend(ExecutionBackend):
 
                 if (not run.queue and run.table.active() == 0
                         and run.transport.pending() == 0):
-                    self._clear_status()
                     return
                 self._write_status(run)
                 for message in run.transport.poll(self.tick_s):
                     self._handle(run, message)
         except BaseException:
-            # Interrupt or internal error: persist the lease state for
-            # `repro sweep status`, then retire the fleet so no stale
+            # Interrupt or internal error: retire the fleet so no stale
             # result can ever land after this frame unwinds.
-            self._write_status(run, force=True)
             self._shutdown()
             raise
+        finally:
+            # The state file describes a live coordinator; once this
+            # frame exits, whatever the path, there is none.  The journal
+            # keeps what `repro sweep status` and --resume need.
+            self._clear_status()
 
     # ------------------------------------------------------------------
     # dispatch / message handling
@@ -424,8 +424,8 @@ class FleetBackend(ExecutionBackend):
         # Tasks committed since they were (re)queued — e.g. a stale
         # result arrived for a task a lease expiry had requeued — are
         # already done; dispatching them again would only burn work.
-        chunk = [t for t in take(run.queue, size)
-                 if t[0] not in self._committed]
+        results = run.batch.results
+        chunk = [t for t in take(run.queue, size) if results[t[0]] is None]
         if not chunk:
             return
         self._lease_counter += 1
@@ -445,7 +445,6 @@ class FleetBackend(ExecutionBackend):
             run.queue.extend(chunk)
             slot.registered = False
             return
-        runner.stats.leases += 1
         runner.stats.chunks += 1
 
     def _handle(self, run: _Run, message: Message) -> None:
@@ -493,7 +492,7 @@ class FleetBackend(ExecutionBackend):
         gate)."""
         elapsed_s = max(0.0, self._clock() - lease.granted_at_s)
         for index, attempt in lease.tasks:
-            if index not in self._committed:  # else a stale result landed
+            if run.batch.results[index] is None:  # else a stale result landed
                 run.runner._retry_or_fail(run.batch, run.queue, index,
                                           attempt, kind, error, elapsed_s)
 
@@ -519,12 +518,12 @@ class FleetBackend(ExecutionBackend):
             # The fleet is being retired — no attempt consumed.
             run.queue.extend(lease.tasks)
         self._shutdown()
+        results = run.batch.results
         for index, attempt in sorted(t for t in run.queue
-                                     if t[0] not in self._committed):
+                                     if results[t[0]] is None):
             if run.halted():
                 break
             run.runner._run_inline(run.batch, index, attempt)
-        self._clear_status()
 
     # ------------------------------------------------------------------
     # result folding: the idempotent commit gate
@@ -561,11 +560,11 @@ class FleetBackend(ExecutionBackend):
 
     def _commit(self, index: int, summary: SimulationSummary,
                 runner: "SweepRunner", batch: BatchState) -> bool:
-        """First write wins; a duplicate is byte-compared (encoded only
-        then, since only duplicates need it); a mismatch aborts."""
-        prior = self._committed.get(index)
+        """First write wins (a work index's result slot is None until
+        then); a duplicate is byte-compared (encoded only then, since
+        only duplicates need it); a mismatch aborts."""
+        prior = batch.results[index]
         if prior is None:
-            self._committed[index] = summary
             runner._complete(batch, index, summary)
             return True
         committed, duplicate = _blob(prior), _blob(summary)

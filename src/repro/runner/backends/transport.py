@@ -167,8 +167,13 @@ class PipeCoordinator(CoordinatorTransport):
         for conn in conns:
             if conn not in ready:
                 continue
+            # Drain everything already buffered on the pipe, as the tcp
+            # transport decodes every whole frame: messages that piled up
+            # while the coordinator was away cost one poll, not one each.
             try:
                 out.append(conn.recv())
+                while conn.poll():
+                    out.append(conn.recv())
             except (EOFError, OSError):
                 self._drop(conn)
         return out

@@ -124,8 +124,7 @@ class RunnerStats:
     failures: int = 0        # tasks that exhausted every attempt
     pool_respawns: int = 0   # worker processes replaced after breaking
     batches: int = 0
-    chunks: int = 0          # warm/distributed lease dispatches
-    leases: int = 0          # warm/distributed lease grants
+    chunks: int = 0          # warm/distributed lease grants
     lease_expiries: int = 0  # leases forfeited to an agent's silence
     dup_results: int = 0     # duplicate identical results discarded
     stale_results: int = 0   # results delivered for retired leases
@@ -156,9 +155,7 @@ class RunnerStats:
         if self.pool_respawns:
             parts.append(f"({self.pool_respawns} worker respawns)")
         if self.chunks:
-            parts.append(f"({self.chunks} chunks)")
-        if self.leases:
-            parts.append(f"({self.leases} leases, {self.lease_expiries} "
+            parts.append(f"({self.chunks} chunks, {self.lease_expiries} "
                          f"expired, {self.dup_results} dup, "
                          f"{self.stale_results} stale)")
         if self.fleet_fallbacks:

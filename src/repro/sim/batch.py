@@ -25,12 +25,12 @@ tower with **one flat loop** over two pre-merged event feeds:
    engine's global ``seq`` counter, so arrival/completion ties resolve in
    exactly the historical order.
 
-Each loop body has one arrival path, one completion path and one shared
-service-start block (the dispatcher's ``_start_service``: idle-clock
-accrual, touch-table reads, thread acquire, lock reservation and the
-penalty analytic/cache ladder, whose misses call the model's flush
-kernel) that both an arrival dispatch and a completion refill fall
-into.  Every float expression tree is preserved
+The loop body has one arrival path, one completion path and one shared
+service-start block (the dispatchers' ``_start_service``: idle-clock
+accrual, touch-table reads, serving-context acquire, lock reservation
+and the penalty analytic/cache ladder, whose misses call the model's
+flush kernel) that both an arrival dispatch and a completion refill
+fall into.  Every float expression tree is preserved
 operation for operation: moving work is allowed, changing arithmetic is
 not.  Representation tricks that keep the loop allocation- and
 attribute-access-free without changing results:
@@ -59,22 +59,26 @@ run is externally indistinguishable from the scalar engine (the
 batched-vs-scalar equality tests assert byte-identical summaries and
 metrics).
 
-**Support matrix.**  The fused loops replicate exact semantics only for
-configurations they were proven against: Poisson, deterministic,
+**Support matrix.**  The fused loop replicates exact semantics only for
+configurations it was proven against: Poisson, deterministic,
 batch-Poisson and packet-train arrivals, no churn, no trace, no
-invariant checking, one coarse lock, any cache geometry (a memo miss
-calls the model's one penalty kernel, ``ExecutionTimeModel.penalty_fill``,
-whatever the levels' associativity), and the policies
+invariant checking, one coarse lock under Locking, any cache geometry
+(a memo miss calls the model's one penalty kernel,
+``ExecutionTimeModel.penalty_fill``, whatever the levels'
+associativity), and every policy of both paradigms in one loop,
+``_run_loop``, driven by the policy's description (``routing``,
+``pick``, ``steal`` and ``per_processor_threads``, see
+:class:`~repro.core.policies.PolicyDescription`):
 
-- every Locking policy in one loop, ``_run_locking``, driven by the
-  policy's description (``routing``, ``pick``, ``steal`` and
-  ``per_processor_threads``, see :class:`~repro.core.policies.LockingPolicy`):
-  ``mru``/``fcfs``/``stream-mru`` are one ``global`` queue with the
+- ``mru``/``fcfs``/``stream-mru`` are one ``global`` queue with the
   ``mru``/``random``/``stream`` pick and a shared thread pool;
-  ``wired-streams``/``pools``/``flow-steer``/``grouped``/``hybrid``/
-  ``work-steal`` route by ``wired``/``last``/``steer``/``group``, steal by
-  ``head``/``newest`` and run processor-bound threads;
-- ``ips-mru``/``ips-wired``/``ips-random`` (IPS; ``_run_ips``).
+- ``wired-streams``/``pools``/``flow-steer``/``grouped``/``hybrid``/
+  ``work-steal`` route by ``wired``/``last``/``steer``/``group``, steal
+  by ``head``/``newest`` and run processor-bound threads;
+- ``ips-wired``/``ips-mru``/``ips-random`` are ``stack`` routing (one
+  queue per IPS stack, one packet in service per stack) with the
+  ``wired``/``stream``/``random`` pick; the stack is its own serving
+  context.
 
 That is every registered policy (``_SCALAR_FALLBACK_POLICIES`` is
 empty).  Anything outside the matrix falls back to the scalar engine —
@@ -90,7 +94,7 @@ import math
 import os
 from bisect import bisect_left
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -148,13 +152,13 @@ def engine_mode() -> str:
     )
 
 
-#: Locking policies, fused by ``_run_locking`` from their
+#: Every fused policy of both paradigms, run by ``_run_loop`` from its
 #: ``routing``/``pick``/``steal`` description.
-_LOCKING_POLICIES = (MRUPolicy, FCFSPolicy, StreamMRUPolicy,
-                     WiredStreamsPolicy, PerProcessorPoolsPolicy,
-                     FlowSteerPolicy, GroupedAffinityPolicy,
-                     HybridPolicy, WorkStealingPolicy)
-_IPS_POLICIES = (IPSMRUPolicy, IPSWiredPolicy, IPSRandomPolicy)
+_FUSED_POLICIES = (MRUPolicy, FCFSPolicy, StreamMRUPolicy,
+                   WiredStreamsPolicy, PerProcessorPoolsPolicy,
+                   FlowSteerPolicy, GroupedAffinityPolicy, HybridPolicy,
+                   WorkStealingPolicy, IPSMRUPolicy, IPSWiredPolicy,
+                   IPSRandomPolicy)
 _ARRIVAL_SPECS = (PoissonSpec, DeterministicSpec, BatchPoissonSpec,
                   PacketTrainSpec)
 
@@ -201,14 +205,10 @@ def unsupported_reason(system: "NetworkProcessingSystem") -> Optional[str]:
     if not (expected < _MAX_EXPECTED_ARRIVALS):
         return "expected arrival count too large to pregenerate"
     policy = system.dispatcher.policy
-    if cfg.paradigm == "locking":
-        if type(policy) not in _LOCKING_POLICIES:
-            return f"locking policy {policy.name!r} is not fused"
-        if system.dispatcher.lock.n_locks != 1:
-            return "layered locks pipeline per-packet reservations"
-    else:
-        if type(policy) not in _IPS_POLICIES:
-            return f"IPS policy {policy.name!r} is not fused"
+    if type(policy) not in _FUSED_POLICIES:
+        return f"{cfg.paradigm} policy {policy.name!r} is not fused"
+    if cfg.paradigm == "locking" and system.dispatcher.lock.n_locks != 1:
+        return "layered locks pipeline per-packet reservations"
     return None
 
 
@@ -349,7 +349,7 @@ def _merge_with_push_order(
 
 
 # ----------------------------------------------------------------------
-# Entry point and shared per-run pieces
+# Entry point
 # ----------------------------------------------------------------------
 def run_fused(system: "NetworkProcessingSystem") -> None:
     """Run the configured horizon with the fused core.
@@ -360,179 +360,17 @@ def run_fused(system: "NetworkProcessingSystem") -> None:
     :func:`unsupported_reason` returned ``None``.
     """
     feed = _pregenerate_arrivals(system)
-    # The loops allocate short-lived acyclic tuples at a rate that makes
+    # The loop allocates short-lived acyclic tuples at a rate that makes
     # generational GC scans pure overhead (~8% of the run); results are
     # unaffected, so suspend collection for the duration.
     gc_was_enabled = gc.isenabled()
     if gc_was_enabled:
         gc.disable()
     try:
-        if system.config.paradigm == "locking":
-            _run_locking(system, *feed)
-        else:
-            _run_ips(system, *feed)
+        _run_loop(system, *feed)
     finally:
         if gc_was_enabled:
             gc.enable()
-
-
-#: Per-processor/per-stream state lists of one fused run (see
-#: :func:`_proc_arrays`).
-_ProcArrays = Tuple[List[float], List[float], List[float], List[float],
-                    List[float], List[int], List[float], List[List[float]],
-                    List[int]]
-
-
-def _proc_arrays(n_procs: int, n_streams: int) -> _ProcArrays:
-    """Fresh per-processor/per-stream state lists shared by the loops:
-    ``(ref_clock, accrued, np_us, pbusy_us, last_end, epoch_seen,
-    code_touch, stream_touch, stream_lp)`` (``-inf``/``-1`` = never)."""
-    return ([0.0] * n_procs, [0.0] * n_procs, [0.0] * n_procs,
-            [0.0] * n_procs, [_NEVER] * n_procs, [-1] * n_procs,
-            [_NEVER] * n_procs,
-            [[_NEVER] * n_streams for _ in range(n_procs)],
-            [-1] * n_streams)
-
-
-#: See :func:`_service_locals`.
-_ServiceLocals = Tuple[Callable[[float], float],
-                       Callable[[float], Optional[float]],
-                       float, float, float, float, float, float, float,
-                       float, float, bool, float, float, float]
-
-
-def _service_locals(system: "NetworkProcessingSystem") -> _ServiceLocals:
-    """The model and config constants a loop's service-start block
-    reads, hoisted once per run: ``(flush, cache_get, pen_cold,
-    w_shared, w_code, w_stream, w_thread, t_warm, dispatch_c, lock_oh,
-    extra_c, data_touching, dt_const, refs_per_us, v_intensity)``.
-    ``flush`` is the model's memo-miss kernel
-    (``ExecutionTimeModel.penalty_fill``) and ``cache_get`` probes the
-    memo it fills; every float expression built from these replicates
-    the scalar tree exactly (``exec_model._penalty_scalar``/``_pen1``
-    and ``dispatch``'s service start)."""
-    cfg = system.config
-    model = system.model
-    data_touching = cfg.data_touching
-    dt_const = (model.costs.data_touching_us(system._fixed_size)
-                if data_touching else 0.0)
-    return (model.penalty_fill(), model._penalty_cache.get,
-            model._pen_cold, model._w_shared, model._w_code,
-            model._w_stream, model._w_thread, model._t_warm,
-            model._dispatch_us, model._lock_oh, cfg.fixed_overhead_us,
-            data_touching, dt_const, cfg.platform.references_per_us,
-            cfg.nonprotocol_intensity)
-
-
-def _first_stamps(counts: List[int]) -> Tuple[List[int], int]:
-    """Each stream's first arrival stamp and the next free ``seq``: the
-    scalar engine pushes every stream's first batch, in stream order,
-    before the run starts."""
-    next_stamp = [-1] * len(counts)
-    seq = 0
-    for s, c in enumerate(counts):
-        if c:
-            next_stamp[s] = seq
-            seq += 1
-    return next_stamp, seq
-
-
-def _fold_back(
-    system: "NetworkProcessingSystem",
-    arrays: _ProcArrays,
-    thread_touch: Sequence[Sequence[float]],
-    thread_keys: Sequence[Tuple[str, int]],
-    *,
-    idle_mask: int,
-    epoch: int,
-    seq: int,
-    n_batches: int,
-    n_packets: int,
-    done: List[tuple],
-    comp_heap: List[tuple],
-    queues: Sequence[Deque[Tuple[float, int, int]]],
-    dst_queues: Sequence[Deque[Packet]],
-    first_completion_order: List[int],
-    counters: Tuple[int, int, int, int, int],
-    backlog: int,
-    max_backlog: int,
-) -> None:
-    """Write a finished loop's state back into the live objects.
-
-    ``thread_touch[p][t]`` is the touch time of thread (IPS: stack) ``t``
-    on processor ``p``, keyed ``thread_keys[t]``.  In-flight entries of
-    ``comp_heap`` become real packets on the simulator heap; queued
-    tuples become packets in ``dst_queues``.
-    """
-    (ref_clock, accrued, np_us, pbusy_us, last_end, epoch_seen,
-     code_touch, stream_touch, stream_lp) = arrays
-    n_comp_fired = len(done)
-    sim = system.sim
-    sim._seq = seq
-    sim._events_processed += n_batches + n_comp_fired
-    duration_us = system.config.duration_us
-    sim._now = duration_us if duration_us > sim._now else sim._now
-
-    model = system.model
-    n_calls, n_analytic, n_cache, n_flush, migrations = counters
-    model._n_fast_calls += n_calls
-    model._n_analytic_hits += n_analytic
-    model._n_cache_hits += n_cache
-    model._n_flush_computes += n_flush
-    dispatcher = system.dispatcher
-    dispatcher.migrations += migrations
-
-    skeys = dispatcher._stream_keys
-    for s in first_completion_order:
-        skeys[s] = ("stream", s)
-        dispatcher._stream_last_proc[s] = stream_lp[s]
-    procs = system.processors
-    for p, proc in enumerate(procs):
-        if epoch_seen[p] < 0 and idle_mask >> p & 1:
-            continue  # never served: the processor is still in its initial state
-        proc.busy = not (idle_mask >> p & 1)
-        proc._ref_clock = ref_clock[p]
-        proc._accrued_until = accrued[p]
-        proc.nonprotocol_us = np_us[p]
-        proc.protocol_busy_us = pbusy_us[p]
-        proc.last_protocol_end = last_end[p]
-        proc.protocol_epoch_seen = epoch_seen[p]
-        touch = proc._last_touch
-        v = code_touch[p]
-        if v != _NEVER:
-            touch[_CODE_KEY] = v
-        row = stream_touch[p]
-        touch.update({skeys[s]: row[s] for s in first_completion_order
-                      if row[s] != _NEVER})
-        touch.update({thread_keys[t]: v for t, v in enumerate(thread_touch[p])
-                      if v != _NEVER})
-    dispatcher.protocol_epoch = epoch
-    dispatcher._idle[:] = [q for q in range(len(procs)) if idle_mask >> q & 1]
-
-    size_bytes = system._fixed_size
-    pool = getattr(dispatcher, "threads", None)
-    records = dispatcher._completion_records
-    sim_heap = sim._heap
-    for entry in comp_heap:
-        ctime, stamp, p, s, arr_t, sstart, ex, lw, tid, pid = entry
-        pkt = Packet(pid, s, arr_t, size_bytes)
-        pkt.service_start_us = sstart
-        pkt.exec_time_us = ex
-        pkt.lock_wait_us = lw
-        pkt.processor_id = p
-        pkt.thread_id = tid
-        procs[p].current_packet = pkt
-        if pool is not None:
-            pool._busy[tid] = p
-        heapq.heappush(sim_heap, (ctime, stamp, records[p]))
-    for src, dst in zip(queues, dst_queues):
-        for a, s, pid in src:
-            dst.append(Packet(pid, s, a, size_bytes))
-
-    system._packet_counter = n_packets
-    _fold_metrics_rows(system, done)
-    system.metrics.fold_batch_counts(n_packets, n_comp_fired,
-                                     backlog, max_backlog)
 
 
 def _fold_metrics_rows(
@@ -565,16 +403,16 @@ def _fold_metrics_rows(
 
 
 # ----------------------------------------------------------------------
-# Locking paradigm
+# The loop
 # ----------------------------------------------------------------------
-def _run_locking(
+def _run_loop(
     system: "NetworkProcessingSystem",
     m_times: List[float],
     m_sids: List[int],
     counts: List[int],
     n_batches: int,
 ) -> None:
-    """Fused loop for every Locking policy.
+    """Fused loop for every policy of both paradigms.
 
     The policy's ``routing`` attribute selects how an arrival picks its
     queue (``spill_threshold``, ``pick`` and the queue count complete the
@@ -593,7 +431,17 @@ def _run_locking(
     - ``steer`` (``flow-steer``): a persistent steer table with the same
       spill, which re-steers the stream and counts a ``resteer``;
     - ``group`` (``grouped``): ``s % G``, dispatched MRU among the
-      group's idle members with the scheduling-RNG tie-break.
+      group's idle members with the scheduling-RNG tie-break;
+    - ``stack`` (IPS): one queue per stack (``s % K``), at most one
+      packet in service per stack (``stack_busy``).  An idle stack's
+      head packet takes the ``pick`` processor among the idle ones:
+      ``wired`` (``k % N``, if idle), ``stream`` keyed by the stack (its
+      last processor if idle, else ``mru``) or ``random``.  A refused
+      stack waits in a lazily validated heap of runnable stacks
+      ``(head arrival, k)``, one heap per wired processor for ``wired``,
+      and a completion serves the runnable stack with the earliest head
+      that the freed processor may serve; ``random`` redraws that
+      processor over every idle one, the freed one included.
 
     Its ``steal`` attribute adds the second serve rule, for an idle
     processor with an empty own queue (``steal_threshold`` completes it):
@@ -602,27 +450,45 @@ def _run_locking(
     of a longest one, victim ties by the scheduling RNG (``newest``,
     ``work-steal``).
 
-    ``per_processor_threads`` selects the thread model: processor-bound
-    threads (``tid == p``) or a shared pool, where an arrival dispatch
-    takes the free thread that last ran on ``p`` (LIFO within that
-    preference).  A completion refill keeps its thread in both models:
-    the scalar release-append and acquire-pop cancel out (a stolen packet
-    runs on the thief's thread).  The scalar dispatcher repeats the serve
-    rules — own queue in ascending idle order, then steal — until they
-    yield nothing, so between events **(I1) a nonempty queue implies its
+    ``tid`` is the serving context: a protocol thread under Locking, the
+    stack itself under IPS (``tid == k``).  ``thread_touch[p][tid]`` and
+    ``tlp[tid]`` are its touch time on ``p`` and its last processor, so
+    one thread-stack reload expression serves both paradigms.
+    ``per_processor_threads`` selects the Locking thread model:
+    processor-bound threads (``tid == p``) or a shared pool, where an
+    arrival dispatch takes the free thread that last ran on ``p`` (LIFO
+    within that preference).  A completion refill keeps its thread in
+    both models: the scalar release-append and acquire-pop cancel out (a
+    stolen packet runs on the thief's thread).  Only two things stay per
+    paradigm: the shared-data invalidation (Locking: another processor
+    ran protocol code since ``p`` last did; IPS: the stack migrated) and
+    the lock, which IPS runs with ``cs_us = lock_oh = 0.0``.  That is
+    bit-exact: ``t + 0.0 == t``, and ``lock_free_at`` never passes
+    ``now``, so every wait is ``0.0``.
+
+    The scalar dispatchers repeat their serve rules until they yield
+    nothing, so between events **(I1) a nonempty queue implies its
     owning processor (or every processor of its group; of a ``global``
-    queue, every processor) is busy, and (I2) while any processor is idle
-    no queue is longer than the steal threshold.**  They make one serve
-    step per event exact (docs/PERFORMANCE.md): an arrival dispatches on
-    its idle target, or queues and lets the MRU idle thief take one
-    packet from its (unique) over-threshold queue; a completion refills
-    its own processor, or — only while no other processor is idle —
-    steals as the thief itself.  The draws — the ``pick`` and thief MRU
-    tie-breaks at arrival, the ``newest`` victim tie at completion — are
+    queue, every processor) is busy, (I2) while any processor is idle no
+    queue is longer than the steal threshold, and (I3) a runnable stack
+    has no idle processor it may use (its wired one is busy; for the
+    other picks, every one is).**  They make one serve step per event
+    exact (docs/PERFORMANCE.md): an arrival dispatches on its idle
+    target, or queues and lets the MRU idle thief take one packet from
+    its (unique) over-threshold queue; a completion refills its own
+    processor, or — only while no other processor is idle — steals as
+    the thief itself, or serves the earliest runnable stack.  The draws
+    — the ``pick`` and thief MRU tie-breaks at arrival, the ``newest``
+    victim tie and the IPS ``random`` redraw at completion — are
     replicated draw for draw from ``_mru_idle`` and ``random_choice``.
     The spill test runs on every ``last``/``steer`` arrival, also while
     every processor is busy.  A re-steer leaves the stream's queued
     packets behind — the Flow Director reordering pathology.
+
+    At the horizon every piece of mutated state is written back into
+    the live objects: in-flight entries of ``comp_heap`` become real
+    packets on the simulator heap, queued tuples become packets in the
+    policy's (IPS: the dispatcher's) queues.
     """
     cfg = system.config
     dispatcher = system.dispatcher
@@ -630,11 +496,20 @@ def _run_locking(
     n_procs = cfg.platform.n_processors
     n_streams = cfg.traffic.n_streams
     duration_us = cfg.duration_us
+    model = system.model
 
     # --- routing description
     routing = policy.routing
-    threshold = policy.spill_threshold
-    n_queues = len(policy._queues)
+    r_stack = routing == "stack"
+    if r_stack:
+        dst_queues = dispatcher._queues
+        ctx_keys = dispatcher._stack_thread_keys
+        ctx_last_proc = dispatcher._stack_last_proc
+    else:
+        dst_queues = policy._queues
+        ctx_keys = dispatcher._thread_keys
+        ctx_last_proc = dispatcher.threads._last_proc
+    n_queues = len(dst_queues)
     queues: List[Deque[Tuple[float, int, int]]] = [
         deque() for _ in range(n_queues)
     ]
@@ -643,8 +518,10 @@ def _run_locking(
     r_group = routing in ("group", "global")
     r_wired = routing == "wired"
     r_steer = routing == "steer"
+    threshold = policy.spill_threshold
     pick_random = policy.pick == "random"
     pick_stream = policy.pick == "stream"
+    pick_wired = policy.pick == "wired"
     steer = [-1] * n_streams
     resteers = 0
     steal = policy.steal
@@ -652,16 +529,39 @@ def _run_locking(
     s_newest = steal == "newest"
     steals = 0
     per_proc = policy.per_processor_threads
+    stack_busy = [False] * n_queues
+    runnable: List[List[Tuple[float, int]]] = [
+        [] for _ in range(n_procs if pick_wired else 1)
+    ]
+    n_runq = len(runnable)
 
-    # --- model constants / fast-path state (locals: no attribute loads
-    # in the loop; every float expression below replicates the scalar
-    # code's tree exactly — see exec_model._penalty_scalar,
-    # exec_model._pen1 and dispatch.LockingDispatcher).
+    # --- model constants (locals: no attribute loads in the loop; every
+    # float expression below replicates the scalar tree exactly — see
+    # exec_model._penalty_scalar, exec_model._pen1 and the dispatchers'
+    # _start_service).  ``flush`` is the memo-miss kernel
+    # (``ExecutionTimeModel.penalty_fill``), ``cache_get`` probes the
+    # memo it fills.
     COLD_ = COLD
-    (flush, cache_get, pen_cold, w_shared, w_code, w_stream, w_thread,
-     t_warm, dispatch_c, lock_oh, extra_c, data_touching, dt_const,
-     refs_per_us, v_intensity) = _service_locals(system)
-    cs_us = dispatcher._lock_cs_us
+    flush = model.penalty_fill()
+    cache_get = model._penalty_cache.get
+    pen_cold = model._pen_cold
+    w_shared = model._w_shared
+    w_code = model._w_code
+    w_stream = model._w_stream
+    w_thread = model._w_thread
+    t_warm = model._t_warm
+    dispatch_c = model._dispatch_us
+    extra_c = cfg.fixed_overhead_us
+    data_touching = cfg.data_touching
+    dt_const = (model.costs.data_touching_us(system._fixed_size)
+                if data_touching else 0.0)
+    refs_per_us = cfg.platform.references_per_us
+    v_intensity = cfg.nonprotocol_intensity
+    if r_stack:
+        lock_oh = cs_us = 0.0  # IPS takes no lock; a free one is bit-exact
+    else:
+        lock_oh = model._lock_oh
+        cs_us = dispatcher._lock_cs_us
 
     n_calls = 0
     n_analytic = 0
@@ -669,20 +569,29 @@ def _run_locking(
     n_flush = 0
     migrations = 0
 
-    # --- processor state (parallel lists; -inf touch sentinels)
-    arrays = _proc_arrays(n_procs, n_streams)
-    (ref_clock, accrued, np_us, pbusy_us, last_end, epoch_seen,
-     code_touch, stream_touch, stream_lp) = arrays
-    thread_touch = [[_NEVER] * n_procs for _ in range(n_procs)]
+    # --- processor state (parallel lists; -inf touch sentinels, -1 =
+    # never)
+    ref_clock = [0.0] * n_procs
+    accrued = [0.0] * n_procs
+    np_us = [0.0] * n_procs
+    pbusy_us = [0.0] * n_procs
+    last_end = [_NEVER] * n_procs
+    epoch_seen = [-1] * n_procs
+    code_touch = [_NEVER] * n_procs
+    stream_touch = [[_NEVER] * n_streams for _ in range(n_procs)]
+    stream_lp = [-1] * n_streams
+    n_ctx = len(ctx_keys)
+    thread_touch = [[_NEVER] * n_ctx for _ in range(n_procs)]
     epoch = 0
     # Idle set as a bitmask; scanned in ascending processor order exactly
     # like the dispatcher's sorted ``_idle`` list.
     idle_mask = (1 << n_procs) - 1
     first_completion_order: List[int] = []
 
-    # --- thread pool (free LIFO list; -1 = "never ran anywhere")
-    free = list(range(n_procs - 1, -1, -1))
-    tlp = [-1] * n_procs
+    # --- serving contexts (free LIFO list of threads; -1 = "never ran
+    # anywhere")
+    free = list(range(n_ctx - 1, -1, -1))
+    tlp = [-1] * n_ctx
 
     # --- single coarse lock
     lock_free_at = 0.0
@@ -736,6 +645,11 @@ def _run_locking(
             return best[int(system.rngs.scheduling.integers(0, len(best)))]
         return best[0] if best else -1
 
+    def pick_idle(mask: int) -> int:
+        """``random_choice`` over the idle processors (two or more)."""
+        idle = [q for q in range(n_procs) if mask >> q & 1]
+        return idle[int(system.rngs.scheduling.integers(0, len(idle)))]
+
     def pick_victim() -> int:
         """The steal victim among all queues (-1: none over the
         threshold): the first longest queue, or for ``newest`` the
@@ -755,7 +669,14 @@ def _run_locking(
     done_append = done.append
 
     rem = list(counts)
-    next_stamp, seq = _first_stamps(counts)
+    # Each stream's first arrival stamp: the scalar engine pushes every
+    # stream's first batch, in stream order, before the run starts.
+    next_stamp = [-1] * n_streams
+    seq = 0
+    for s, c in enumerate(counts):
+        if c:
+            next_stamp[s] = seq
+            seq += 1
     ai = 0
     n_packets = len(m_times)
     m_times.append(math.inf)  # sentinel: loop needs no bounds check
@@ -789,9 +710,10 @@ def _run_locking(
                 # next completion can only queue.  Process that whole
                 # presorted slice in one sweep — each firing does exactly
                 # what the scalar per-event path does (route and enqueue,
-                # the spill test included, then stamp the stream's next
-                # batch), and the backlog rises monotonically so one max
-                # update at the end is exact.
+                # the spill test included, an idle stack registering as
+                # runnable, then stamp the stream's next batch), and the
+                # backlog rises monotonically so one max update at the
+                # end is exact.
                 j = bisect_left(m_times, ct, ai)
                 if j == ai:
                     j = ai + 1  # tie with the completion, won on stamp
@@ -802,6 +724,12 @@ def _run_locking(
                         s += n_streams
                     if r_wired or r_group:
                         queues[s % n_queues].append((m_times[i], s, i))
+                    elif r_stack:
+                        k = s % n_queues
+                        qk = queues[k]
+                        if not (qk or stack_busy[k]):
+                            heappush(runnable[k % n_runq], (m_times[i], k))
+                        qk.append((m_times[i], s, i))
                     else:
                         queues[spill_route(s)].append((m_times[i], s, i))
                     if step:
@@ -836,12 +764,36 @@ def _run_locking(
                 elif pick_stream and lastp >= 0 and idle_mask >> lastp & 1:
                     p = lastp
                 elif pick_random and idle_mask & (idle_mask - 1):
-                    idle = [q for q in range(n_procs) if idle_mask >> q & 1]
-                    p = idle[int(system.rngs.scheduling.integers(0, len(idle)))]
+                    p = pick_idle(idle_mask)
                 else:
                     p = mru_idle(idle_mask, g, n_queues)
                 if p < 0:
                     qg.append((at, s, pid))
+            elif r_stack:
+                tid = s % n_queues
+                qk = queues[tid]
+                if qk or stack_busy[tid]:
+                    p = -1  # the stack serves its packets in order
+                    qk.append((at, s, pid))
+                else:
+                    # The packet is an idle stack's head; every other
+                    # runnable stack was refused this idle set (I3), so
+                    # at most this one dispatches.
+                    if pick_wired:
+                        p = tid % n_procs
+                        if not idle_mask >> p & 1:
+                            p = -1
+                    elif not idle_mask & (idle_mask - 1):
+                        p = idle_mask.bit_length() - 1  # one idle: no draw
+                    elif pick_random:
+                        p = pick_idle(idle_mask)
+                    else:
+                        p = tlp[tid]
+                        if p < 0 or not idle_mask >> p & 1:
+                            p = mru_idle(idle_mask, 0, 1)
+                    if p < 0:
+                        qk.append((at, s, pid))
+                        heappush(runnable[tid % n_runq], (at, tid))
             else:
                 tgt = s % n_procs if r_wired else spill_route(s)
                 if idle_mask >> tgt & 1:
@@ -871,10 +823,12 @@ def _run_locking(
                 qt = queues[victim]
                 a, s, pid = qt.pop() if s_newest else qt.popleft()
                 steals += 1
-            # --- thread acquire
+            # --- serving context acquire (IPS: the stack, ``tid``)
             if per_proc:
                 tid = p
                 free.remove(p)
+            elif r_stack:
+                stack_busy[tid] = True
             else:
                 for tid in reversed(free):
                     if tlp[tid] == p:
@@ -906,30 +860,55 @@ def _run_locking(
             if stream_lp[s] < 0:
                 first_completion_order.append(s)
             stream_lp[s] = p
-            # Only p can refill: every other idle processor's queue is
-            # empty (I1), and with another processor idle no queue is
-            # over the steal threshold (I2), so p is the only possible
-            # thief.  The refill needs no draw (p is the only idle
-            # processor its queue may use), and the scalar release-append
-            # + acquire-pop cancel out, so the free list is untouched.
-            qp = queues[p % n_queues]
-            if qp:
-                a, s, pid = qp.popleft()
-            else:
-                victim = pick_victim() if steal and not idle_mask else -1
-                if victim < 0:
+            if r_stack:
+                # The earliest runnable stack p may serve dispatches.
+                # Every other stack in rh was refused each idle processor
+                # it may use (I3), so it gets p without a draw; ``random``
+                # redraws over every idle processor, p included.
+                stack_busy[tid] = False
+                qk = queues[tid]
+                rh = runnable[p % n_runq]
+                if qk:
+                    heappush(rh, (qk[0][0], tid))
+                while rh:
+                    t2, tid = heappop(rh)
+                    qk = queues[tid]
+                    if qk and qk[0][0] == t2 and not stack_busy[tid]:
+                        break
+                else:
                     idle_mask |= 1 << p
-                    free.append(tid)
                     continue
-                qt = queues[victim]
-                a, s, pid = qt.pop() if s_newest else qt.popleft()
-                steals += 1
+                if pick_random and idle_mask:
+                    idle_mask |= 1 << p
+                    p = pick_idle(idle_mask)
+                stack_busy[tid] = True
+                a, s, pid = qk.popleft()
+            else:
+                # Only p can refill: every other idle processor's queue
+                # is empty (I1), and with another processor idle no queue
+                # is over the steal threshold (I2), so p is the only
+                # possible thief.  The refill needs no draw (p is the
+                # only idle processor its queue may use), and the scalar
+                # release-append + acquire-pop cancel out, so the free
+                # list is untouched.
+                qp = queues[p % n_queues]
+                if qp:
+                    a, s, pid = qp.popleft()
+                else:
+                    victim = pick_victim() if steal and not idle_mask else -1
+                    if victim < 0:
+                        idle_mask |= 1 << p
+                        free.append(tid)
+                        continue
+                    qt = queues[victim]
+                    a, s, pid = qt.pop() if s_newest else qt.popleft()
+                    steals += 1
             cstamp = seq
             seq += 1
 
         # ---------------- service start (inlined _start_service) -------
-        # A completion refill has dt == 0.0 here (accrued[p] == now): the
-        # scalar no-op branch.
+        # A Locking completion refill has dt == 0.0 here (accrued[p] ==
+        # now): the scalar no-op branch.
         dt = now - accrued[p]
         if dt > 0.0:
             ref_clock[p] += dt * refs_per_us * v_intensity
@@ -999,7 +978,7 @@ def _run_locking(
                 pt = flush(thread_refs)
             else:
                 n_cache += 1
-        if epoch > epoch_seen[p]:
+        if (tlp[tid] != p) if r_stack else (epoch > epoch_seen[p]):
             pen_code = w_shared * pen_cold + (1.0 - w_shared) * pc
         else:
             pen_code = pc
@@ -1024,24 +1003,56 @@ def _run_locking(
         heappush(comp_heap, (now + (lock_wait_us + t_exec), cstamp, p, s,
                              a, now, t_exec, lock_wait_us, tid, pid))
 
-    pool = dispatcher.threads
-    pool._free[:] = free
+    # ---------------- fold back into the live objects ----------------
+    n_comp_fired = len(done)
+    sim = system.sim
+    sim._seq = seq
+    sim._events_processed += n_batches + n_comp_fired
+    sim._now = duration_us if duration_us > sim._now else sim._now
+
+    model._n_fast_calls += n_calls
+    model._n_analytic_hits += n_analytic
+    model._n_cache_hits += n_cache
+    model._n_flush_computes += n_flush
+    dispatcher.migrations += migrations
+
+    skeys = dispatcher._stream_keys
+    for s in first_completion_order:
+        skeys[s] = ("stream", s)
+        dispatcher._stream_last_proc[s] = stream_lp[s]
+    procs = system.processors
+    for p, proc in enumerate(procs):
+        if epoch_seen[p] < 0 and idle_mask >> p & 1:
+            continue  # never served: the processor is still in its initial state
+        proc.busy = not (idle_mask >> p & 1)
+        proc._ref_clock = ref_clock[p]
+        proc._accrued_until = accrued[p]
+        proc.nonprotocol_us = np_us[p]
+        proc.protocol_busy_us = pbusy_us[p]
+        proc.last_protocol_end = last_end[p]
+        proc.protocol_epoch_seen = epoch_seen[p]
+        touch = proc._last_touch
+        v = code_touch[p]
+        if v != _NEVER:
+            touch[_CODE_KEY] = v
+        row = stream_touch[p]
+        touch.update({skeys[s]: row[s] for s in first_completion_order
+                      if row[s] != _NEVER})
+        touch.update({ctx_keys[t]: v for t, v in enumerate(thread_touch[p])
+                      if v != _NEVER})
+    dispatcher.protocol_epoch = epoch
+    dispatcher._idle[:] = [q for q in range(len(procs)) if idle_mask >> q & 1]
     for t, lp in enumerate(tlp):
-        pool._last_proc[t] = lp if lp >= 0 else None
-    lock0 = dispatcher.lock.locks[0]
-    (lock0._free_at, lock0.total_wait_us, lock0.total_hold_us,
-     lock0.acquisitions, lock0.contended) = (
-        lock_free_at, lock_total_wait_us, lock_total_hold_us, lock_acqs,
-        lock_contended)
-    _fold_back(
-        system, arrays, thread_touch, dispatcher._thread_keys,
-        idle_mask=idle_mask, epoch=epoch, seq=seq, n_batches=n_batches,
-        n_packets=n_packets, done=done, comp_heap=comp_heap,
-        queues=queues, dst_queues=policy._queues,
-        first_completion_order=first_completion_order,
-        counters=(n_calls, n_analytic, n_cache, n_flush, migrations),
-        backlog=backlog, max_backlog=max_backlog,
-    )
+        ctx_last_proc[t] = lp if lp >= 0 else None
+    if r_stack:
+        dispatcher._stack_busy[:] = stack_busy
+    else:
+        dispatcher.threads._free[:] = free
+        lock0 = dispatcher.lock.locks[0]
+        (lock0._free_at, lock0.total_wait_us, lock0.total_hold_us,
+         lock0.acquisitions, lock0.contended) = (
+            lock_free_at, lock_total_wait_us, lock_total_hold_us, lock_acqs,
+            lock_contended)
     if r_steer:
         for s in range(n_streams):
             if steer[s] >= 0:
@@ -1050,340 +1061,27 @@ def _run_locking(
     if steal:
         policy.steals = steals
 
+    size_bytes = system._fixed_size
+    pool = None if r_stack else dispatcher.threads
+    records = dispatcher._completion_records
+    sim_heap = sim._heap
+    for entry in comp_heap:
+        ctime, stamp, p, s, arr_t, sstart, ex, lw, tid, pid = entry
+        pkt = Packet(pid, s, arr_t, size_bytes)
+        pkt.service_start_us = sstart
+        pkt.exec_time_us = ex
+        pkt.lock_wait_us = lw
+        pkt.processor_id = p
+        pkt.thread_id = tid
+        procs[p].current_packet = pkt
+        if pool is not None:
+            pool._busy[tid] = p
+        heapq.heappush(sim_heap, (ctime, stamp, records[p]))
+    for src, dst in zip(queues, dst_queues):
+        for a, s, pid in src:
+            dst.append(Packet(pid, s, a, size_bytes))
 
-# ----------------------------------------------------------------------
-# IPS paradigm
-# ----------------------------------------------------------------------
-def _run_ips(
-    system: "NetworkProcessingSystem",
-    m_times: List[float],
-    m_sids: List[int],
-    counts: List[int],
-    n_batches: int,
-) -> None:
-    cfg = system.config
-    dispatcher = system.dispatcher
-    policy = dispatcher.policy
-    n_procs = cfg.platform.n_processors
-    n_streams = cfg.traffic.n_streams
-    n_stacks = dispatcher.n_stacks
-    duration_us = cfg.duration_us
-
-    pk_wired = type(policy) is IPSWiredPolicy
-    pk_random = type(policy) is IPSRandomPolicy
-
-    COLD_ = COLD
-    (flush, cache_get, pen_cold, w_shared, w_code, w_stream, w_thread,
-     t_warm, dispatch_c, _lock_oh, extra_c, data_touching, dt_const,
-     refs_per_us, v_intensity) = _service_locals(system)
-
-    n_calls = 0
-    n_analytic = 0
-    n_cache = 0
-    n_flush = 0
-    migrations = 0
-
-    arrays = _proc_arrays(n_procs, n_streams)
-    (ref_clock, accrued, np_us, pbusy_us, last_end, epoch_seen,
-     code_touch, stream_touch, stream_lp) = arrays
-    stack_touch = [[_NEVER] * n_stacks for _ in range(n_procs)]
-    epoch = 0
-    idle_mask = (1 << n_procs) - 1
-    first_completion_order: List[int] = []
-
-    stack_lp = [-1] * n_stacks
-    stack_busy = [False] * n_stacks
-
-    queues: List[Deque[Tuple[float, int, int]]] = [deque() for _ in range(n_stacks)]
-    # Runnable stacks: lazily validated min-heaps of (head_arrival, k).
-    # ips-wired partitions by the stack's wired processor so a completion
-    # consults only candidates its freed processor may serve.
-    if pk_wired:
-        runnable_by_proc: List[List[Tuple[float, int]]] = [[] for _ in range(n_procs)]
-    else:
-        runnable: List[Tuple[float, int]] = []
-    comp_heap: List[tuple] = []
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    done: List[tuple] = []
-    done_append = done.append
-
-    rem = list(counts)
-    next_stamp, seq = _first_stamps(counts)
-    ai = 0
-    n_packets = len(m_times)
-    m_times.append(math.inf)  # sentinel: loop needs no bounds check
-    m_sids.append(0)
-    backlog = 0
-    max_backlog = 0
-    INF = math.inf
-
-    while True:
-        at = m_times[ai]
-        if comp_heap:
-            head = comp_heap[0]
-            ct = head[0]
-            if at < ct:
-                take_arrival = True
-            elif ct < at:
-                if ct > duration_us:
-                    break
-                take_arrival = False
-            else:
-                take_arrival = next_stamp[m_sids[ai]] < head[1]
-        else:
-            if at == INF:
-                break
-            take_arrival = True
-
-        if take_arrival:
-            # ---------------- arrival event ----------------
-            if not idle_mask:
-                # Every processor is busy: arrivals strictly before the
-                # next completion can only queue (an idle stack still
-                # registers as runnable, exactly as the per-event path
-                # does after its dispatch attempt is refused).  The
-                # backlog rises monotonically across the sweep, so one
-                # max update at the end is exact.
-                j = bisect_left(m_times, ct, ai)
-                if j == ai:
-                    j = ai + 1  # tie with the completion, won on stamp
-                for i in range(ai, j):
-                    s = m_sids[i]
-                    step = s >= 0
-                    if not step:
-                        s += n_streams
-                    k = s % n_stacks
-                    qk = queues[k]
-                    t2b = m_times[i]
-                    if not (stack_busy[k] or qk):
-                        if pk_wired:
-                            heappush(runnable_by_proc[k % n_procs], (t2b, k))
-                        else:
-                            heappush(runnable, (t2b, k))
-                    qk.append((t2b, s, i))
-                    if step:
-                        rem_s = rem[s] - 1
-                        rem[s] = rem_s
-                        if rem_s:
-                            next_stamp[s] = seq
-                            seq += 1
-                backlog += j - ai
-                if backlog > max_backlog:
-                    max_backlog = backlog
-                ai = j
-                continue
-            s = m_sids[ai]
-            step = s >= 0
-            if not step:
-                s += n_streams
-            now = a = at
-            pid = ai
-            ai += 1
-            backlog += 1
-            if backlog > max_backlog:
-                max_backlog = backlog
-            k = s % n_stacks
-            qk = queues[k]
-            p = -1
-            if stack_busy[k] or qk:
-                qk.append((at, s, pid))
-            else:
-                # Stack idle with empty queue: this packet is its head.
-                # Every other runnable stack was already refused with the
-                # same idle set, so at most this stack can dispatch.
-                if pk_wired:
-                    wp = k % n_procs
-                    if idle_mask >> wp & 1:
-                        p = wp
-                elif not (idle_mask & (idle_mask - 1)):
-                    p = idle_mask.bit_length() - 1
-                elif pk_random:
-                    idle = [q for q in range(n_procs) if idle_mask >> q & 1]
-                    p = idle[int(system.rngs.scheduling.integers(0, len(idle)))]
-                else:
-                    lastp = stack_lp[k]
-                    if lastp >= 0 and idle_mask >> lastp & 1:
-                        p = lastp
-                    else:
-                        best_t = _NEVER
-                        best = []
-                        for q in range(n_procs):
-                            if idle_mask >> q & 1:
-                                tq = last_end[q]
-                                if tq > best_t:
-                                    best_t = tq
-                                    best = [q]
-                                elif tq == best_t:
-                                    best.append(q)
-                        p = (best[0] if len(best) == 1
-                             else best[int(system.rngs.scheduling.integers(
-                                 0, len(best)))])
-                if p < 0:
-                    qk.append((at, s, pid))
-                    if pk_wired:
-                        heappush(runnable_by_proc[k % n_procs], (at, k))
-                    else:
-                        heappush(runnable, (at, k))
-            if p >= 0:
-                cstamp = seq
-                seq += 1
-            if step:
-                rem_s = rem[s] - 1
-                rem[s] = rem_s
-                if rem_s:
-                    next_stamp[s] = seq
-                    seq += 1
-            if p < 0:
-                continue
-        else:
-            # ---------------- completion event ----------------
-            heappop(comp_heap)
-            done_append(head)
-            now = head[0]
-            p = head[2]
-            s = head[3]
-            ex = head[6]
-            k = head[8]
-            epoch += 1
-            clock = ref_clock[p] + ex * refs_per_us
-            ref_clock[p] = clock
-            accrued[p] = now
-            code_touch[p] = clock
-            stream_touch[p][s] = clock
-            stack_touch[p][k] = clock
-            pbusy_us[p] += ex
-            last_end[p] = now
-            epoch_seen[p] = epoch
-            backlog -= 1
-            stack_busy[k] = False
-            stack_lp[k] = p
-            if stream_lp[s] < 0:
-                first_completion_order.append(s)
-            stream_lp[s] = p
-            qk = queues[k]
-            rh = runnable_by_proc[p] if pk_wired else runnable
-            if qk:
-                heappush(rh, (qk[0][0], k))
-            # The earliest runnable stack the freed processor may serve
-            # dispatches now.  Any other stack in rh was refused every
-            # idle processor it may use (ips-wired: its wired processor
-            # is p; ips-mru and ips-random refuse only when no processor
-            # is idle), so it gets p without a draw.  This stack's own
-            # backlog can meet other idle processors: ips-mru and
-            # ips-wired pick p (its last or wired processor); ips-random
-            # draws over every idle processor, p included.
-            k = -1
-            while rh:
-                t2, kk = heappop(rh)
-                q2 = queues[kk]
-                if not stack_busy[kk] and q2 and q2[0][0] == t2:
-                    k = kk
-                    break
-            if k < 0:
-                idle_mask |= 1 << p
-                continue
-            if pk_random and idle_mask:
-                idle_mask |= 1 << p
-                idle = [q for q in range(n_procs) if idle_mask >> q & 1]
-                p = idle[int(system.rngs.scheduling.integers(0, len(idle)))]
-            a, s, pid = queues[k].popleft()
-            cstamp = seq
-            seq += 1
-
-        # ---------------- service start (inlined IPS _start_service) ---
-        migrated = stack_lp[k] != p
-        stack_busy[k] = True
-        dt = now - accrued[p]
-        if dt > 0.0:
-            ref_clock[p] += dt * refs_per_us * v_intensity
-            np_us[p] += dt
-            accrued[p] = now
-        elif dt < -1e-9:
-            raise ValueError(f"time went backwards: {now} < {accrued[p]}")
-        clock = ref_clock[p]
-        d = clock - code_touch[p]
-        code_refs = d if d > 0.0 else 0.0
-        lp_s = stream_lp[s]
-        if lp_s != p:
-            if lp_s >= 0:
-                migrations += 1
-            stream_refs = COLD_
-        else:
-            d = clock - stream_touch[p][s]
-            stream_refs = d if d > 0.0 else 0.0
-        if migrated:
-            thread_refs = COLD_
-        else:
-            d = clock - stack_touch[p][k]
-            thread_refs = d if d > 0.0 else 0.0
-        n_calls += 1
-        if code_refs == 0.0:
-            n_analytic += 1
-            pc = 0.0
-        elif code_refs == COLD_:
-            n_analytic += 1
-            pc = pen_cold
-        else:
-            pc = cache_get(code_refs)
-            if pc is None:
-                n_flush += 1
-                pc = flush(code_refs)
-            else:
-                n_cache += 1
-        if stream_refs == code_refs:
-            ps = pc
-        elif stream_refs == 0.0:
-            n_analytic += 1
-            ps = 0.0
-        elif stream_refs == COLD_:
-            n_analytic += 1
-            ps = pen_cold
-        else:
-            ps = cache_get(stream_refs)
-            if ps is None:
-                n_flush += 1
-                ps = flush(stream_refs)
-            else:
-                n_cache += 1
-        if thread_refs == code_refs:
-            pt = pc
-        elif thread_refs == stream_refs:
-            pt = ps
-        elif thread_refs == 0.0:
-            n_analytic += 1
-            pt = 0.0
-        elif thread_refs == COLD_:
-            n_analytic += 1
-            pt = pen_cold
-        else:
-            pt = cache_get(thread_refs)
-            if pt is None:
-                n_flush += 1
-                pt = flush(thread_refs)
-            else:
-                n_cache += 1
-        if migrated:
-            pen_code = w_shared * pen_cold + (1.0 - w_shared) * pc
-        else:
-            pen_code = pc
-        penalty = w_code * pen_code + w_stream * ps + w_thread * pt
-        t_exec = t_warm + penalty + dispatch_c + extra_c
-        if data_touching:
-            t_exec += dt_const
-        idle_mask &= ~(1 << p)
-        heappush(comp_heap, (now + t_exec, cstamp, p, s,
-                             a, now, t_exec, 0.0, k, pid))
-
-    _fold_back(
-        system, arrays, stack_touch, dispatcher._stack_thread_keys,
-        idle_mask=idle_mask, epoch=epoch, seq=seq, n_batches=n_batches,
-        n_packets=n_packets, done=done, comp_heap=comp_heap,
-        queues=queues, dst_queues=dispatcher._queues,
-        first_completion_order=first_completion_order,
-        counters=(n_calls, n_analytic, n_cache, n_flush, migrations),
-        backlog=backlog, max_backlog=max_backlog,
-    )
-    for k in range(n_stacks):
-        dispatcher._stack_busy[k] = stack_busy[k]
-        dispatcher._stack_last_proc[k] = stack_lp[k] if stack_lp[k] >= 0 else None
+    system._packet_counter = n_packets
+    _fold_metrics_rows(system, done)
+    system.metrics.fold_batch_counts(n_packets, n_comp_fired,
+                                     backlog, max_backlog)

@@ -25,6 +25,7 @@ from repro.runner import (
     DistributedOptions,
     FaultPlan,
     ResultCache,
+    SweepExecutionError,
     SweepRunner,
     make_backend,
 )
@@ -94,7 +95,7 @@ class TestHappyPath:
         finally:
             runner.close()
         assert results == _serial(configs)
-        assert runner.stats.leases >= 1
+        assert runner.stats.chunks >= 1
         assert runner.stats.failures == 0
         assert runner.stats.lease_expiries == 0
 
@@ -109,7 +110,7 @@ class TestHappyPath:
             runner.close()
         assert results == _serial(configs)
         # One task per lease: at least one lease per task executed.
-        assert runner.stats.leases >= runner.stats.executed
+        assert runner.stats.chunks >= runner.stats.executed
 
     def test_auto_sized_leases_are_capped(self, monkeypatch):
         # 16 tasks on 2 agents x 2 leases: the sizer would ask for 4
@@ -128,7 +129,7 @@ class TestHappyPath:
         finally:
             runner.close()
         assert results == _serial(configs)
-        assert runner.stats.leases >= 9
+        assert runner.stats.chunks >= 9
 
 
 # ----------------------------------------------------------------------
@@ -224,6 +225,17 @@ class TestStaleResultRegression:
 # ----------------------------------------------------------------------
 # Interrupt → `repro sweep status` → resume
 # ----------------------------------------------------------------------
+def _status_without_live_coordinator(ckpt, journal, capsys):
+    """Assert no state file lies beside ``journal`` and `repro sweep
+    status` says so; returns the status output."""
+    assert not journal.with_name(journal.stem + ".state.json").exists()
+    assert cli.main(["sweep", "status", "--checkpoint-dir", str(ckpt)]) == 0
+    out = capsys.readouterr().out
+    assert "no live coordinator; resume with --resume" in out
+    assert " coordinator:" not in out
+    return out
+
+
 class TestInterruptStatusResume:
     def test_interrupt_persists_state_status_reads_it_resume_finishes(
             self, tmp_path, capsys):
@@ -244,17 +256,10 @@ class TestInterruptStatusResume:
         capsys.readouterr()  # swallow the runner's resume hint
         journals = list(ckpt.glob("*.log"))
         assert len(journals) == 1
-        # The BaseException path force-writes the lease state file so
-        # `repro sweep status` can show what was in flight.
-        state = journals[0].with_name(journals[0].stem + ".state.json")
-        assert state.is_file()
-        assert json.loads(state.read_text())["backend"] == "distributed"
-
-        assert cli.main(["sweep", "status",
-                         "--checkpoint-dir", str(ckpt)]) == 0
-        out = capsys.readouterr().out
+        # The journal is the persisted state; the live state file went
+        # with the coordinator, so status hints at --resume.
+        out = _status_without_live_coordinator(ckpt, journals[0], capsys)
         assert f"/{len(configs)} done" in out
-        assert "distributed coordinator" in out
 
         # Prefix match selects the same journal, verbose form.
         assert cli.main(["sweep", "status", journals[0].stem[:6],
@@ -269,6 +274,34 @@ class TestInterruptStatusResume:
             == len(configs)
         # Clean completion deletes the journal — nothing left to resume.
         assert not list(ckpt.glob("*.log"))
+
+    @pytest.mark.parametrize("exit_path", ["interrupt", "fail-fast"])
+    def test_warm_sweep_leaves_no_live_state(self, exit_path, tmp_path,
+                                             capsys):
+        # A warm sweep cut short at its second task (a one-task probe
+        # lease, so most of the batch is still queued), by an interrupt
+        # or by a crash that fail_fast turns into a halt (the crash
+        # force-writes the state file first): no coordinator outlives
+        # run_many, so neither may its state file.
+        configs = _scenario_grid(12, seed=43)
+        keys = _grid_keys(configs)
+        ckpt = tmp_path / "ckpt"
+        plan = FaultPlan(seed=43, max_faulty_attempts=None,
+                         only_keys=(keys[1],),
+                         **{"interrupt" if exit_path == "interrupt"
+                            else "crash": 1.0})
+        runner = SweepRunner(jobs=2, backend="warm", checkpoint_dir=ckpt,
+                             fault_plan=plan,
+                             fail_fast=exit_path == "fail-fast")
+        with pytest.raises((KeyboardInterrupt, SweepExecutionError)):
+            try:
+                runner.run_many(configs)
+            finally:
+                runner.close()
+        capsys.readouterr()
+        journals = list(ckpt.glob("*.log"))
+        assert len(journals) == 1
+        _status_without_live_coordinator(ckpt, journals[0], capsys)
 
     def test_status_empty_dir_and_unknown_prefix(self, tmp_path, capsys):
         empty = tmp_path / "nothing"
@@ -325,7 +358,7 @@ class TestExternalWorker:
                 runner.close()  # sends stop; the worker exits cleanly
             assert results == _serial(configs)
             assert runner.stats.failures == 0
-            assert runner.stats.leases >= 1
+            assert runner.stats.chunks >= 1
             worker.join(timeout=30)
             assert worker.exitcode == 0
         finally:

@@ -210,9 +210,7 @@ class TestPipePair:
         coord, worker = self._pair()
         try:
             worker.send(("hello", "w0"))
-            worker.send(("beat", "w0", 1))
             assert coord.poll(1.0) == [("hello", "w0")]
-            assert coord.poll(1.0) == [("beat", "w0", 1)]
             assert coord.poll(0.01) == []
             assert coord.send("w0", ("lease", 1, []))
             assert worker.recv(1.0) == ("lease", 1, [])
@@ -220,6 +218,26 @@ class TestPipePair:
         finally:
             worker.close()
             coord.close()
+
+    def test_one_poll_drains_every_buffered_message(self):
+        coord, worker = self._pair()
+        try:
+            sent = [("hello", "w0"), ("hello", "w0"), ("beat", "w0", 1)]
+            for message in sent:
+                worker.send(message)
+            assert coord.poll(1.0) == sent
+            assert coord.poll(0.01) == []
+        finally:
+            worker.close()
+            coord.close()
+
+    def test_eof_after_buffered_messages_keeps_them(self):
+        coord, worker = self._pair()
+        worker.send(("result", "w0", 1, (), (), False))
+        worker.close()
+        assert coord.poll(1.0) == [("result", "w0", 1, (), (), False)]
+        assert coord.send("w0", ("stop",)) is False
+        coord.close()
 
     def test_eof_drops_the_route(self):
         coord, worker = self._pair()
