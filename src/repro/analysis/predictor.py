@@ -37,6 +37,7 @@ from ..core.exec_model import COLD, ComponentState, ExecutionTimeModel
 from ..core.params import (
     PAPER_COMPOSITION,
     PAPER_COSTS,
+    PAPER_PLATFORM,
     FootprintComposition,
     PlatformConfig,
     ProtocolCosts,
@@ -76,7 +77,7 @@ class AnalyticPredictor:
         costs: ProtocolCosts = PAPER_COSTS,
         composition: FootprintComposition = PAPER_COMPOSITION,
     ) -> None:
-        self.platform = platform or PlatformConfig()
+        self.platform = platform or PAPER_PLATFORM
         self.costs = costs
         self.composition = composition
         self.model = ExecutionTimeModel(costs, composition,

@@ -23,7 +23,7 @@ Three parameter groups:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 from ..cache.hierarchy import CacheHierarchy, sgi_challenge_hierarchy
@@ -43,6 +43,11 @@ __all__ = [
 FDDI_MAX_PAYLOAD_BYTES = 4432
 
 
+#: The paper's cache hierarchy, one instance shared by every default
+#: platform (content keys and pickles reuse shared objects).
+_SGI_CHALLENGE = sgi_challenge_hierarchy()
+
+
 @dataclass(frozen=True)
 class PlatformConfig:
     """The shared-memory multiprocessor being modelled.
@@ -57,7 +62,7 @@ class PlatformConfig:
     """
 
     n_processors: int = 8
-    hierarchy: CacheHierarchy = field(default_factory=sgi_challenge_hierarchy)
+    hierarchy: CacheHierarchy = _SGI_CHALLENGE
 
     def __post_init__(self) -> None:
         if self.n_processors < 1:

@@ -48,7 +48,13 @@ from .faults import (
     TaskTimeout,
     run_fault_suite,
 )
-from .keys import UncacheableConfig, canonicalize, code_version, config_key
+from .keys import (
+    UncacheableConfig,
+    canonicalize,
+    code_version,
+    config_key,
+    config_keys,
+)
 from .runner import (
     FailureReport,
     RunnerStats,
@@ -80,6 +86,7 @@ __all__ = [
     "canonicalize",
     "code_version",
     "config_key",
+    "config_keys",
     "default_cache_dir",
     "get_runner",
     "journal_status",

@@ -29,11 +29,12 @@ import time
 import traceback
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     ClassVar,
     Deque,
+    Dict,
     Iterator,
     List,
     Optional,
@@ -43,6 +44,7 @@ from typing import (
 
 from ...sim.metrics import SimulationSummary
 from ...sim.system import SystemConfig, run_simulation
+from ..cache import encode_body
 from ..checkpoint import CheckpointJournal
 from ..faults import FaultPlan, InjectedFault, TaskTimeout
 
@@ -79,6 +81,7 @@ class _WorkerOutcome:
 
     ok: bool
     summary: Optional[SimulationSummary]
+    body: bytes              # the summary's frame body (b"" on failure)
     kind: str                # "" | "timeout" | "error"
     error: str
     elapsed_s: float
@@ -151,14 +154,15 @@ def _execute_task(task: _WorkerTask) -> _WorkerOutcome:
                 raise InjectedFault(
                     f"injected failure for task {task.fault_key[:12]}")
             summary = run_simulation(task.config)
-        return _WorkerOutcome(True, summary, "", "", time.perf_counter() - t0)
+        return _WorkerOutcome(True, summary, encode_body(summary), "", "",
+                              time.perf_counter() - t0)
     except TaskTimeout as exc:
-        return _WorkerOutcome(False, None, "timeout", str(exc),
+        return _WorkerOutcome(False, None, b"", "timeout", str(exc),
                               time.perf_counter() - t0)
     except KeyboardInterrupt:
         raise  # graceful-shutdown path, handled by the backends
     except Exception as exc:
-        return _WorkerOutcome(False, None, "error", _format_chain(exc),
+        return _WorkerOutcome(False, None, b"", "error", _format_chain(exc),
                               time.perf_counter() - t0)
 
 
@@ -173,7 +177,8 @@ class BatchState:
     hits and dedup followers are already folded by the runner);
     ``results``/``failures`` are filled in place; completions flow
     through :meth:`SweepRunner._complete` so cache and journal stay in
-    the loop regardless of backend.
+    the loop regardless of backend.  ``bodies`` holds the frame body of
+    each result a fleet committed, for its commit gate.
     """
 
     work: Sequence[int]
@@ -183,6 +188,7 @@ class BatchState:
     results: List[Optional[SimulationSummary]]
     journal: Optional[CheckpointJournal]
     failures: "List[FailureReport]"
+    bodies: Dict[int, bytes] = field(default_factory=dict)
 
 
 #: One queued task attempt: ``(index in the batch, 1-based attempt)``.

@@ -18,8 +18,9 @@ charging an attempt each, and an agent forked here is killed and
 respawned.
 
 **Idempotent commit.**  Delivery is at-least-once; the first result for
-a task is committed, a later one is byte-compared with it and discarded,
-and a mismatch is quarantined and aborts the sweep.
+a task is committed, a later one's frame body (encoded by the agent) is
+byte-compared with the committed body and discarded, and a mismatch is
+quarantined and aborts the sweep.
 
 **One failure budget.**  A fleet that loses more than the runner's
 ``max_pool_failures`` agents in a batch is retired, and the rest of the
@@ -55,7 +56,6 @@ from typing import (
 )
 
 from ...sim.metrics import SimulationSummary
-from ..cache import summary_to_dict
 from ..faults import NETWORK_FAULT_KINDS
 from .base import (
     _CRASH_EXIT_CODE,
@@ -107,10 +107,10 @@ _TaskMeta = Tuple[bool, str, str, float]
 def _run_chunk(tasks: Sequence[_WorkerTask],
                beat: Optional[Callable[[], None]] = None,
                ) -> Tuple[Tuple[_TaskMeta, ...],
-                          Tuple[SimulationSummary, ...], bool]:
+                          Tuple[Tuple[SimulationSummary, bytes], ...], bool]:
     """Execute one lease's tasks in this process; returns (meta,
-    summaries, interrupted), with one summary per successful task, in
-    task order.
+    results, interrupted), with one ``(summary, frame body)`` per
+    successful task, in task order.
 
     ``beat`` is called between tasks.  Separated from the agent loop so
     tests can drive the exact execution path in-process.
@@ -125,10 +125,10 @@ def _run_chunk(tasks: Sequence[_WorkerTask],
         except KeyboardInterrupt:
             interrupted = True
             break
-    summaries = tuple(o.summary for o in outcomes
-                      if o.ok and o.summary is not None)
+    results = tuple((o.summary, o.body) for o in outcomes
+                    if o.ok and o.summary is not None)
     meta = tuple((o.ok, o.kind, o.error, o.elapsed_s) for o in outcomes)
-    return meta, summaries, interrupted
+    return meta, results, interrupted
 
 
 def _agent_loop(link: AgentLink, worker_id: str, idle_poll_s: float,
@@ -173,9 +173,9 @@ def _agent_loop(link: AgentLink, worker_id: str, idle_poll_s: float,
         if plan is not None and plan.faulty(tasks[0].attempt) and \
                 plan.decide("kill", f"agent|{worker_id}", leases_seen):
             os._exit(_CRASH_EXIT_CODE)
-        meta, summaries, interrupted = _run_chunk(tasks,
-                                                  partial(beat, lease_id))
-        send(("result", worker_id, lease_id, meta, summaries, interrupted))
+        meta, results, interrupted = _run_chunk(tasks,
+                                                partial(beat, lease_id))
+        send(("result", worker_id, lease_id, meta, results, interrupted))
 
 
 def _terminate_agents(slots: List[_AgentSlot]) -> None:
@@ -529,7 +529,7 @@ class FleetBackend(ExecutionBackend):
     # result folding: the idempotent commit gate
     # ------------------------------------------------------------------
     def _fold(self, run: _Run, message: Message) -> None:
-        _, _, lease_id, meta, summaries, interrupted = message
+        _, _, lease_id, meta, results, interrupted = message
         run.table.heartbeat(int(lease_id))
         lease, was_active = run.table.complete(int(lease_id))
         if not was_active:
@@ -542,9 +542,9 @@ class FleetBackend(ExecutionBackend):
         for (index, attempt), (ok, kind, error, elapsed_s) in zip(
                 lease.tasks, meta):
             if ok:
-                summary = summaries[cursor]
+                summary, body = results[cursor]
                 cursor += 1
-                if self._commit(index, summary, run.runner, run.batch):
+                if self._commit(index, summary, body, run.runner, run.batch):
                     ema_s = self._task_ema_s
                     self._task_ema_s = elapsed_s if ema_s is None \
                         else 0.5 * (ema_s + elapsed_s)
@@ -558,21 +558,21 @@ class FleetBackend(ExecutionBackend):
             # propagate the graceful-shutdown path like a serial Ctrl-C.
             raise KeyboardInterrupt("sweep interrupted in a worker agent")
 
-    def _commit(self, index: int, summary: SimulationSummary,
+    def _commit(self, index: int, summary: SimulationSummary, body: bytes,
                 runner: "SweepRunner", batch: BatchState) -> bool:
         """First write wins (a work index's result slot is None until
-        then); a duplicate is byte-compared (encoded only then, since
-        only duplicates need it); a mismatch aborts."""
-        prior = batch.results[index]
-        if prior is None:
-            runner._complete(batch, index, summary)
+        then); a duplicate's frame body is byte-compared with the
+        committed one; a mismatch aborts."""
+        if batch.results[index] is None:
+            runner._complete(batch, index, summary, body)
+            batch.bodies[index] = body
             return True
-        committed, duplicate = _blob(prior), _blob(summary)
-        if committed == duplicate:
+        committed = batch.bodies[index]
+        if committed == body:
             runner.stats.dup_results += 1
             return False
         self._quarantine_mismatch(index, batch.keys[index], committed,
-                                  duplicate, runner)
+                                  body, runner)
         return False  # unreachable: _quarantine_mismatch raises
 
     def _quarantine_mismatch(self, index: int, key: Optional[str],
@@ -654,9 +654,3 @@ class FleetBackend(ExecutionBackend):
 _DIED = "worker agent process died holding this lease"
 _EXPIRED = ("lease expired: its agent stayed silent past the budget; "
             "tasks requeued")
-
-
-def _blob(summary: SimulationSummary) -> bytes:
-    """Canonical bytes of a summary, for the commit gate's comparison."""
-    return json.dumps(summary_to_dict(summary), sort_keys=True,
-                      separators=(",", ":")).encode()

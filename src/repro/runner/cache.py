@@ -38,7 +38,7 @@ from ..sim.metrics import SimulationSummary
 from .faults import FaultPlan
 
 __all__ = ["CacheStats", "RecordLog", "ResultCache", "default_cache_dir",
-           "encode_frame", "summary_to_dict", "summary_from_dict"]
+           "encode_body", "frame", "summary_to_dict", "summary_from_dict"]
 
 #: Frame start marker.  Bump it when the frame layout changes.
 MAGIC = b"\xd2\xa7RL"
@@ -105,17 +105,10 @@ def frame(key: str, body: bytes) -> bytes:
     return b"%s%08x%04x%08x%s%s" % (MAGIC, crc, len(raw), len(body), raw, body)
 
 
-#: The last encoded ``[key, summary, frame]``: the journal appends the
-#: very bytes the cache just wrote instead of encoding the result twice.
-_last: List[Any] = [None, None, b""]
-
-
-def encode_frame(key: str, summary: SimulationSummary) -> bytes:
-    """The frame of one result (cached on the last key and summary)."""
-    if _last[1] is not summary or _last[0] != key:
-        body = json.dumps(summary_to_dict(summary), separators=(",", ":"))
-        _last[:] = [key, summary, frame(key, body.encode())]
-    return bytes(_last[2])
+def encode_body(summary: SimulationSummary) -> bytes:
+    """The frame body of one result: the summary as compact ASCII JSON.
+    Agents encode it where the summary is made, next to the summary."""
+    return json.dumps(summary_to_dict(summary), separators=(",", ":")).encode()
 
 
 def decode_summary(body: bytes) -> Optional[SimulationSummary]:
@@ -151,7 +144,7 @@ class RecordLog:
         #: Offset up to which :meth:`scan` has consumed the file.
         self.scanned = 0
         self._writer: Optional[IO[bytes]] = None
-        self._reader: Optional[IO[bytes]] = None
+        self._reader: Optional[int] = None   # fd for positioned reads
         self._dirty = False
 
     def append(self, blob: bytes) -> None:
@@ -169,10 +162,13 @@ class RecordLog:
         self._dirty = False
 
     def read(self, offset: int, size: int) -> bytes:
+        """``size`` bytes at ``offset`` (up to EOF when ``size`` is
+        negative) in one ``pread``: no shared file offset to move."""
         if self._reader is None:
-            self._reader = open(self.path, "rb", buffering=0)
-        self._reader.seek(offset)
-        return self._reader.read(size)
+            self._reader = os.open(self.path, os.O_RDONLY)
+        if size < 0:
+            size = max(0, os.fstat(self._reader).st_size - offset)
+        return os.pread(self._reader, size, offset)
 
     def scan(self) -> List[Tuple[int, Optional[str], bytes]]:
         """Frames appended since the last scan, by the scan rule:
@@ -202,9 +198,10 @@ class RecordLog:
 
     def close(self) -> None:
         """Release the file handles (no ``fsync``: call :meth:`sync`)."""
-        for fh in (self._writer, self._reader):
-            if fh is not None:
-                fh.close()
+        if self._writer is not None:
+            self._writer.close()
+        if self._reader is not None:
+            os.close(self._reader)
         self._writer = self._reader = None
 
     def remove(self) -> None:
@@ -282,9 +279,14 @@ class ResultCache:
         except OSError:
             pass  # evidence only; the frame stays skipped either way
 
-    def put(self, key: str, summary: SimulationSummary) -> None:
-        """Append a summary under ``key``; durable after ``log.sync()``."""
-        blob = encode_frame(key, summary)
+    def put(self, key: str, summary: SimulationSummary,
+            blob: Optional[bytes] = None) -> None:
+        """Append a summary under ``key``; durable after ``log.sync()``.
+        ``blob`` is its frame when the caller has built it already (the
+        runner's commit path, which appends the same bytes to the
+        journal)."""
+        if blob is None:
+            blob = frame(key, encode_body(summary))
         if self.fault_plan is not None and \
                 self.fault_plan.decide("corrupt", key):
             i = len(blob) - 2  # injected damage: one body bit flipped

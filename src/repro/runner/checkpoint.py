@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..sim.metrics import SimulationSummary
-from .cache import RecordLog, decode_summary, encode_frame, frame
+from .cache import RecordLog, decode_summary, encode_body, frame
 
 __all__ = ["CheckpointJournal", "journal_status", "sweep_id"]
 
@@ -98,8 +98,10 @@ class CheckpointJournal:
                 "total": self.total}).encode()))
         self.is_open = True
 
-    def record(self, key: str, summary: SimulationSummary) -> None:
-        """Append one completed task (no-op when the journal is closed).
+    def record(self, key: str, summary: SimulationSummary,
+               blob: Optional[bytes] = None) -> None:
+        """Append one completed task (no-op when the journal is closed);
+        ``blob`` is its frame when the caller has built it already.
 
         First write wins: a key already journaled is skipped, so
         at-least-once result delivery (the distributed backend) cannot
@@ -107,7 +109,8 @@ class CheckpointJournal:
         if not self.is_open or key in self._seen:
             return
         self._seen.add(key)
-        self._log.append(encode_frame(key, summary))
+        self._log.append(blob if blob is not None
+                         else frame(key, encode_body(summary)))
         self.recorded += 1
 
     def sync(self) -> None:

@@ -75,7 +75,7 @@ import hashlib
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple, cast
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a cycle
     from ..sim.system import SystemConfig
@@ -212,9 +212,10 @@ def _scenario_grid(n: int, seed: int) -> "List[SystemConfig]":
 
 
 def _grid_keys(configs: "List[SystemConfig]") -> List[str]:
-    from .keys import config_key
+    from .keys import config_keys
 
-    return [config_key(cfg) for cfg in configs]
+    # The grids name their policy, so every config has a key.
+    return cast(List[str], config_keys(configs))
 
 
 def _tcp(lease_timeout_s: float,

@@ -21,6 +21,15 @@ The digested text is, by definition, ``json.dumps({"code": code_version(),
 per-type field layout computed once, instead of building the canonical
 structure and re-sorting it; the bytes are the same.
 
+:func:`config_keys` keys one batch.  Configs of a batch share most of
+their sub-objects (the platform, costs and composition defaults, and
+the per-stream specs of one traffic spec), so it remembers the text of
+each dataclass, tuple, list and dict it has written *by identity*, for
+that one call: equal objects may key differently (``1000`` and
+``1000.0``, ``0.0`` and ``-0.0``), and an object may change between
+calls (``policy_kwargs`` is a dict).  Each entry holds its object, so no
+id is reused while the memo lives.
+
 Configs that cannot be canonicalized — e.g. a pre-built policy *instance*
 instead of a registry name — raise :class:`UncacheableConfig`; the sweep
 runner treats those runs as uncacheable and simply executes them.
@@ -34,9 +43,10 @@ import json
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-__all__ = ["UncacheableConfig", "canonicalize", "code_version", "config_key"]
+__all__ = ["UncacheableConfig", "canonicalize", "code_version", "config_key",
+           "config_keys"]
 
 
 class UncacheableConfig(ValueError):
@@ -175,29 +185,55 @@ _LEAF_TEXT: Dict[type, Callable[[Any], str]] = {
 }
 
 
-def _canonical_text(obj: Any) -> str:
+#: The memo of one :func:`config_keys` call: ``id(obj) -> (obj, text)``.
+#: Holding ``obj`` keeps its id from being reused while the memo lives.
+_Memo = Dict[int, Tuple[Any, str]]
+
+
+def _canonical_text(obj: Any, memo: _Memo) -> str:
     """``json.dumps(canonicalize(obj), sort_keys=True,
-    separators=(",", ":"))`` in one pass: exact leaf types, tuples, lists
-    and dataclasses are written directly; anything else (dicts,
-    subclasses, unknown objects) takes that two-step definition, which
-    also raises :class:`UncacheableConfig` where it would."""
+    separators=(",", ":"))`` in one pass: exact leaf types, tuples, lists,
+    dicts with exact ``str`` keys and dataclasses are written directly;
+    anything else (other dicts, subclasses, unknown objects) takes that
+    two-step definition, which also raises :class:`UncacheableConfig`
+    where it would.  The text of every non-leaf is kept in ``memo``."""
     t = type(obj)
     leaf = _LEAF_TEXT.get(t)
     if leaf is not None:
         return leaf(obj)
-    if t is tuple or t is list:
-        return "[" + ",".join([_LEAF_TEXT.get(type(v), _canonical_text)(v)
-                               for v in obj]) + "]"
-    layout = _layout(t)
-    if layout is None or layout.parts is None:
-        return json.dumps(canonicalize(obj), sort_keys=True,
-                          separators=(",", ":"))
+    hit = memo.get(id(obj))
+    if hit is not None:
+        return hit[1]
     out: List[str] = []
-    for text, name in layout.parts:
-        value = getattr(obj, name)
-        out.append(text + _LEAF_TEXT.get(type(value), _canonical_text)(value))
-    out.append(layout.tail)
-    return "".join(out)
+    if t is tuple or t is list:
+        for value in obj:
+            leaf = _LEAF_TEXT.get(type(value))
+            out.append(leaf(value) if leaf is not None
+                       else _canonical_text(value, memo))
+        text = "[" + ",".join(out) + "]"
+    elif t is dict and all(type(k) is str for k in obj):
+        for k in sorted(obj):
+            value = obj[k]
+            leaf = _LEAF_TEXT.get(type(value))
+            out.append(_encode_str(k) + ":" + (
+                leaf(value) if leaf is not None
+                else _canonical_text(value, memo)))
+        text = "{" + ",".join(out) + "}"
+    else:
+        layout = _layout(t)
+        if layout is None or layout.parts is None:
+            text = json.dumps(canonicalize(obj), sort_keys=True,
+                              separators=(",", ":"))
+        else:
+            for prefix, name in layout.parts:
+                value = getattr(obj, name)
+                leaf = _LEAF_TEXT.get(type(value))
+                out.append(prefix + (leaf(value) if leaf is not None
+                                     else _canonical_text(value, memo)))
+            out.append(layout.tail)
+            text = "".join(out)
+    memo[id(obj)] = (obj, text)
+    return text
 
 
 #: Package-relative sources whose content defines simulation behaviour.
@@ -220,13 +256,33 @@ def code_version() -> str:
     return digest.hexdigest()[:16]
 
 
-def config_key(config: Any) -> str:
+def config_key(config: Any, memo: Optional[_Memo] = None) -> str:
     """Content key of one run: SHA-256 over config + code version (the
     text of the module docstring, written by :func:`_canonical_text`).
+    ``memo`` is the one a :func:`config_keys` call shares over its batch.
 
     Raises :class:`UncacheableConfig` for configs that embed
     non-serializable values (e.g. policy instances).
     """
     blob = ('{"code":' + _encode_str(code_version()) + ',"config":'
-            + _canonical_text(config) + "}")
+            + _canonical_text(config, {} if memo is None else memo) + "}")
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def config_keys(configs: Iterable[Any],
+                key: Callable[[Any, _Memo], str] = config_key,
+                ) -> List[Optional[str]]:
+    """The content key of each config of one batch, ``None`` for an
+    uncacheable one.  One identity memo serves the whole call and no
+    longer (module docstring).  ``key`` is the per-config function,
+    :func:`config_key` unless a caller wraps it (the runner passes its
+    own reference, so a profiler wrapping ``runner.config_key`` still
+    times every key)."""
+    memo: _Memo = {}
+    keys: List[Optional[str]] = []
+    for config in configs:
+        try:
+            keys.append(key(config, memo))
+        except UncacheableConfig:
+            keys.append(None)
+    return keys

@@ -90,10 +90,10 @@ from .backends import (
     make_backend,
 )
 from .backends.base import Task, _execute_task, _WorkerTask
-from .cache import ResultCache
+from .cache import ResultCache, frame
 from .checkpoint import CheckpointJournal, sweep_id
 from .faults import FaultPlan
-from .keys import UncacheableConfig, config_key
+from .keys import config_key, config_keys
 
 __all__ = [
     "FailureReport",
@@ -375,12 +375,6 @@ class SweepRunner:
     # ------------------------------------------------------------------
     # keys / checkpoint plumbing
     # ------------------------------------------------------------------
-    def _content_key(self, config: SystemConfig) -> Optional[str]:
-        try:
-            return config_key(config)
-        except UncacheableConfig:
-            return None
-
     def _checkpoint_root(self) -> Optional[Path]:
         if self.checkpoint_dir is not None:
             return self.checkpoint_dir
@@ -421,7 +415,9 @@ class SweepRunner:
             ]
         n = len(configs)
         results: List[Optional[SimulationSummary]] = [None] * n
-        keys = [self._content_key(cfg) for cfg in configs]
+        # Through this module's name, so a wrapper of `config_key` here
+        # (perfbench's `runner.keys` span) still sees every key.
+        keys = config_keys(configs, config_key)
         # Stable per-task identity for fault decisions, independent of
         # whether the config is cacheable.
         fault_keys = [k if k is not None else f"@{i}"
@@ -519,15 +515,18 @@ class SweepRunner:
     # completion / retry plumbing shared by every backend
     # ------------------------------------------------------------------
     def _complete(self, batch: BatchState, i: int,
-                  summary: SimulationSummary) -> None:
+                  summary: SimulationSummary, body: bytes) -> None:
+        """Commit one result; ``body`` is its frame body, encoded where
+        it ran.  The frame is built once, for the cache and the journal."""
         batch.results[i] = summary
         self.stats.executed += 1
         key = batch.keys[i]
         if key is not None:
+            blob = frame(key, body)
             if self.cache is not None:
-                self.cache.put(key, summary)
+                self.cache.put(key, summary, blob)
             if batch.journal is not None:
-                batch.journal.record(key, summary)
+                batch.journal.record(key, summary, blob)
 
     def _backoff(self, attempt: int) -> None:
         """Deterministic exponential backoff before attempt ``attempt+1``
@@ -563,7 +562,7 @@ class SweepRunner:
                 batch.configs[i], batch.fault_keys[i], attempt,
                 self.timeout_s, self.fault_plan, inline=True))
             if outcome.summary is not None:
-                self._complete(batch, i, outcome.summary)
+                self._complete(batch, i, outcome.summary, outcome.body)
             else:
                 self._retry_or_fail(batch, pending, i, attempt, outcome.kind,
                                     outcome.error, outcome.elapsed_s)

@@ -30,6 +30,7 @@ from ..core.exec_model import ExecutionTimeModel
 from ..core.params import (
     PAPER_COMPOSITION,
     PAPER_COSTS,
+    PAPER_PLATFORM,
     FootprintComposition,
     PlatformConfig,
     ProtocolCosts,
@@ -135,7 +136,7 @@ class SystemConfig:
     traffic: TrafficSpec
     paradigm: str = "locking"
     policy: Union[str, LockingPolicy, IPSPolicy] = "mru"
-    platform: PlatformConfig = field(default_factory=PlatformConfig)
+    platform: PlatformConfig = PAPER_PLATFORM
     costs: ProtocolCosts = PAPER_COSTS
     composition: FootprintComposition = PAPER_COMPOSITION
     nonprotocol_intensity: float = 1.0

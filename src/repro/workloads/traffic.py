@@ -69,7 +69,7 @@ class TrafficSpec:
         if n_streams < 1:
             raise ValueError("n_streams must be >= 1")
         per = total_rate_pps / n_streams
-        return cls(tuple(PoissonSpec(per) for _ in range(n_streams)), size_model)
+        return cls((PoissonSpec(per),) * n_streams, size_model)
 
     @classmethod
     def one_bursty_among_smooth(

@@ -2,9 +2,9 @@
 
 One integration test runs the full E01-E15 suite in fast mode and asserts
 the paper's headline findings on the actual artifact outputs, and that
-every config it submits gets the content key of the key's definition.  This is
-the slowest test in the suite (~40 s) but guards exactly what the
-repository is for.
+every config and batch it submits gets the content key of the key's
+definition.  This is the slowest test in the suite (~40 s) but guards
+exactly what the repository is for.
 """
 
 import math
@@ -12,9 +12,9 @@ import math
 import pytest
 
 from repro.experiments.base import EXPERIMENT_IDS, all_experiments
-from repro.runner import SweepRunner, config_key
+from repro.runner import SweepRunner, config_key, config_keys
 
-from ..runner.test_keys import definition_key, outcome
+from ..runner.test_keys import definition_key, definition_keys, outcome
 
 
 class RecordingRunner(SweepRunner):
@@ -24,9 +24,11 @@ class RecordingRunner(SweepRunner):
     def __init__(self):
         super().__init__(jobs=0, cache=None)
         self.configs = []
+        self.batches = []
 
     def run_many(self, configs, label=""):
         self.configs.extend(configs)
+        self.batches.append(list(configs))
         return super().run_many(configs, label)
 
 
@@ -36,7 +38,7 @@ def suite():
     out = {r.experiment_id: r
            for r in all_experiments(fast=True, runner=runner)}
     assert set(out) == set(EXPERIMENT_IDS)
-    return out, runner.configs
+    return out, runner.configs, runner.batches
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +51,11 @@ def test_every_submitted_config_keys_like_the_definition(suite):
     assert len(configs) > 400
     for config in configs:
         assert outcome(config_key, config) == outcome(definition_key, config)
+
+
+def test_every_submitted_batch_keys_like_the_definition(suite):
+    for batch in suite[2]:
+        assert config_keys(batch) == definition_keys(batch)
 
 
 class TestSuiteRuns:

@@ -15,13 +15,22 @@ import pytest
 
 import repro.runner
 from repro.core.params import PAPER_COSTS
-from repro.runner import FaultPlan, SweepRunner, config_key, use_runner
+from repro.runner import (
+    DistributedOptions,
+    FaultPlan,
+    ResultCache,
+    SweepRunner,
+    config_key,
+    use_runner,
+)
 from repro.runner.backends import BACKEND_NAMES, make_backend
 from repro.runner.backends import fleet as fleet_mod
 from repro.runner.backends import warm as warm_mod
-from repro.runner.backends.base import _WorkerTask, chunk_cap, take
+from repro.runner.backends.base import BatchState, _WorkerTask, chunk_cap, take
 from repro.runner.backends.fleet import _run_chunk
 from repro.runner.backends.warm import reset_warm_state
+from repro.runner.cache import RecordLog, encode_body
+from repro.runner.checkpoint import CheckpointJournal
 from repro.sim.system import run_simulation
 
 from ..conftest import fast_config
@@ -68,17 +77,21 @@ def _costly(cfg, factor):
 class TestWarmChunkPath:
     def test_chunk_matches_serial(self):
         configs = [_tiny(seed=s) for s in (1, 2, 3)]
-        meta, summaries, interrupted = _run_chunk(
+        meta, results, interrupted = _run_chunk(
             tuple(_worker_task(c) for c in configs))
         assert not interrupted
         assert all(ok for ok, *_ in meta)
-        assert summaries == tuple(run_simulation(c) for c in configs)
+        # One (summary, frame body) per task: the body is encoded here,
+        # where the summary is made.
+        serial = [run_simulation(c) for c in configs]
+        assert results == tuple((s, encode_body(s)) for s in serial)
 
     def test_chunk_may_mix_exec_model_params(self):
         configs = [_tiny(seed=1), _costly(_tiny(seed=2), 2),
                    _tiny(seed=3), _costly(_tiny(seed=4), 2)]
-        _, summaries, _ = _run_chunk(tuple(_worker_task(c) for c in configs))
-        assert summaries == tuple(run_simulation(c) for c in configs)
+        _, results, _ = _run_chunk(tuple(_worker_task(c) for c in configs))
+        assert tuple(s for s, _ in results) == \
+            tuple(run_simulation(c) for c in configs)
 
     def test_reset_clears_everything_in_ledger(self):
         reset_warm_state()
@@ -205,3 +218,68 @@ class TestWarmEndToEnd:
         assert runner.stats.pool_respawns == 0
         assert runner.stats.retries == 1
         assert "1 fleet fallback" in runner.stats.summary_line()
+
+
+# ----------------------------------------------------------------------
+# Result frames: encoded by whoever ran the task, appended as they came
+# ----------------------------------------------------------------------
+def _bodies(path):
+    """key -> frame body of every valid frame in one record log."""
+    log = RecordLog(path)
+    try:
+        return {key: body for _, key, body in log.scan() if key is not None}
+    finally:
+        log.close()
+
+
+class TestResultFrames:
+    def test_commit_appends_one_frame_to_cache_and_journal(self, tmp_path):
+        config = _tiny(seed=1)
+        key = config_key(config)
+        summary = run_simulation(config)
+        runner = SweepRunner(jobs=0, cache=ResultCache(tmp_path / "cache"))
+        journal = CheckpointJournal(tmp_path / "j.log", sweep="s")
+        journal.start(resume=False)
+        batch = BatchState([0], [config], [key], [key], [None], journal, [])
+        runner._complete(batch, 0, summary, encode_body(summary))
+        runner.cache.log.sync()
+        journal.sync()
+        cached = (tmp_path / "cache" / "results.log").read_bytes()
+        assert (tmp_path / "j.log").read_bytes().endswith(cached)
+        assert _bodies(tmp_path / "j.log")[key] == encode_body(summary)
+        assert runner.cache.get(key) == summary
+        journal.close()
+
+    @pytest.mark.slow
+    def test_every_backend_writes_the_same_frames(self, tmp_path):
+        configs = [_tiny(seed=s) for s in range(1, 7)]
+        expected = {config_key(c): encode_body(run_simulation(c))
+                    for c in configs}
+        for name, jobs in (("serial", 0), ("warm", 2), ("distributed", 2)):
+            root = tmp_path / name
+            runner = SweepRunner(jobs=jobs, backend=name,
+                                 cache=ResultCache(root),
+                                 distributed_options=DistributedOptions(
+                                     lease_timeout_s=30.0, idle_poll_s=0.1))
+            try:
+                runner.run_many(configs)
+            finally:
+                runner.close()
+            assert runner.stats.executed == len(configs), name
+            assert _bodies(root / "results.log") == expected, name
+
+    @pytest.mark.slow
+    def test_serial_cache_is_all_hits_for_warm(self, tmp_path):
+        configs = [_tiny(seed=s) for s in range(1, 9)]
+        serial = SweepRunner(jobs=0, cache=ResultCache(tmp_path))
+        expected = serial.run_many(configs)
+        runner = SweepRunner(jobs=2, backend="warm",
+                             cache=ResultCache(tmp_path))
+        try:
+            assert runner.run_many(configs) == expected
+        finally:
+            runner.close()
+        assert runner.stats.cache_hits == len(configs)
+        assert runner.stats.executed == 0
+        assert (runner.cache.stats.hits, runner.cache.stats.misses) == \
+            (len(configs), 0)

@@ -33,6 +33,7 @@ from repro.runner.backends import fleet as fleet_mod
 from repro.runner.backends.base import BatchState
 from repro.runner.backends.distributed import DistributedBackend
 from repro.runner.backends.fleet import _mp_context
+from repro.runner.cache import encode_body
 from repro.runner.faults import _grid_keys, _scenario_grid
 
 
@@ -151,21 +152,23 @@ class TestCommitGate:
     def test_first_write_wins_then_identical_duplicate_discarded(
             self, tmp_path):
         runner, backend, batch, summary = _gate_fixture(tmp_path, True)
-        assert backend._commit(0, summary, runner, batch) is True
+        body = encode_body(summary)
+        assert backend._commit(0, summary, body, runner, batch) is True
         assert batch.results[0] == summary
         assert runner.stats.executed == 1
         # Same bytes again: absorbed, counted, not recommitted.
-        assert backend._commit(0, summary, runner, batch) is False
+        assert backend._commit(0, summary, body, runner, batch) is False
         assert runner.stats.dup_results == 1
         assert runner.stats.executed == 1
 
     def test_mismatch_quarantined_and_aborts(self, tmp_path, capsys):
         runner, backend, batch, summary = _gate_fixture(tmp_path, True)
-        backend._commit(0, summary, runner, batch)
+        backend._commit(0, summary, encode_body(summary), runner, batch)
         divergent = dataclasses.replace(summary,
                                         n_packets=summary.n_packets + 1)
         with pytest.raises(RuntimeError, match="determinism contract"):
-            backend._commit(0, divergent, runner, batch)
+            backend._commit(0, divergent, encode_body(divergent), runner,
+                            batch)
         # The committed result stands; the divergent payload is parked.
         assert batch.results[0] == summary
         parked = list(runner.cache.quarantine_dir.glob("mismatch-*.json"))
@@ -183,11 +186,12 @@ class TestCommitGate:
     def test_mismatch_without_cache_parks_next_to_checkpoints(
             self, tmp_path):
         runner, backend, batch, summary = _gate_fixture(tmp_path, False)
-        backend._commit(0, summary, runner, batch)
+        backend._commit(0, summary, encode_body(summary), runner, batch)
         divergent = dataclasses.replace(summary,
                                         n_packets=summary.n_packets + 1)
         with pytest.raises(RuntimeError, match="quarantined at"):
-            backend._commit(0, divergent, runner, batch)
+            backend._commit(0, divergent, encode_body(divergent), runner,
+                            batch)
         parked = list((tmp_path / "ckpt" / "quarantine").glob("*.json"))
         assert len(parked) == 1
 

@@ -13,13 +13,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.core.params import PlatformConfig, ProtocolCosts
+from repro.core.params import PAPER_COSTS, PAPER_PLATFORM, PlatformConfig, ProtocolCosts
 from repro.core.policies import make_locking_policy
 from repro.runner.keys import (
     UncacheableConfig,
     canonicalize,
     code_version,
     config_key,
+    config_keys,
 )
 from repro.workloads.arrivals import (
     BatchPoissonSpec,
@@ -246,3 +247,126 @@ class TestOnePassEncoder:
         names = [f.name for f in dataclasses.fields(fast_config())
                  if f.name not in ("trace", "check_invariants")]
         assert list(canonicalize(fast_config())) == ["__type__", *names]
+
+
+# ----------------------------------------------------------------------
+# Batch keys: one identity memo per call, against the definition
+# ----------------------------------------------------------------------
+def definition_keys(configs):
+    """What ``config_keys`` must return: the definition's key of each
+    config, None where the definition cannot key it."""
+    out = [outcome(definition_key, config) for config in configs]
+    return [None if key is UncacheableConfig else key for key in out]
+
+
+def _with(obj, **fields):
+    """A copy of ``obj`` (a distinct object) with ``fields`` set as given."""
+    obj = copy.copy(obj)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _one_stream(rate):
+    return _raw(TrafficSpec, stream_specs=(_raw(PoissonSpec, rate_pps=rate),),
+                size_model=FixedSize())
+
+
+class TestBatchKeys:
+    def test_batch_with_shared_sub_objects(self):
+        traffic = TrafficSpec.homogeneous_poisson(8, 9_000.0)
+        assert traffic.stream_specs[0] is traffic.stream_specs[7]
+        configs = [fast_config(traffic=traffic, seed=s) for s in range(3)]
+        configs += [c.with_(policy="fcfs") for c in configs]
+        configs.append(fast_config(platform=PlatformConfig(n_processors=4)))
+        assert configs[0].platform is configs[1].platform is PAPER_PLATFORM
+        assert configs[0].platform.hierarchy is \
+            PlatformConfig(n_processors=4).hierarchy
+        keys = config_keys(configs)
+        assert keys == definition_keys(configs)
+        assert len(set(keys)) == len(configs)
+
+    @pytest.mark.parametrize("a,b", [(1000, 1000.0), (-0.0, 0.0),
+                                     (0.0, -0.0)])
+    def test_equal_values_in_distinct_objects_key_apart(self, a, b):
+        # Each pair compares equal (and hashes equal where hashable), so
+        # a memo keyed by equality would hand the second the first's text.
+        base = fast_config()
+        pairs = [
+            (base.with_(fixed_overhead_us=a), base.with_(fixed_overhead_us=b)),
+            (base.with_(costs=_with(PAPER_COSTS, t_cold_us=a)),
+             base.with_(costs=_with(PAPER_COSTS, t_cold_us=b))),
+            (base.with_(traffic=_one_stream(a)),
+             base.with_(traffic=_one_stream(b))),
+            (base.with_(policy_kwargs={"spill": a}),
+             base.with_(policy_kwargs={"spill": b})),
+        ]
+        if a:  # a horizon must be positive
+            pairs.append((base.with_(duration_us=a, warmup_us=0.0),
+                          base.with_(duration_us=b, warmup_us=0.0)))
+        for first, second in pairs:
+            assert first == second
+            keys = config_keys([first, second])
+            assert keys == definition_keys([first, second])
+            assert keys[0] != keys[1]
+
+    def test_nan(self):
+        base = fast_config()
+        spec = _raw(PoissonSpec, rate_pps=math.nan)
+        shared = _raw(TrafficSpec, stream_specs=(spec, spec),
+                      size_model=FixedSize())
+        configs = [base.with_(traffic=shared),
+                   base.with_(traffic=_one_stream(math.nan)),
+                   base.with_(traffic=shared, seed=2),
+                   base.with_(fixed_overhead_us=math.nan),
+                   base.with_(policy_kwargs={"x": [math.nan, -math.nan]})]
+        assert config_keys(configs) == definition_keys(configs)
+
+    def test_same_config_object_twice(self):
+        a, b = fast_config(), fast_config(seed=8)
+        keys = config_keys([a, b, a, a])
+        assert keys == definition_keys([a, b, a, a])
+        assert keys[0] == keys[2] == keys[3] != keys[1]
+
+    def test_policy_instance_mid_batch(self):
+        traffic = TrafficSpec.homogeneous_poisson(4, 8_000.0)
+        configs = [fast_config(traffic=traffic),
+                   fast_config(traffic=traffic,
+                               policy=make_locking_policy("mru")),
+                   fast_config(traffic=traffic, seed=9)]
+        keys = config_keys(configs)
+        assert keys[1] is None
+        assert keys == definition_keys(configs)
+
+    def test_non_str_policy_kwargs_key(self):
+        configs = [fast_config(policy_kwargs={"a": 1}),
+                   fast_config(policy_kwargs={1: "a"}),
+                   fast_config(policy_kwargs={"a": 1, "b": {"c": 2.5}})]
+        keys = config_keys(configs)
+        assert keys[1] is None
+        assert keys == definition_keys(configs)
+
+    def test_key_follows_a_mutation_between_calls(self):
+        # The memo lives for one call: the same object, changed, keys anew.
+        config = fast_config()
+        first = config_keys([config])
+        config.policy_kwargs["spill"] = 2
+        second = config_keys([config])
+        assert first != second
+        assert second == [definition_key(config)]
+        config.policy_kwargs.clear()
+        assert config_keys([config]) == first
+
+    @settings(max_examples=100)
+    @given(st.lists(_configs(), min_size=1, max_size=4), st.data())
+    def test_batch_keys_are_the_definition(self, configs, data):
+        # Copies that share sub-objects with other configs of the batch,
+        # then the whole batch again, reversed: the same objects twice.
+        batch = list(configs)
+        for config in configs:
+            donor = data.draw(st.sampled_from(configs))
+            names = data.draw(st.sets(st.sampled_from(
+                ["traffic", "costs", "policy", "policy_kwargs", "churn"])))
+            batch.append(_with(config, **{n: getattr(donor, n) for n in names}))
+        batch += batch[::-1]
+        assert config_keys(batch) == definition_keys(batch)
