@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Tuple
 
 import numpy as np
-from scipy import stats as sps
+
+from .stats import _t_critical
 
 # NOTE: repro.sim imports repro.analysis.stats, so sim types are imported
 # lazily inside the functions to avoid a package-level cycle.
@@ -56,7 +57,7 @@ def _t_interval(values: np.ndarray, confidence: float) -> Tuple[float, float]:
     sem = float(values.std(ddof=1) / math.sqrt(len(values)))
     if sem == 0.0:
         return (mean, mean)
-    t = float(sps.t.ppf(0.5 + confidence / 2.0, df=len(values) - 1))
+    t = _t_critical(0.5 + confidence / 2.0, len(values) - 1)
     return (mean - t * sem, mean + t * sem)
 
 

@@ -15,7 +15,6 @@ from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as sps
 
 __all__ = [
     "batch_means_ci",
@@ -95,11 +94,68 @@ def linear_percentiles(values: np.ndarray, percents: Sequence[float]) -> List[fl
     return out
 
 
+#: ``float(scipy.stats.t.ppf(0.975, df))`` for ``df`` 1..38 (index
+#: ``df - 1``), scipy's own bits.  At the default 95% confidence and
+#: ``n_batches=20`` these are every quantile a CI asks for: ``len(obs) - 1``
+#: below 40 observations, 19 from there on.  Regenerate with
+#: ``[float(scipy.stats.t.ppf(0.975, df)) for df in range(1, 39)]``;
+#: ``tests/analysis/test_stats.py`` checks each entry against scipy.
+_T_975 = (
+    12.706204736174694,  # df 1
+    4.302652729749462,  # df 2
+    3.1824463052837078,  # df 3
+    2.7764451051977934,  # df 4
+    2.5705818356363146,  # df 5
+    2.4469118511449786,  # df 6
+    2.364624251592784,  # df 7
+    2.306004135204166,  # df 8
+    2.262157162798205,  # df 9
+    2.228138851986274,  # df 10
+    2.200985160091639,  # df 11
+    2.1788128296672284,  # df 12
+    2.1603686564627913,  # df 13
+    2.144786687917804,  # df 14
+    2.131449545559776,  # df 15
+    2.1199052992212546,  # df 16
+    2.1098155778333156,  # df 17
+    2.1009220402410382,  # df 18
+    2.0930240544083087,  # df 19
+    2.085963447265864,  # df 20
+    2.0796138447276795,  # df 21
+    2.0738730679040254,  # df 22
+    2.0686576104190486,  # df 23
+    2.0638985616280245,  # df 24
+    2.0595385527532972,  # df 25
+    2.0555294386428735,  # df 26
+    2.0518305164802846,  # df 27
+    2.0484071417952454,  # df 28
+    2.045229642132703,  # df 29
+    2.0422724563012378,  # df 30
+    2.039513446396408,  # df 31
+    2.0369333434601016,  # df 32
+    2.0345152974493383,  # df 33
+    2.0322445093177186,  # df 34
+    2.030107928250343,  # df 35
+    2.0280940009804502,  # df 36
+    2.0261924630291093,  # df 37
+    2.0243941639119694,  # df 38
+)
+
+
 @lru_cache(maxsize=1024)
 def _t_critical(q: float, df: int) -> float:
-    """Student-t quantile ``q`` at ``df`` degrees of freedom.  Memoized:
-    ``scipy``'s ``ppf`` costs tens of microseconds, and every summary of
-    a sweep asks for the same few values."""
+    """Student-t quantile ``q`` at ``df`` degrees of freedom, bit for bit
+    ``float(scipy.stats.t.ppf(q, df))``.
+
+    The 97.5% quantile for ``df`` 1..38 is read from :data:`_T_975`, so a
+    default-confidence CI never loads scipy (about 1 s and 65 MB a
+    process).  Any other ``(q, df)`` imports ``scipy.stats`` here, on
+    first use.  Memoized: ``ppf`` costs tens of microseconds, and a
+    sweep asks for the same few values."""
+    if q == 0.975 and 1 <= df <= len(_T_975):
+        return _T_975[df - 1]
+    from scipy import stats as sps
+
     return float(sps.t.ppf(q, df=df))
 
 

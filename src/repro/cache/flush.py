@@ -25,6 +25,8 @@ modelled.
 The binomial is evaluated through the regularized incomplete beta function
 (exact, vectorized, numerically stable for the ``n ~ 1e7`` reference counts
 the sweeps produce); a Poisson limit is also provided for cross-checking.
+Both import ``scipy.special`` when called, not at import: the paper's
+direct-mapped caches never need it, so a default run never loads scipy.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from __future__ import annotations
 from typing import Union
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "flushed_fraction",
@@ -85,6 +86,8 @@ def flushed_fraction(n_unique_lines: Union[float, np.ndarray], n_sets: int,
         # P(X >= A) = I_p(A, n - A + 1)  (regularized incomplete beta).
         # betainc requires n - A + 1 > 0; for n <= A - 1 the probability of
         # seeing >= A successes in n trials is exactly 0.
+        from scipy import special
+
         out = np.where(
             n > A - 1,
             special.betainc(A, np.maximum(n - A + 1.0, 1e-12), p),
@@ -105,6 +108,8 @@ def flushed_fraction_poisson(n_unique_lines: Union[float, np.ndarray], n_sets: i
     (regularized lower incomplete gamma).  Provided for validation and for
     closed-form analysis work; the simulator uses the exact binomial form.
     """
+    from scipy import special
+
     n = _validate(n_unique_lines, n_sets, associativity)
     lam = n / float(n_sets)
     out = special.gammainc(float(associativity), lam)

@@ -81,7 +81,7 @@ class _WorkerOutcome:
 
     ok: bool
     summary: Optional[SimulationSummary]
-    body: bytes              # the summary's frame body (b"" on failure)
+    body: bytes              # the summary's frame body; b"" inline or on failure
     kind: str                # "" | "timeout" | "error"
     error: str
     elapsed_s: float
@@ -154,7 +154,10 @@ def _execute_task(task: _WorkerTask) -> _WorkerOutcome:
                 raise InjectedFault(
                     f"injected failure for task {task.fault_key[:12]}")
             summary = run_simulation(task.config)
-        return _WorkerOutcome(True, summary, encode_body(summary), "", "",
+        # An agent encodes the body its coordinator frames and compares;
+        # inline, the runner encodes only if a cache or journal keeps it.
+        body = b"" if task.inline else encode_body(summary)
+        return _WorkerOutcome(True, summary, body, "", "",
                               time.perf_counter() - t0)
     except TaskTimeout as exc:
         return _WorkerOutcome(False, None, b"", "timeout", str(exc),

@@ -90,7 +90,7 @@ from .backends import (
     make_backend,
 )
 from .backends.base import Task, _execute_task, _WorkerTask
-from .cache import ResultCache, frame
+from .cache import ResultCache, encode_body, frame
 from .checkpoint import CheckpointJournal, sweep_id
 from .faults import FaultPlan
 from .keys import config_key, config_keys
@@ -517,12 +517,15 @@ class SweepRunner:
     def _complete(self, batch: BatchState, i: int,
                   summary: SimulationSummary, body: bytes) -> None:
         """Commit one result; ``body`` is its frame body, encoded where
-        it ran.  The frame is built once, for the cache and the journal."""
+        it ran, or ``b""`` (an inline run) to encode it here if needed.  The
+        frame is built once, for the cache and the journal, and only when
+        one of them keeps it."""
         batch.results[i] = summary
         self.stats.executed += 1
         key = batch.keys[i]
-        if key is not None:
-            blob = frame(key, body)
+        if key is not None and (self.cache is not None
+                                or batch.journal is not None):
+            blob = frame(key, body or encode_body(summary))
             if self.cache is not None:
                 self.cache.put(key, summary, blob)
             if batch.journal is not None:

@@ -1,7 +1,13 @@
 """Tests for independent replications and paired comparisons."""
 
-import pytest
+import math
+from types import SimpleNamespace
 
+import numpy as np
+import pytest
+from scipy import stats as sps
+
+import repro.sim.system
 from repro.analysis.replications import paired_comparison, replicate
 from repro.workloads.traffic import TrafficSpec
 
@@ -85,3 +91,43 @@ class TestPairedComparison:
         again = replicate(small_config(policy="fcfs"), n_replications=3,
                           base_seed=55)
         assert cmp.a.per_run_means == again.per_run_means
+
+
+def _scipy_t_interval(values, confidence):
+    """The replication CI as computed with ``scipy.stats.t`` directly."""
+    values = np.asarray(values)
+    mean = float(values.mean())
+    sem = float(values.std(ddof=1) / math.sqrt(len(values)))
+    t = float(sps.t.ppf(0.5 + confidence / 2.0, df=len(values) - 1))
+    return (mean - t * sem, mean + t * sem)
+
+
+class TestFixedInputCI:
+    """On fixed per-run means, the CIs equal the scipy formula bit for
+    bit, from the pinned table (95%, few replications) and from the
+    scipy fallback (90%, or df beyond the table)."""
+
+    @pytest.fixture
+    def fixed_runs(self, monkeypatch):
+        def fake_run(config):
+            # A fixed metric of seed and policy: no simulation runs.
+            value = 100.0 + (config.seed * 7919 % 101) / 3.0
+            if config.policy == "fcfs":
+                value *= 1.25
+            return SimpleNamespace(mean_delay_us=value, stable=True)
+        monkeypatch.setattr(repro.sim.system, "run_simulation", fake_run)
+
+    @pytest.mark.parametrize("confidence", [0.95, 0.90])
+    @pytest.mark.parametrize("n", [2, 5, 39, 45])
+    def test_replicate(self, fixed_runs, confidence, n):
+        r = replicate(small_config(), n_replications=n, confidence=confidence)
+        assert r.ci_us == _scipy_t_interval(r.per_run_means, confidence)
+
+    @pytest.mark.parametrize("confidence", [0.95, 0.90])
+    def test_paired_comparison(self, fixed_runs, confidence):
+        cmp = paired_comparison(small_config(policy="fcfs"),
+                                small_config(policy="mru"), n_replications=6,
+                                confidence=confidence, base_seed=3)
+        diffs = np.asarray(cmp.a.per_run_means) - np.asarray(cmp.b.per_run_means)
+        assert cmp.ci_us == _scipy_t_interval(diffs, confidence)
+        assert cmp.ci_us[0] < cmp.ci_us[1]

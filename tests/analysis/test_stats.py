@@ -7,6 +7,7 @@ import pytest
 from scipy import stats as sps
 
 from repro.analysis.stats import (
+    _T_975,
     _t_critical,
     batch_means,
     batch_means_ci,
@@ -100,6 +101,21 @@ class TestBatchMeansCI:
                 expected = float(sps.t.ppf(q, df=df))
                 assert _t_critical(q, df) == expected
                 assert _t_critical(q, df) == expected  # the cached value
+
+    def test_pinned_table_is_scipy_bit_for_bit(self):
+        assert len(_T_975) == 38
+        for df, value in enumerate(_T_975, start=1):
+            assert value == float(sps.t.ppf(0.975, df=df)), df
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 39])
+    def test_small_sample_ci_uses_scipys_quantile(self, n):
+        # Below 40 observations the CI is a t-interval on the raw sample
+        # at df = n - 1, read from the table.
+        obs = np.random.default_rng(n).normal(5.0, 2.0, size=n)
+        sem = float(obs.std(ddof=1) / math.sqrt(n))
+        t = float(sps.t.ppf(0.975, df=n - 1))
+        mean = float(obs.mean())
+        assert batch_means_ci(obs) == (mean - t * sem, mean + t * sem)
 
     def test_ci_uses_the_direct_t_quantile(self):
         obs = np.random.default_rng(3).normal(5.0, 2.0, size=400)

@@ -56,6 +56,18 @@ class TestSetAssociative:
         expected = 1.0 - (1 - p) ** n - n * p * (1 - p) ** (n - 1)
         assert flushed_fraction(float(n), S, A) == pytest.approx(expected, rel=1e-9)
 
+    @pytest.mark.parametrize("A", [2, 4])
+    def test_equals_the_incomplete_beta_expression(self, A):
+        from scipy import special
+        n = np.array([0.0, 1.0, 3.0, 4.0, 17.5, 1000.0, 2.5e6])
+        S = 512
+        expected = np.clip(np.where(
+            n > A - 1,
+            special.betainc(A, np.maximum(n - A + 1.0, 1e-12), 1.0 / S),
+            0.0), 0.0, 1.0)
+        assert np.array_equal(flushed_fraction(n, S, A), expected)
+        assert flushed_fraction(1000.0, S, A) == float(expected[5])
+
 
 class TestPoissonLimit:
     def test_close_to_binomial_for_small_p(self):
@@ -70,6 +82,15 @@ class TestPoissonLimit:
         assert flushed_fraction_poisson(n, S, A) == pytest.approx(
             float(special.gammainc(A, n / S))
         )
+
+    @pytest.mark.parametrize("A", [1, 2, 4])
+    def test_equals_the_incomplete_gamma_expression(self, A):
+        from scipy import special
+        n = np.array([0.0, 3.0, 900.0, 5000.0, 2.5e6])
+        S = 512
+        expected = np.clip(special.gammainc(float(A), n / S), 0.0, 1.0)
+        assert np.array_equal(flushed_fraction_poisson(n, S, A), expected)
+        assert flushed_fraction_poisson(900.0, S, A) == float(expected[2])
 
 
 class TestValidationAndShapes:

@@ -7,6 +7,7 @@ backend factory — plus small end-to-end warm==serial checks.  The heavyweight 
 """
 
 import dataclasses
+import importlib
 import os
 import signal
 from collections import deque
@@ -249,6 +250,38 @@ class TestResultFrames:
         assert _bodies(tmp_path / "j.log")[key] == encode_body(summary)
         assert runner.cache.get(key) == summary
         journal.close()
+
+    @staticmethod
+    def _count_encodes(monkeypatch):
+        """Count ``encode_body`` calls wherever the runner may make them."""
+        calls = []
+
+        def counting(summary):
+            calls.append(summary)
+            return encode_body(summary)
+        for name in ("repro.runner.backends.base", "repro.runner.runner"):
+            monkeypatch.setattr(importlib.import_module(name), "encode_body",
+                                counting)
+        return calls
+
+    def test_uncached_inline_run_encodes_no_body(self, monkeypatch):
+        calls = self._count_encodes(monkeypatch)
+        configs = [_tiny(seed=s) for s in range(1, 4)]
+        runner = SweepRunner(jobs=0)
+        assert runner.run_many(configs) == [run_simulation(c) for c in configs]
+        assert runner.stats.executed == len(configs)
+        assert calls == []
+
+    def test_cached_inline_run_encodes_each_body_once(self, tmp_path,
+                                                       monkeypatch):
+        calls = self._count_encodes(monkeypatch)
+        configs = [_tiny(seed=s) for s in range(1, 4)]
+        runner = SweepRunner(jobs=0, cache=ResultCache(tmp_path))
+        runner.run_many(configs)
+        runner.cache.log.sync()
+        assert len(calls) == len(configs)
+        assert _bodies(tmp_path / "results.log") == {
+            config_key(c): encode_body(run_simulation(c)) for c in configs}
 
     @pytest.mark.slow
     def test_every_backend_writes_the_same_frames(self, tmp_path):
